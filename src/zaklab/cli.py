@@ -216,8 +216,7 @@ def _cmd_simulate(args) -> int:
     _progress_to_stderr(
         f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
     traj = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
-                  scheme=spec.scheme, dealias=spec.dealias,
-                  blowup_threshold=spec.blowup_threshold)
+                  dealias=spec.dealias, blowup_threshold=spec.blowup_threshold)
     series = error_series(traj, spec.config)
     spec_dict = spec.to_dict()
     spec_dict["kind"] = "simulate"

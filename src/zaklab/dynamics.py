@@ -16,17 +16,20 @@ on a periodic box, first-order in (n, v).  The flow is split into
                  - f_hat dt          (zero mode: n_hat0 dt),
      with f = |u|^2; also exact, and |u|-preserving.
 
-The default scheme "strang" composes A(dt/2) W(dt) A(dt/2): two exact flows
-in a palindromic arrangement, hence globally second order.  Scheme "lie"
-replaces W by the pair [wave full step, then u <- exp(-i n dt) u with the
-updated n frozen]; that inner pair is a Lie-Trotter composition whose
-commutator (i v_x u, 0, 0) does not vanish on traveling waves, so "lie"
-degrades to first order whenever v != 0 (see the order-measurement tests).
-Scheme "bcb" symmetrizes the same pair as wave(dt/2), potential(dt),
-wave(dt/2) and is second order again.
+One step is the Strang composition A(dt/2) W(dt) A(dt/2) of these two exact
+flows (Bao, Sun & Wei, J. Comput. Phys. 2003); the palindromic arrangement
+makes it globally second order.  `evolve` runs it with the state held in
+Fourier space: u_hat as a full FFT, n_hat and v_hat as rfft half-spectra
+(their self-conjugate Nyquist bins are kept real, the projection onto real
+n and v).  The trailing A(dt/2) of one step and the leading A(dt/2) of the
+next are fused into one A(dt); they are split only at sampled frames and
+before a shortened last step.  A step then costs four transforms: ifft of
+u_hat, rfft of f, irfft of I_hat, fft of the phased u.
 
-Every scheme multiplies u by unit-modulus factors only, so the discrete
-u-mass sum(|u|^2) is conserved to rounding regardless of dt.
+W multiplies u by unit-modulus factors only, so the discrete u-mass
+sum(|u|^2) is conserved to rounding regardless of dt.  The blow-up guard
+runs after every step on the u_hat the step already has, through Parseval:
+||u||_H1^2 = (h/N) sum_k (1 + k^2) |u_hat_k|^2.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "State",
     "Trajectory",
     "BlowUpError",
-    "SCHEMES",
     "step",
     "evolve",
     "time_reverse",
@@ -50,8 +52,6 @@ __all__ = [
     "soliton_state",
     "multi_soliton_state",
 ]
-
-SCHEMES = ("strang", "lie", "bcb")
 
 DEFAULT_BLOWUP_THRESHOLD = 1e6
 
@@ -126,104 +126,85 @@ def multi_soliton_state(grid: Grid, config: profiles.MultiSolitonConfig, t: floa
 
 
 class _Coeffs:
-    """Per-(grid, dt) spectral coefficient arrays for one split step."""
+    """Per-(grid, dt) coefficient arrays for one split step.
+
+    The kinetic factors act on the full FFT of u; the W-flow factors on the
+    rfft bins, whose wavenumbers are the first n/2 + 1 FFT-ordered ones.
+    """
 
     def __init__(self, grid: Grid, dt: float, dealias: bool):
         k = grid.wavenumbers
-        kd = k * dt
         self.dt = dt
         self.kin_half = np.exp(-0.5j * k**2 * dt)
-        self.cos = np.cos(kd)
-        self.sin = np.sin(kd)
+        self.kin = np.exp(-1j * k**2 * dt)
+        self.h1_weight = grid.spacing / grid.n_points * (1.0 + k**2)
+        half = grid.n_points // 2 + 1
+        k = k[:half]
+        kd = k * dt
+        cos, sin = np.cos(kd), np.sin(kd)
         # sin(k dt)/k -> dt and (1 - cos(k dt))/k -> 0 at the zero mode
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.sin_over_k = np.where(k == 0.0, dt, self.sin / np.where(k == 0.0, 1.0, k))
-            self.omc_over_k = np.where(k == 0.0, 0.0, (1.0 - self.cos) / np.where(k == 0.0, 1.0, k))
-        self.mask = grid.dealias_mask if dealias else None
+            sin_over_k = np.where(k == 0.0, dt, sin / np.where(k == 0.0, 1.0, k))
+            omc_over_k = np.where(k == 0.0, 0.0, (1.0 - cos) / np.where(k == 0.0, 1.0, k))
+        # complex up front (the -1j folded in), which saves a cast and a
+        # multiply per use and gives the same bits as multiplying on the fly
+        self.cos = cos.astype(complex)
+        self.mi_sin = -1j * sin
+        self.sin_over_k = sin_over_k.astype(complex)
+        self.mi_omc_over_k = -1j * omc_over_k
+        self.mask = grid.dealias_mask[:half] if dealias else None
 
 
-def _f_hat(u, coeffs):
-    f_hat = np.fft.fft(np.abs(u) ** 2)
-    if coeffs.mask is not None:
-        f_hat = f_hat * coeffs.mask
-    return f_hat
-
-
-def _wave_rotation(n_hat, v_hat, f_hat, cos, sin):
+def _w_flow(u_hat, n_hat, v_hat, c):
+    """Exact W flow over c.dt on spectral data; returns new (u_hat, n_hat, v_hat)."""
+    u = np.fft.ifft(u_hat)
+    f_hat = np.fft.rfft(np.abs(u) ** 2)
+    if c.mask is not None:
+        f_hat *= c.mask
     w = n_hat + f_hat
-    return w * cos - 1j * v_hat * sin - f_hat, v_hat * cos - 1j * w * sin
+    i_hat = w * c.sin_over_k + v_hat * c.mi_omc_over_k - f_hat * c.dt
+    phase = np.fft.irfft(i_hat, u.size)
+    n_hat = w * c.cos + v_hat * c.mi_sin - f_hat
+    v_hat = v_hat * c.cos + w * c.mi_sin
+    n_hat[-1] = n_hat[-1].real
+    v_hat[-1] = v_hat[-1].real
+    # exp(-i phase) built as cos - i sin, which is cheaper than complex exp
+    rot = np.empty_like(u)
+    np.cos(phase, out=rot.real)
+    np.sin(phase, out=rot.imag)
+    np.negative(rot.imag, out=rot.imag)
+    u *= rot
+    return np.fft.fft(u), n_hat, v_hat
 
 
-def _substep_w(u, n, v, coeffs):
-    """Exact combined wave + potential flow over one dt (scheme "strang")."""
-    f_hat = _f_hat(u, coeffs)
-    n_hat = np.fft.fft(n)
-    v_hat = np.fft.fft(v)
-    w = n_hat + f_hat
-    i_hat = w * coeffs.sin_over_k - 1j * v_hat * coeffs.omc_over_k - f_hat * coeffs.dt
-    phase = np.fft.ifft(i_hat).real
-    n_new, v_new = _wave_rotation(n_hat, v_hat, f_hat, coeffs.cos, coeffs.sin)
-    u_new = u * np.exp(-1j * phase)
-    return u_new, np.fft.ifft(n_new).real, np.fft.ifft(v_new).real
-
-
-def _substep_lie(u, n, v, coeffs):
-    """Wave full step, then potential phase with the updated n frozen."""
-    f_hat = _f_hat(u, coeffs)
-    n_new, v_new = _wave_rotation(np.fft.fft(n), np.fft.fft(v), f_hat, coeffs.cos, coeffs.sin)
-    n_p = np.fft.ifft(n_new).real
-    return u * np.exp(-1j * coeffs.dt * n_p), n_p, np.fft.ifft(v_new).real
-
-
-def _substep_bcb(u, n, v, coeffs, half):
-    """wave(dt/2), potential(dt), wave(dt/2)."""
-    f_hat = _f_hat(u, coeffs)
-    n_hat, v_hat = _wave_rotation(np.fft.fft(n), np.fft.fft(v), f_hat, half.cos, half.sin)
-    n_mid = np.fft.ifft(n_hat).real
-    u_new = u * np.exp(-1j * coeffs.dt * n_mid)
-    # |u|^2 is unchanged by the phase multiplication, f_hat stays valid
-    n_hat, v_hat = _wave_rotation(n_hat, v_hat, f_hat, half.cos, half.sin)
-    return u_new, np.fft.ifft(n_hat).real, np.fft.ifft(v_hat).real
-
-
-def _step_arrays(u, n, v, coeffs, scheme, half=None):
-    u = np.fft.ifft(coeffs.kin_half * np.fft.fft(u))
-    if scheme == "strang":
-        u, n, v = _substep_w(u, n, v, coeffs)
-    elif scheme == "lie":
-        u, n, v = _substep_lie(u, n, v, coeffs)
-    elif scheme == "bcb":
-        u, n, v = _substep_bcb(u, n, v, coeffs, half)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    u = np.fft.ifft(coeffs.kin_half * np.fft.fft(u))
-    return u, n, v
-
-
-def step(state: State, dt: float, scheme: str = "strang", dealias: bool = True) -> State:
-    """Advance one split step of size dt; returns a new State."""
-    coeffs = _Coeffs(state.grid, dt, dealias)
-    half = _Coeffs(state.grid, 0.5 * dt, dealias) if scheme == "bcb" else None
-    u, n, v = _step_arrays(state.u, state.n, state.v, coeffs, scheme, half)
-    return State(state.grid, state.t + dt, u, n, v)
-
-
-def _check_finite(grid, u, t, threshold):
-    norms = sobolev_norms(grid, u, np.zeros_like(grid.x), np.zeros_like(grid.x))
-    h1 = norms["H1_of_u"]
+def _check_h1(u_hat, c, t, threshold):
+    h1 = np.sqrt(np.vdot(u_hat, c.h1_weight * u_hat).real)
     if not np.isfinite(h1) or h1 > threshold:
         raise BlowUpError(t, h1)
 
 
+def _frame(grid, t, u_hat, n_hat, v_hat) -> State:
+    n = grid.n_points
+    return State(grid, t, np.fft.ifft(u_hat), np.fft.irfft(n_hat, n), np.fft.irfft(v_hat, n))
+
+
+def step(state: State, dt: float, dealias: bool = True) -> State:
+    """Advance one split step A(dt/2) W(dt) A(dt/2) of size dt; returns a new State."""
+    c = _Coeffs(state.grid, dt, dealias)
+    u_hat, n_hat, v_hat = _w_flow(c.kin_half * np.fft.fft(state.u),
+                                  np.fft.rfft(state.n), np.fft.rfft(state.v), c)
+    return _frame(state.grid, state.t + dt, c.kin_half * u_hat, n_hat, v_hat)
+
+
 def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
-           scheme: str = "strang", dealias: bool = True,
+           dealias: bool = True,
            blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
     """Integrate forward to t_target, sampling every sample_stride steps.
 
     The returned trajectory always contains the initial state and a final
     state whose time is exactly t_target (the last step is shortened when
     t_target - t is not an integer multiple of dt).  Raises BlowUpError when
-    ||u||_H1 exceeds blowup_threshold at a sampled frame.
+    ||u||_H1 exceeds blowup_threshold after any step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -240,39 +221,43 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
         remainder = 0.0
 
     grid = state.grid
-    coeffs = _Coeffs(grid, dt, dealias)
-    half = _Coeffs(grid, 0.5 * dt, dealias) if scheme == "bcb" else None
-    u, n, v = state.u.copy(), state.n.copy(), state.v.copy()
-
+    c = _Coeffs(grid, dt, dealias)
+    u_hat = np.fft.fft(state.u)
+    n_hat, v_hat = np.fft.rfft(state.n), np.fft.rfft(state.v)
+    _check_h1(u_hat, c, t0, blowup_threshold)
     states = [state.copy()]
-    _check_finite(grid, u, t0, blowup_threshold)
+    if n_full:
+        u_hat *= c.kin_half
     for j in range(1, n_full + 1):
-        u, n, v = _step_arrays(u, n, v, coeffs, scheme, half)
-        t = t0 + j * dt
-        if j % sample_stride == 0 or (j == n_full and remainder == 0.0):
-            t = t_target if (j == n_full and remainder == 0.0) else t
-            _check_finite(grid, u, t, blowup_threshold)
-            states.append(State(grid, t, u.copy(), n.copy(), v.copy()))
+        u_hat, n_hat, v_hat = _w_flow(u_hat, n_hat, v_hat, c)
+        last = j == n_full
+        t = t_target if (last and remainder == 0.0) else t0 + j * dt
+        _check_h1(u_hat, c, t, blowup_threshold)
+        sample = j % sample_stride == 0 or (last and remainder == 0.0)
+        if sample or last:
+            u_hat *= c.kin_half
+            if sample:
+                states.append(_frame(grid, t, u_hat, n_hat, v_hat))
+            if not last:
+                u_hat *= c.kin_half
+        else:
+            u_hat *= c.kin
     if remainder > 0.0:
-        coeffs_last = _Coeffs(grid, remainder, dealias)
-        half_last = _Coeffs(grid, 0.5 * remainder, dealias) if scheme == "bcb" else None
-        u, n, v = _step_arrays(u, n, v, coeffs_last, scheme, half_last)
-        _check_finite(grid, u, t_target, blowup_threshold)
-        states.append(State(grid, t_target, u.copy(), n.copy(), v.copy()))
-    if len(states) == 1:
-        # zero-length evolution: single-frame trajectory
-        return Trajectory(grid, states)
+        c = _Coeffs(grid, remainder, dealias)
+        u_hat, n_hat, v_hat = _w_flow(c.kin_half * u_hat, n_hat, v_hat, c)
+        _check_h1(u_hat, c, t_target, blowup_threshold)
+        states.append(_frame(grid, t_target, c.kin_half * u_hat, n_hat, v_hat))
     return Trajectory(grid, states)
 
 
 def time_reverse(state: State) -> State:
     """The reversal symmetry (u, n, v)(t) -> (conj u, n, -v)(-t) of the system."""
-    return State(state.grid, -state.t, np.conj(state.u), state.n.copy(), -state.v)
+    # 0.0 - t rather than -t, so that t = 0 maps to +0.0
+    return State(state.grid, 0.0 - state.t, np.conj(state.u), state.n.copy(), -state.v)
 
 
 def backward_construct(grid: Grid, config: profiles.MultiSolitonConfig, t_final: float,
-                       dt: float, sample_stride: int = 1, scheme: str = "strang",
-                       dealias: bool = True,
+                       dt: float, sample_stride: int = 1, dealias: bool = True,
                        blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
     """Solve backward from exact multi-soliton data prescribed at t_final.
 
@@ -282,7 +267,8 @@ def backward_construct(grid: Grid, config: profiles.MultiSolitonConfig, t_final:
     """
     end = multi_soliton_state(grid, config, t_final)
     rev = time_reverse(end)  # sits at time -t_final
-    traj = evolve(rev, 0.0, dt, sample_stride=sample_stride, scheme=scheme,
-                  dealias=dealias, blowup_threshold=blowup_threshold)
-    states = [time_reverse(s) for s in traj.states][::-1]
+    traj = evolve(rev, 0.0, dt, sample_stride=sample_stride, dealias=dealias,
+                  blowup_threshold=blowup_threshold)
+    # pop while reversing, so the forward frames are freed one by one
+    states = [time_reverse(traj.states.pop()) for _ in range(len(traj.states))]
     return Trajectory(grid, states)

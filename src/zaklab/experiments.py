@@ -106,6 +106,8 @@ class ExperimentSpec:
             raise ValueError("dt must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        if self.scheme != "strang":
+            raise ValueError(f"unknown scheme {self.scheme!r}; the only scheme is 'strang'")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
         if self.K0 <= 0:
@@ -376,8 +378,8 @@ def _backward_trajectory(spec: ExperimentSpec, progress=None) -> Trajectory:
                         f"(n={spec.n_points}, dt={spec.dt})")
     return backward_construct(
         grid, spec.config, spec.t_final, spec.dt,
-        sample_stride=spec.sample_stride, scheme=spec.scheme,
-        dealias=spec.dealias, blowup_threshold=spec.blowup_threshold,
+        sample_stride=spec.sample_stride, dealias=spec.dealias,
+        blowup_threshold=spec.blowup_threshold,
     )
 
 
@@ -545,8 +547,7 @@ def _run_convergence_order(spec, run_dir, manifest, progress):
     exact = traveling_wave(grid, params, spec.t_final)
 
     def l2_error(dt):
-        final = evolve(state, spec.t_final, dt, sample_stride=10**9,
-                       scheme=spec.scheme, dealias=spec.dealias,
+        final = evolve(state, spec.t_final, dt, sample_stride=10**9, dealias=spec.dealias,
                        blowup_threshold=spec.blowup_threshold).final
         return float(np.sqrt(quadrature(grid, np.abs(final.u - exact[0]) ** 2)))
 

@@ -81,6 +81,18 @@ def test_spec_from_dict_rejects_unknown_keys():
         ExperimentSpec.from_dict({"solitons": base["solitons"]})
 
 
+def test_spec_rejects_unknown_scheme():
+    # the key stays for old configs, but only "strang" parses
+    base = ExperimentSpec(kind="backward_msw", config=ONE).to_dict()
+    assert ExperimentSpec.from_dict(base).scheme == "strang"
+    bad = json.loads(json.dumps(base))
+    bad["numerics"]["scheme"] = "rk4"
+    with pytest.raises(ValueError, match="scheme"):
+        ExperimentSpec.from_dict(bad)
+    with pytest.raises(ValueError, match="scheme"):
+        ExperimentSpec(kind="backward_msw", config=ONE, scheme="lie")
+
+
 def test_content_hash_is_stable_and_sensitive():
     a = ExperimentSpec(kind="backward_msw", config=TWO)
     b = ExperimentSpec(kind="backward_msw", config=TWO)
