@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -528,6 +529,8 @@ def _run_modulation_track(spec, run_dir, manifest, progress):
     manifest.add_file(path, "modulation_series")
     manifest.notes["frames_converged"] = int(np.count_nonzero(result.converged))
     manifest.notes["frames_total"] = int(result.converged.size)
+    manifest.notes["frames_failed_by_reason"] = dict(Counter(
+        r.reason for r in result.results if not r.converged))
     pi0 = pi_from_config(spec.config)
     gaps = np.array([pi_norm(p, pi0) for p in result.pis])
     window = auto_window(result.times, np.maximum(result.epsilon_H, 1e-300))
@@ -595,8 +598,9 @@ def run(spec: ExperimentSpec, output_dir="runs", workers: int = 1,
     except Exception as exc:  # noqa: BLE001 - surfaced via the manifest
         manifest.incomplete = True
         manifest.notes["error"] = f"{type(exc).__name__}: {exc}"
-        manifest_path = manifest.write(run_dir / "manifest.json")
+        manifest_path = run_dir / "manifest.json"
         manifest.add_file(manifest_path, "manifest")
+        manifest.write(manifest_path)
         raise
     manifest_path = run_dir / "manifest.json"
     manifest.add_file(manifest_path, "manifest")

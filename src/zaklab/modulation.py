@@ -10,9 +10,27 @@ eps_u is orthogonal to the 3K symmetry directions of each wave:
 
 with x_k = x - c_k t - sigma_k and Gamma_k = c_k x/2 - c_k^2 t/4 +
 omega_k^0 t + gamma_k (the reference pulsation runs the phase clock).  These
-conditions are solved per snapshot by a damped Newton iteration on the 3K
-residuals with a finite-difference Jacobian; along a trajectory each frame
-warm-starts from the previous one and gamma is kept on a continuous branch.
+conditions are solved per snapshot by a damped Newton iteration (the
+modulation theory of Weinstein, SIAM J. Math. Anal. 1985).  Each iteration
+makes one call to residuals_and_jacobian, which evaluates sech/tanh once per
+soliton over the three box images and returns the residuals together with
+their analytic 3K x 3K Jacobian.  The Jacobian has two kinds of term:
+
+  * profile terms, in every column j, from eps_u = u - S(pi):
+    dS/domega_j = a_j Lambda_{omega_j} e^{i Gamma_j},
+    dS/dsigma_j = -a_j phi_{omega_j}' e^{i Gamma_j}, dS/dgamma_j = i S_j,
+    with a_j = sqrt(1 - c_j^2);
+  * test-function terms, on the diagonal blocks j = k only:
+    dphi/domega = Lambda_omega, dphi/dsigma = -phi',
+    d(x_k phi)/dsigma = -phi - x_k phi', dLambda/dsigma = -Lambda',
+    dLambda/domega = (-LambdaQ(r y)/r + y LambdaQ'(r y)) / (2 omega) with
+    r = sqrt(omega), and d e^{-i Gamma_k}/dgamma_k = -i e^{-i Gamma_k}.
+
+sech is formed from e^{-|z|}, so iterates that run to large omega do not
+overflow.  fd_jacobian, a forward-difference Jacobian of the independent
+orthogonality_residuals, is kept as the test oracle.  Along a trajectory each
+frame warm-starts from the previous one and gamma is kept on a continuous
+branch.
 
 The residual vector, the unknown vector, and the Jacobian all use the fixed
 component order (all omega, all sigma, all gamma).
@@ -21,13 +39,14 @@ component order (all omega, all sigma, all gamma).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import State, Trajectory
-from .grid import quadrature, sobolev_norms
+from .grid import quadrature
 from .profiles import (
     MultiSolitonConfig,
     lambda_omega,
@@ -40,14 +59,27 @@ __all__ = [
     "pi_from_config",
     "pi_norm",
     "orthogonality_residuals",
+    "FitEvaluation",
+    "residuals_and_jacobian",
     "ModulationResult",
+    "REASONS",
     "modulate",
     "fd_jacobian",
     "leading_diagonal_constants",
     "TrackResult",
     "track",
+    "track_columns",
     "write_track_csv",
 ]
+
+# Newton gives up once the best residual has not improved for this many
+# consecutive iterations.
+STAGNATION_ITERS = 5
+
+# Every way modulate can exit, as reported in ModulationResult.reason.
+REASONS = ("converged", "stagnation", "singular", "damping", "max_iter")
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def pi_from_config(config: MultiSolitonConfig) -> np.ndarray:
@@ -64,20 +96,27 @@ def pi_norm(pi, pi0) -> float:
     return float(np.sum(np.abs(np.asarray(pi) - np.asarray(pi0))))
 
 
-def orthogonality_residuals(state, pi, config: MultiSolitonConfig, t=None) -> np.ndarray:
-    """The 3K orthogonality quadratures at parameters pi.
-
-    eps_u = u - S^u(pi) is computed internally; the return order is all
-    omega-type, then all sigma-type, then all gamma-type residuals.
-    """
-    g = state.grid
-    t = state.t if t is None else t
-    K = config.K
+def _checked_pi(pi, K: int) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (3 * K,):
         raise ValueError(f"pi must have shape ({3 * K},)")
     if np.any(pi[:K] <= 0):
         raise ValueError("modulated pulsations must stay positive")
+    return pi
+
+
+def orthogonality_residuals(state, pi, config: MultiSolitonConfig, t=None) -> np.ndarray:
+    """The 3K orthogonality quadratures at parameters pi.
+
+    eps_u = u - S^u(pi) is computed internally; the return order is all
+    omega-type, then all sigma-type, then all gamma-type residuals.  Built
+    from the profiles module alone, this is the reference the fused
+    residuals_and_jacobian is tested against.
+    """
+    g = state.grid
+    t = state.t if t is None else t
+    K = config.K
+    pi = _checked_pi(pi, K)
 
     s_u, _, _ = modulated_profile(g, config, pi, t)
     eps_u = state.u - s_u
@@ -99,6 +138,109 @@ def orthogonality_residuals(state, pi, config: MultiSolitonConfig, t=None) -> np
     return res
 
 
+class FitEvaluation(NamedTuple):
+    """Residuals, their analytic Jacobian and the profile S(pi) at one pi."""
+
+    pi: np.ndarray
+    residuals: np.ndarray
+    jacobian: np.ndarray
+    profile: tuple          # (S^u, S^n, S^v)
+
+    @property
+    def residual_max(self) -> float:
+        return float(np.max(np.abs(self.residuals)))
+
+
+def _sech_tanh(z):
+    """sech z and tanh z from e^{-|z|}, finite however large |z| grows."""
+    e = np.exp(-np.abs(z))
+    e2 = e * e
+    return 2.0 * e / (1.0 + e2), np.sign(z) * (1.0 - e2) / (1.0 + e2)
+
+
+def residuals_and_jacobian(state, pi, config: MultiSolitonConfig) -> FitEvaluation:
+    """The 3K orthogonality residuals and their analytic Jacobian in one pass.
+
+    Row i, column j of the Jacobian is d(residual_i)/d(pi_j); both use the
+    fixed (omega, sigma, gamma) order.  The terms are listed in the module
+    docstring.
+    """
+    g = state.grid
+    t = state.t
+    K = config.K
+    pi = _checked_pi(pi, K)
+    h, L, n_pts = g.spacing, g.box_length, g.n_points
+
+    # The i-th residual of a field F is h Re sum(probes[i] * F); fields[j] is
+    # d(eps_u)/d(pi_j) for j < 3K, and eps_u itself in the last slot.
+    probes = np.empty((3 * K, n_pts), dtype=complex)
+    fields = np.empty((3 * K + 1, n_pts), dtype=complex)
+    s_u = np.zeros(n_pts, dtype=complex)
+    s_n = np.zeros(n_pts)
+    s_v = np.zeros(n_pts)
+    blocks = []
+    for k, p in enumerate(config.solitons):
+        omega = pi[k]
+        r = np.sqrt(omega)
+        center = p.c * t + pi[K + k]
+        x_k = g.wrap(g.x - center)
+        # sums over the three box images of sech, sech*tanh, sqrt(2) LambdaQ,
+        # sqrt(2) LambdaQ' and the omega-derivative numerator of Lambda_omega
+        f = df = lam = dlam = lam_omega = 0.0
+        for y in (x_k, x_k - L, x_k + L):
+            z = r * y
+            sech, tanh = _sech_tanh(z)
+            lq = sech * (1.0 - z * tanh)
+            dlq = sech * (z * (tanh * tanh - sech * sech) - 2.0 * tanh)
+            f = f + sech
+            df = df + sech * tanh
+            lam = lam + lq
+            dlam = dlam + dlq
+            lam_omega = lam_omega + (y * dlq - lq / r)
+        f = _SQRT2 * r * f                              # phi_omega
+        df = -_SQRT2 * omega * df                       # phi_omega'
+        lam = lam / (_SQRT2 * r)                        # Lambda_omega
+        dlam = dlam / _SQRT2                            # Lambda_omega'
+        lam_omega = lam_omega / (2.0 * _SQRT2 * omega)  # d(Lambda_omega)/d(omega)
+
+        phase = (0.5 * p.c * (x_k + center) - 0.25 * p.c**2 * t
+                 + p.omega * t + pi[2 * K + k])
+        cos, sin = np.cos(phase), np.sin(phase)
+        e_phase = cos + 1j * sin                        # e^{i Gamma_k}
+        e_back = cos - 1j * sin                         # e^{-i Gamma_k}
+        a = np.sqrt(1.0 - p.c**2)
+        s_k = a * f * e_phase
+        n_k = -(f**2)
+        s_u += s_k
+        s_n += n_k
+        s_v += p.c * n_k
+
+        fields[k] = -a * lam * e_phase
+        fields[K + k] = a * df * e_phase
+        fields[2 * K + k] = -1j * s_k
+        probes[k] = f * e_back
+        probes[K + k] = x_k * probes[k]
+        probes[2 * K + k] = -1j * lam * e_back
+        blocks.append((e_back, x_k, f, df, lam, dlam, lam_omega))
+
+    eps_u = state.u - s_u
+    fields[3 * K] = eps_u
+    quad = h * (probes @ fields.T).real
+    res = quad[:, 3 * K].copy()
+    jac = quad[:, :3 * K].copy()
+
+    for k, (e_back, x_k, f, df, lam, dlam, lam_omega) in enumerate(blocks):
+        w = e_back * eps_u
+        re_w, im_w = w.real, w.imag
+        idx = np.ix_((k, K + k, 2 * K + k), (k, K + k, 2 * K + k))
+        jac[idx] += h * np.array([
+            [lam @ re_w, -(df @ re_w), f @ im_w],
+            [(x_k * lam) @ re_w, -((f + x_k * df) @ re_w), (x_k * f) @ im_w],
+            [lam_omega @ im_w, -(dlam @ im_w), -(lam @ re_w)],
+        ])
+    return FitEvaluation(pi=pi, residuals=res, jacobian=jac, profile=(s_u, s_n, s_v))
+
+
 @dataclass(frozen=True)
 class ModulationResult:
     pi: np.ndarray
@@ -107,6 +249,7 @@ class ModulationResult:
     iterations: int
     converged: bool
     epsilon_H_norm: float
+    reason: str              # one of REASONS
 
     @property
     def residual_max(self) -> float:
@@ -114,7 +257,7 @@ class ModulationResult:
 
 
 def fd_jacobian(state, pi, config: MultiSolitonConfig, rel_step: float = 1e-6) -> np.ndarray:
-    """Forward-difference Jacobian of the residuals in the fixed order."""
+    """Forward-difference Jacobian of orthogonality_residuals (test oracle)."""
     pi = np.asarray(pi, dtype=float)
     base = orthogonality_residuals(state, pi, config)
     jac = np.empty((pi.size, pi.size))
@@ -126,13 +269,21 @@ def fd_jacobian(state, pi, config: MultiSolitonConfig, rel_step: float = 1e-6) -
     return jac
 
 
-def _result(state, pi, res, iters, converged, config):
-    g = state.grid
-    s_u, s_n, s_v = modulated_profile(g, config, pi, state.t)
-    eps = State(g, state.t, state.u - s_u, state.n - s_n, state.v - s_v)
-    norm = sobolev_norms(g, eps.u, eps.n, eps.v)["bold_H"]
-    return ModulationResult(pi=pi, epsilon=eps, residuals=res, iterations=iters,
-                            converged=converged, epsilon_H_norm=norm)
+def _bold_h(eps: State) -> float:
+    """||u||_H1 + ||n||_L2 + ||v||_L2, the H1 part by Parseval."""
+    g = eps.grid
+    u_hat = np.fft.fft(eps.u)
+    h1 = np.sqrt(g.spacing / g.n_points
+                 * np.sum((1.0 + g.wavenumbers**2) * np.abs(u_hat) ** 2))
+    return float(h1 + np.sqrt(quadrature(g, eps.n**2)) + np.sqrt(quadrature(g, eps.v**2)))
+
+
+def _result(state, ev: FitEvaluation, iterations: int, reason: str) -> ModulationResult:
+    s_u, s_n, s_v = ev.profile
+    eps = State(state.grid, state.t, state.u - s_u, state.n - s_n, state.v - s_v)
+    return ModulationResult(pi=ev.pi, epsilon=eps, residuals=ev.residuals,
+                            iterations=iterations, converged=reason == "converged",
+                            epsilon_H_norm=_bold_h(eps), reason=reason)
 
 
 def modulate(state, config: MultiSolitonConfig, pi_guess=None,
@@ -140,37 +291,49 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
     """Newton-solve the 3K orthogonality relations from a warm guess.
 
     Steps that would push a pulsation out of (0, inf) are halved up to 20
-    times; if damping fails, or max_iter is exhausted with residuals above
-    tolerance, the best iterate seen is returned with converged = False.
+    times.  The solve exits, with ModulationResult.reason set to
+
+      * "converged": max |residual| <= tolerance (converged = True);
+      * "stagnation": the best residual did not improve for STAGNATION_ITERS
+        consecutive iterations;
+      * "singular": the Jacobian could not be solved;
+      * "damping": 20 halvings left a pulsation non-positive;
+      * "max_iter": max_iter iterations ran out.
+
+    On every exit but "converged" the best iterate seen is returned with
+    converged = False.
     """
     K = config.K
     pi = pi_from_config(config) if pi_guess is None else np.array(pi_guess, dtype=float)
-    res = orthogonality_residuals(state, pi, config)
-    best_pi, best_res = pi.copy(), res.copy()
+    ev = residuals_and_jacobian(state, pi, config)
+    best, stalled = ev, 0
 
     for it in range(max_iter):
-        if np.max(np.abs(res)) <= tolerance:
-            return _result(state, pi, res, it, True, config)
-        jac = fd_jacobian(state, pi, config)
+        if ev.residual_max <= tolerance:
+            return _result(state, ev, it, "converged")
         try:
-            delta = np.linalg.solve(jac, -res)
+            delta = np.linalg.solve(ev.jacobian, -ev.residuals)
         except np.linalg.LinAlgError:
-            return _result(state, best_pi, best_res, it, False, config)
+            return _result(state, best, it, "singular")
         scale = 1.0
         for _ in range(20):
             if np.all(pi[:K] + scale * delta[:K] > 0):
                 break
             scale *= 0.5
         else:
-            return _result(state, best_pi, best_res, it, False, config)
+            return _result(state, best, it, "damping")
         pi = pi + scale * delta
-        res = orthogonality_residuals(state, pi, config)
-        if np.max(np.abs(res)) < np.max(np.abs(best_res)):
-            best_pi, best_res = pi.copy(), res.copy()
+        ev = residuals_and_jacobian(state, pi, config)
+        if ev.residual_max < best.residual_max:
+            best, stalled = ev, 0
+        else:
+            stalled += 1
+            if stalled == STAGNATION_ITERS:
+                return _result(state, best, it + 1, "stagnation")
 
-    if np.max(np.abs(res)) <= tolerance:
-        return _result(state, pi, res, max_iter, True, config)
-    return _result(state, best_pi, best_res, max_iter, False, config)
+    if ev.residual_max <= tolerance:
+        return _result(state, ev, max_iter, "converged")
+    return _result(state, best, max_iter, "max_iter")
 
 
 def leading_diagonal_constants(state, config: MultiSolitonConfig, pi=None) -> dict:
@@ -186,7 +349,7 @@ def leading_diagonal_constants(state, config: MultiSolitonConfig, pi=None) -> di
         pi = pi_from_config(config)
     pi = np.asarray(pi, dtype=float)
     K = config.K
-    jac = fd_jacobian(state, pi, config)
+    jac = residuals_and_jacobian(state, pi, config).jacobian
     d_omega = np.empty(K)
     d_sigma = np.empty(K)
     d_gamma = np.empty(K)
@@ -233,13 +396,8 @@ def track(trajectory: Trajectory, config: MultiSolitonConfig,
             two_pi = 2.0 * np.pi
             shift = two_pi * np.round((prev_pi[2 * K:] - pi[2 * K:]) / two_pi)
             if np.any(shift != 0.0):
-                pi = pi.copy()
                 pi[2 * K:] += shift
-                res = ModulationResult(pi=pi, epsilon=res.epsilon,
-                                       residuals=res.residuals,
-                                       iterations=res.iterations,
-                                       converged=res.converged,
-                                       epsilon_H_norm=res.epsilon_H_norm)
+                res = replace(res, pi=pi)
         results.append(res)
         guess = pi if res.converged else pi0
         prev_pi = pi if res.converged else prev_pi
@@ -270,7 +428,7 @@ def track_columns(K: int) -> list:
     for name in ("domega_dt", "dsigma_dt", "dgamma_dt"):
         cols += [f"{name}_{k+1}" for k in range(K)]
     cols += [f"gamma_rate_mismatch_{k+1}" for k in range(K)]
-    cols += ["eps_H", "residual_max", "iterations", "converged"]
+    cols += ["eps_H", "residual_max", "iterations", "converged", "reason"]
     return cols
 
 
@@ -290,6 +448,6 @@ def write_track_csv(path, result: TrackResult, config: MultiSolitonConfig) -> li
             row += list(result.gamma_rate_mismatch[i])
             row += [r.epsilon_H_norm, r.residual_max]
             row = [repr(float(x)) for x in row]
-            row += [str(r.iterations), str(bool(r.converged))]
+            row += [str(r.iterations), str(bool(r.converged)), r.reason]
             writer.writerow(row)
     return columns

@@ -272,6 +272,8 @@ def test_run_records_failure_and_reraises(tmp_path):
     data = json.loads(path.read_text())
     assert data["incomplete"] is True
     assert data["notes"]["error"].startswith("BlowUpError")
+    # the manifest of a failed run lists itself, as a finished one does
+    assert "manifest" in {f["role"] for f in data["files"]}
 
 
 def test_run_weinstein_audit_smoke(tmp_path):
@@ -314,6 +316,7 @@ def test_run_modulation_track_smoke(tmp_path):
     data = _read_manifest(man)
     assert data["notes"]["frames_total"] >= 2
     assert data["notes"]["frames_converged"] == data["notes"]["frames_total"]
+    assert data["notes"]["frames_failed_by_reason"] == {}
     assert (Path(man.run_dir) / "modulation.csv").exists()
 
 

@@ -7,12 +7,14 @@ from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile
 from zaklab.dynamics import State, Trajectory, multi_soliton_state
 from zaklab.modulation import (
+    REASONS,
     fd_jacobian,
     leading_diagonal_constants,
     modulate,
     orthogonality_residuals,
     pi_from_config,
     pi_norm,
+    residuals_and_jacobian,
     track,
     track_columns,
     write_track_csv,
@@ -120,8 +122,20 @@ def test_modulate_reports_failure_flag():
                  rng.standard_normal(g.n_points))
     out = modulate(junk, cfg, max_iter=8)
     assert isinstance(out.converged, bool)
+    assert out.reason in REASONS
+    assert out.converged == (out.reason == "converged")
     if not out.converged:
         assert out.residual_max > 1e-10
+
+
+def test_modulate_reports_max_iter():
+    rng = np.random.default_rng(SEED + 3)
+    g = Grid(2048, 80.0)
+    pi_true = pi_from_config(TWO) + 1e-2 * rng.standard_normal(6)
+    out = modulate(_profile_state(g, TWO, pi_true), TWO, max_iter=1)
+    assert not out.converged
+    assert out.reason == "max_iter"
+    assert out.iterations == 1
 
 
 def test_fd_jacobian_drives_newton():
@@ -132,6 +146,51 @@ def test_fd_jacobian_drives_newton():
     jac = fd_jacobian(st, pi, cfg)
     assert jac.shape == (3, 3)
     assert np.linalg.cond(jac) < 1e6
+
+
+def _frame_at(traj, t):
+    return min(traj, key=lambda st: abs(st.t - t))
+
+
+def test_analytic_jacobian_matches_fd_oracle(backward_run):
+    grid, cfg, traj = backward_run
+    rng = np.random.default_rng(SEED + 4)
+    one = MultiSolitonConfig((SolitonParams(2.0, 0.5),))
+    cases = [(_frame_at(traj, t), cfg) for t in (0.0, 1.0, 5.0, 30.0)]
+    cases.append((multi_soliton_state(grid, one, 0.0), one))
+    for st, config in cases:
+        pi = pi_from_config(config) + 1e-2 * rng.standard_normal(3 * config.K)
+        ev = residuals_and_jacobian(st, pi, config)
+        # the fused residuals are the profiles-built ones up to rounding
+        assert np.max(np.abs(ev.residuals - orthogonality_residuals(st, pi, config))) < 1e-13
+        # forward differences carry an O(1e-6) truncation error
+        assert np.max(np.abs(ev.jacobian - fd_jacobian(st, pi, config))) <= 1e-5
+
+
+def _fd_newton(state, config, tolerance=1e-10, max_iter=50):
+    """Newton on the forward-difference Jacobian, steps halved to keep
+    the pulsations positive: the oracle."""
+    K = config.K
+    pi = pi_from_config(config)
+    for _ in range(max_iter):
+        res = orthogonality_residuals(state, pi, config)
+        if np.max(np.abs(res)) <= tolerance:
+            return pi, True
+        delta = np.linalg.solve(fd_jacobian(state, pi, config), -res)
+        while np.any(pi[:K] + delta[:K] <= 0):
+            delta = 0.5 * delta
+        pi = pi + delta
+    return pi, False
+
+
+def test_modulate_matches_fd_newton(backward_run):
+    _, cfg, traj = backward_run
+    for t in (2.5, 4.0, 5.0, 6.0):
+        st = _frame_at(traj, t)
+        pi_fd, converged_fd = _fd_newton(st, cfg)
+        out = modulate(st, cfg)
+        assert out.converged and converged_fd
+        assert np.max(np.abs(out.pi - pi_fd)) <= 1e-9
 
 
 @pytest.mark.parametrize("omega,c", ((1.0, 0.0), (1.0, 0.5), (2.0, -0.3), (0.5, 0.8)))
@@ -189,4 +248,18 @@ def test_write_track_csv(tmp_path, backward_run):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == track_columns(2)
+    assert rows[0][-2:] == ["converged", "reason"]
     assert len(rows) == len(late) + 1
+    assert [row[-1] for row in rows[1:]] == [r.reason for r in out.results]
+    assert all(row[-1] == "converged" for row in rows[1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_track_fails_fast_and_quietly_near_collision(backward_run):
+    grid, cfg, traj = backward_run
+    early = [st for st in traj if st.t <= 4.0]
+    out = track(Trajectory(grid, tuple(early)), cfg)
+    failed = [r for r in out.results if not r.converged]
+    assert failed, "the overlapping frames near t = 0 are expected to fail"
+    assert all(r.reason == "stagnation" for r in failed)
+    assert max(r.iterations for r in failed) <= 15
