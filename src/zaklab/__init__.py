@@ -32,8 +32,6 @@ from .functionals import (
     FunctionalReport,
     energy,
     functional_report,
-    local_mass,
-    local_momentum,
     mass,
     modified_energies,
     momentum,
@@ -61,7 +59,7 @@ __all__ = [
     "traveling_wave", "multi_soliton",
     "State", "Trajectory", "BlowUpError", "soliton_state", "multi_soliton_state",
     "step", "evolve", "time_reverse", "backward_construct",
-    "mass", "energy", "momentum", "CutoffFamily", "local_mass", "local_momentum",
+    "mass", "energy", "momentum", "CutoffFamily",
     "weinstein", "weinstein_decompose", "modified_energies", "tail_mass",
     "FunctionalReport", "functional_report",
     "ModulationResult", "TrackResult", "modulate", "track",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -22,14 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dynamics import BlowUpError, evolve, multi_soliton_state
-from .experiments import (
-    ExperimentSpec,
-    RunManifest,
-    _derived_constants,
-    error_series,
-    write_error_csv,
-)
+from .dynamics import BlowUpError
+from .experiments import _KNOB_KEYS, _NUMERICS_KEYS, KINDS, ExperimentSpec, run
 from .profiles import MultiSolitonConfig, SolitonParams
 
 __all__ = ["main"]
@@ -39,20 +32,9 @@ class ConfigError(ValueError):
     """Configuration problem; rendered as exit code 1."""
 
 
-_SUBCOMMAND_KINDS = {
-    "backward-msw": "backward_msw",
-    "modulate-track": "modulation_track",
-    "weinstein-audit": "weinstein_audit",
-    "coercivity": "coercivity_sweep",
-    "local-quantities": "local_quantities",
-    "convergence-order": "convergence_order",
-}
-
-
 def _config_key_help() -> str:
     spec_fields = {f.name: f for f in dataclass_fields(ExperimentSpec)}
     lines = ["config keys and defaults:", "  solitons: list of {omega, c, sigma, gamma}"]
-    from .experiments import _KNOB_KEYS, _NUMERICS_KEYS
     for block, keys in (("numerics", _NUMERICS_KEYS), ("knobs", _KNOB_KEYS)):
         for key in keys:
             lines.append(f"  {block}.{key}: default {spec_fields[key].default!r}")
@@ -79,34 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="overrides",
                        help="dotted-key config override, e.g. numerics.dt=5e-4 "
                             "(repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override knobs.seed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers for sweep points")
 
-    p = sub.add_parser("simulate", help="forward-evolve multi-soliton data from t=0")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    for name, kind in _SUBCOMMAND_KINDS.items():
-        help_text = {
-            "backward-msw": "backward multi-soliton construction with error-decay fit",
-            "modulate-track": "backward run plus per-frame parameter modulation",
-            "weinstein-audit": "functional decomposition audit along a backward run",
-            "coercivity": "constrained coercivity of the linearized quadratic forms",
-            "local-quantities": "localized mass/momentum drift across cutoff widths",
-            "convergence-order": "splitting-order measurement by dt halving",
-        }[name]
-        p = sub.add_parser(name, help=help_text)
-        common(p, config_required=(name != "coercivity"))
-        if name == "coercivity":
+    for kind, entry in KINDS.items():
+        p = sub.add_parser(entry.subcommand, help=entry.runner.__doc__)
+        common(p, config_required=(kind != "coercivity_sweep"))
+        if kind == "coercivity_sweep":
             p.add_argument("--omega", type=float, default=None,
                            help="single pulsation (skips the config sweep lists)")
             p.add_argument("--c", type=float, default=None,
                            help="single speed (with --omega)")
             p.add_argument("--n-points", type=int, default=1024,
                            help="grid size when no config file is given")
-        p.set_defaults(func=_make_experiment_cmd(kind))
+        p.set_defaults(func=_cmd_experiment, kind=kind)
 
     p = sub.add_parser("validate-config",
                        help="strict-check a config file and echo its canonical form")
@@ -163,15 +129,16 @@ def _load_config_dict(args) -> dict:
     for raw in args.overrides:
         key, value = _parse_override(raw)
         _apply_override(data, key, value)
-    if args.seed is not None:
-        _apply_override(data, "knobs.seed", args.seed)
     return data
 
 
-def _spec_from_config(args, kind: str) -> ExperimentSpec:
+def _spec_from_config(args, kind: str | None) -> ExperimentSpec:
+    """The config file's spec; kind None takes the file's kind (or backward_msw)."""
     data = _load_config_dict(args)
     file_kind = data.pop("kind", None)
-    if file_kind is not None and file_kind != kind:
+    if kind is None:
+        kind = "backward_msw" if file_kind is None else file_kind
+    elif file_kind is not None and file_kind != kind:
         raise ConfigError(
             f"config key 'kind' says {file_kind!r} but the subcommand requires {kind!r}")
     data["kind"] = kind
@@ -181,68 +148,27 @@ def _spec_from_config(args, kind: str) -> ExperimentSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _progress_to_stderr(message: str):
-    print(message, file=sys.stderr, flush=True)
-
-
-def _make_experiment_cmd(kind: str):
-    def _cmd(args) -> int:
-        if kind == "coercivity_sweep" and args.config is None:
-            if args.omega is None:
-                raise ConfigError("coercivity needs --config or --omega/--c")
-            c = args.c if args.c is not None else 0.0
-            try:
-                config = MultiSolitonConfig((SolitonParams(omega=args.omega, c=c),))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            spec = ExperimentSpec(kind=kind, config=config, n_points=args.n_points,
-                                  omegas_sweep=(args.omega,), speeds_sweep=(c,))
-        else:
-            spec = _spec_from_config(args, kind)
-        from .experiments import run
-        manifest = run(spec, output_dir=args.output_dir, workers=args.workers,
-                       progress=_progress_to_stderr)
-        print(Path(manifest.run_dir) / "manifest.json")
-        return 0
-
-    return _cmd
-
-
-def _cmd_simulate(args) -> int:
-    # the forward run shares the experiment schema; validate through it
-    spec = _spec_from_config(args, "backward_msw")
-    grid = spec.make_grid()
-    state = multi_soliton_state(grid, spec.config, 0.0)
-    _progress_to_stderr(
-        f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
-    traj = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
-                  dealias=spec.dealias, blowup_threshold=spec.blowup_threshold)
-    series = error_series(traj, spec.config)
-    spec_dict = spec.to_dict()
-    spec_dict["kind"] = "simulate"
-    run_dir = Path(args.output_dir) / f"simulate_{spec.content_hash()}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(kind="simulate", spec=spec_dict,
-                           derived_constants=_derived_constants(spec.config),
-                           run_dir=str(run_dir))
-    path = run_dir / "errors.csv"
-    write_error_csv(path, series)
-    manifest.add_file(path, "error_series")
-    manifest.add_file(run_dir / "manifest.json", "manifest")
-    manifest.write(run_dir / "manifest.json")
-    print(run_dir / "manifest.json")
+def _cmd_experiment(args) -> int:
+    if args.kind == "coercivity_sweep" and args.config is None:
+        if args.omega is None:
+            raise ConfigError("coercivity needs --config or --omega/--c")
+        c = args.c if args.c is not None else 0.0
+        try:
+            config = MultiSolitonConfig((SolitonParams(omega=args.omega, c=c),))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        spec = ExperimentSpec(kind=args.kind, config=config, n_points=args.n_points,
+                              omegas_sweep=(args.omega,), speeds_sweep=(c,))
+    else:
+        spec = _spec_from_config(args, args.kind)
+    manifest = run(spec, output_dir=args.output_dir,
+                   progress=lambda message: print(message, file=sys.stderr, flush=True))
+    print(Path(manifest.run_dir) / "manifest.json")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    data = _load_config_dict(args)
-    kind = data.pop("kind", "backward_msw")
-    data["kind"] = kind
-    try:
-        spec = ExperimentSpec.from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(_spec_from_config(args, None).to_dict(), indent=2, sort_keys=True))
     return 0
 
 

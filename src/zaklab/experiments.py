@@ -16,33 +16,27 @@ t_final - t) and the nonlinear regime (error above 1e-2).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .dynamics import Trajectory, backward_construct, evolve, soliton_state
+from .dynamics import Trajectory, backward_construct, evolve, multi_soliton_state, soliton_state
 from .functionals import (
     CutoffFamily,
+    _Frame,
+    _write_csv,
     cutoff_profile_constants,
-    energy,
-    h2_error_square,
-    localized_masses,
-    localized_momenta,
-    mass,
-    modified_energies_vs_reference,
-    momentum,
-    state_error,
+    write_report_csv,
 )
 from .grid import Grid, quadrature
 from .modulation import pi_from_config, pi_norm, track, write_track_csv
-from .profiles import MultiSolitonConfig, traveling_wave
+from .profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from .spectral import coercivity_nls, h2_coercivity, young_mu
 
 __all__ = [
@@ -59,19 +53,10 @@ __all__ = [
     "run",
 ]
 
-KINDS = (
-    "backward_msw",
-    "weinstein_audit",
-    "coercivity_sweep",
-    "local_quantities",
-    "modulation_track",
-    "convergence_order",
-)
-
 _NUMERICS_KEYS = ("n_points", "box_length", "dt", "sample_stride", "dealias",
-                  "scheme", "blowup_threshold")
-_KNOB_KEYS = ("t_final", "L_values", "B_values", "K0", "tolerance",
-              "omegas_sweep", "speeds_sweep", "seed")
+                  "blowup_threshold")
+_KNOB_KEYS = ("t_final", "L_values", "K0", "tolerance", "omegas_sweep", "speeds_sweep")
+_ERROR_COLUMNS = ("t", "M", "E", "P", "err_bold_H", "err_h2_square")
 
 
 @dataclass(frozen=True)
@@ -86,39 +71,33 @@ class ExperimentSpec:
     dt: float = 1e-3
     sample_stride: int = 100
     dealias: bool = True
-    scheme: str = "strang"
     blowup_threshold: float = 1e6
     # experiment knobs
     t_final: float = 10.0
     L_values: tuple = (5.0, 10.0, 20.0)
-    B_values: tuple = ()
     K0: float = 5.0
     tolerance: float = 1e-10
     omegas_sweep: tuple = (0.5, 1.0, 2.0)
     speeds_sweep: tuple = (-0.9, 0.0, 0.9)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+            raise ValueError(f"unknown experiment kind {self.kind!r}; "
+                             f"expected one of {tuple(KINDS)}")
         if not isinstance(self.config, MultiSolitonConfig):
             raise TypeError("config must be a MultiSolitonConfig")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        if self.scheme != "strang":
-            raise ValueError(f"unknown scheme {self.scheme!r}; the only scheme is 'strang'")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
         if self.K0 <= 0:
             raise ValueError("K0 must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        object.__setattr__(self, "L_values", tuple(float(L) for L in self.L_values))
-        object.__setattr__(self, "B_values", tuple(float(B) for B in self.B_values))
-        object.__setattr__(self, "omegas_sweep", tuple(float(w) for w in self.omegas_sweep))
-        object.__setattr__(self, "speeds_sweep", tuple(float(c) for c in self.speeds_sweep))
+        for name in ("L_values", "omegas_sweep", "speeds_sweep"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if any(L <= 0 for L in self.L_values):
             raise ValueError("L_values must be positive")
         self.make_grid()  # validates n_points / box_length early
@@ -149,16 +128,12 @@ class ExperimentSpec:
             raise ValueError("config must provide 'kind' and 'solitons'")
         config = MultiSolitonConfig.from_json(json.dumps({"solitons": data["solitons"]}))
         kwargs = {"kind": data["kind"], "config": config}
-        numerics = data.get("numerics", {})
-        unknown = set(numerics) - set(_NUMERICS_KEYS)
-        if unknown:
-            raise ValueError(f"unknown numerics keys: {sorted(unknown)}")
-        kwargs.update(numerics)
-        knobs = data.get("knobs", {})
-        unknown = set(knobs) - set(_KNOB_KEYS)
-        if unknown:
-            raise ValueError(f"unknown knobs keys: {sorted(unknown)}")
-        kwargs.update(knobs)
+        for block, keys in (("numerics", _NUMERICS_KEYS), ("knobs", _KNOB_KEYS)):
+            values = data.get(block, {})
+            unknown = set(values) - set(keys)
+            if unknown:
+                raise ValueError(f"unknown {block} keys: {sorted(unknown)}")
+            kwargs.update(values)
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
@@ -185,23 +160,9 @@ class RunManifest:
     def add_file(self, path: Path, role: str):
         self.files.append({"name": path.name, "role": role})
 
-    def to_json(self) -> str:
-        payload = {
-            "artifact_version": self.artifact_version,
-            "kind": self.kind,
-            "spec": self.spec,
-            "derived_constants": self.derived_constants,
-            "run_dir": self.run_dir,
-            "files": self.files,
-            "fits": self.fits,
-            "notes": self.notes,
-            "incomplete": self.incomplete,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     def write(self, path: Path) -> Path:
         path = Path(path)
-        path.write_text(self.to_json() + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path
 
 
@@ -278,55 +239,43 @@ def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2,
     return (float(t[best[0]]), float(t[best[1] - 1]))
 
 
+def _error_row(f: _Frame) -> tuple:
+    """One frame's _ERROR_COLUMNS: invariants, then norms of state - R(t)."""
+    return (f.state.t, f.M, f.E, f.P, f.eps.bold_H, f.eps.h2_square)
+
+
+def _series(rows, columns) -> dict:
+    """Per-frame rows as one array per column."""
+    return {c: np.array(v) for c, v in zip(columns, zip(*rows))}
+
+
 def error_series(trajectory: Trajectory, config: MultiSolitonConfig) -> dict:
     """Per-frame invariants and profile errors along a trajectory."""
-    rows = {
-        "t": [], "M": [], "E": [], "P": [], "err_bold_H": [], "err_h2_square": [],
-    }
-    for s in trajectory:
-        rows["t"].append(s.t)
-        rows["M"].append(mass(s))
-        rows["E"].append(energy(s))
-        rows["P"].append(momentum(s))
-        rows["err_bold_H"].append(state_error(s, config))
-        rows["err_h2_square"].append(h2_error_square(s, config))
-    return {k: np.array(v) for k, v in rows.items()}
+    return _series((_error_row(_Frame(s, config)) for s in trajectory), _ERROR_COLUMNS)
 
 
 def write_error_csv(path, series: dict) -> list:
-    columns = ["t", "M", "E", "P", "err_bold_H", "err_h2_square"]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i in range(series["t"].size):
-            writer.writerow([repr(float(series[c][i])) for c in columns])
+    columns = list(_ERROR_COLUMNS)
+    _write_csv(path, columns, zip(*(series[c] for c in columns)))
     return columns
 
 
 def local_series(trajectory: Trajectory, config: MultiSolitonConfig, L: float) -> dict:
     """Localized masses and momenta along a trajectory for one cutoff width."""
     family = CutoffFamily.for_config(config, L)
-    t = []
-    m_rows = []
-    p_rows = []
-    for s in trajectory:
-        t.append(s.t)
-        m_rows.append(localized_masses(s, family))
-        p_rows.append(localized_momenta(s, family))
-    return {"t": np.array(t), "M_k": np.stack(m_rows), "P_k": np.stack(p_rows), "L": L}
+    frames = (_Frame(s, family=family) for s in trajectory)
+    rows = ((f.state.t, f.localized(f.mass_density), f.localized(f.momentum_density))
+            for f in frames)
+    return {**_series(rows, ("t", "M_k", "P_k")), "L": L}
 
 
 def gmod_series(trajectory: Trajectory, config: MultiSolitonConfig) -> dict:
     """Modified energies H and G_mod of state - R(t) along a trajectory."""
-    t, h_vals, g_vals = [], [], []
-    for s in trajectory:
-        vals = modified_energies_vs_reference(s, config)
-        t.append(s.t)
-        h_vals.append(vals["H"])
-        g_vals.append(vals["G_mod"])
-    return {"t": np.array(t), "H": np.array(h_vals), "G_mod": np.array(g_vals)}
+    def row(f):
+        vals = f.eps.modified(f.ref.state.u, f.ref.ux)
+        return f.state.t, vals["H"], vals["G_mod"]
+
+    return _series((row(_Frame(s, config)) for s in trajectory), ("t", "H", "G_mod"))
 
 
 def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
@@ -360,23 +309,10 @@ def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
     }
 
 
-def _progress(progress, message):
-    if progress is not None:
-        progress(message)
-
-
-def _derived_constants(config: MultiSolitonConfig) -> dict:
-    return {
-        "theta0": config.theta0,
-        "omega_minus": config.omega_minus,
-        "omega_plus": config.omega_plus,
-    }
-
-
-def _backward_trajectory(spec: ExperimentSpec, progress=None) -> Trajectory:
+def _backward_trajectory(spec: ExperimentSpec, progress) -> Trajectory:
     grid = spec.make_grid()
-    _progress(progress, f"backward construction to t=0 from t={spec.t_final} "
-                        f"(n={spec.n_points}, dt={spec.dt})")
+    progress(f"backward construction to t=0 from t={spec.t_final} "
+             f"(n={spec.n_points}, dt={spec.dt})")
     return backward_construct(
         grid, spec.config, spec.t_final, spec.dt,
         sample_stride=spec.sample_stride, dealias=spec.dealias,
@@ -400,7 +336,7 @@ def _fit_error_rates(series: dict, manifest: RunManifest, K: int):
         return None
     fit = fit_exponential(series["t"], series["err_bold_H"], window)
     manifest.fits["theta_hat"] = fit
-    h2 = np.asarray(series["err_h2_square"])
+    h2 = series["err_h2_square"]
     # the squared series spans twice the dynamic range and hits exact zero at
     # the final time, so it gets its own window with widened limits
     h2_window = auto_window(series["t"], h2, floor=1e-18, ceiling=1e-4)
@@ -409,28 +345,44 @@ def _fit_error_rates(series: dict, manifest: RunManifest, K: int):
     return fit
 
 
-def _run_backward_msw(spec, run_dir, manifest, progress):
-    traj = _backward_trajectory(spec, progress)
-    series = error_series(traj, spec.config)
+def _save_error_series(series: dict, run_dir: Path, manifest: RunManifest):
     path = run_dir / "errors.csv"
     write_error_csv(path, series)
     manifest.add_file(path, "error_series")
+
+
+def _run_simulate(spec, run_dir, manifest, progress):
+    """forward-evolve multi-soliton data from t=0"""
+    progress(f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
+    state = multi_soliton_state(spec.make_grid(), spec.config, 0.0)
+    traj = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
+                  dealias=spec.dealias, blowup_threshold=spec.blowup_threshold)
+    _save_error_series(error_series(traj, spec.config), run_dir, manifest)
+
+
+def _run_backward_msw(spec, run_dir, manifest, progress):
+    """backward multi-soliton construction with error-decay fit"""
+    series = error_series(_backward_trajectory(spec, progress), spec.config)
+    _save_error_series(series, run_dir, manifest)
     _fit_error_rates(series, manifest, spec.config.K)
 
 
 def _run_weinstein_audit(spec, run_dir, manifest, progress):
+    """functional decomposition audit along a backward run"""
     traj = _backward_trajectory(spec, progress)
-    series = error_series(traj, spec.config)
-    err_path = run_dir / "errors.csv"
-    write_error_csv(err_path, series)
-    manifest.add_file(err_path, "error_series")
-    fit = _fit_error_rates(series, manifest, spec.config.K)
-
     L = spec.L_values[0]
     family = CutoffFamily.for_config(spec.config, L)
-    _progress(progress, f"functional audit along {len(traj)} frames (L={L})")
-    from .functionals import functional_report, write_report_csv
-    reports = [functional_report(s, spec.config, family, K0=spec.K0) for s in traj]
+    progress(f"functional audit along {len(traj)} frames (L={L})")
+    # one frame per state feeds both the error series and the report
+    rows, reports = [], []
+    for s in traj:
+        f = _Frame(s, spec.config, family)
+        rows.append(_error_row(f))
+        reports.append(f.report(spec.K0))
+    series = _series(rows, _ERROR_COLUMNS)
+    _save_error_series(series, run_dir, manifest)
+    fit = _fit_error_rates(series, manifest, spec.config.K)
+
     rep_path = run_dir / "functionals.csv"
     write_report_csv(rep_path, reports)
     manifest.add_file(rep_path, "functional_reports")
@@ -446,13 +398,13 @@ def _run_weinstein_audit(spec, run_dir, manifest, progress):
         keep = (t >= window[0]) & (t <= window[1]) & (drift > 0)
         if np.count_nonzero(keep) >= 8:
             manifest.fits["weinstein_drift"] = fit_exponential(t[keep], drift[keep])
-        gm = gmod_series(traj, spec.config)
+        gmod = np.array([r.modified["G_mod"] for r in reports])
         theta_hat = manifest.fits["theta_hat"]["rate"]
-        manifest.fits["edo_constant"] = edo_constant_fit(gm["t"], gm["G_mod"],
-                                                         theta_hat, window)
+        manifest.fits["edo_constant"] = edo_constant_fit(t, gmod, theta_hat, window)
 
 
-def _run_coercivity_sweep(spec, run_dir, manifest, progress, workers=1):
+def _run_coercivity_sweep(spec, run_dir, manifest, progress):
+    """constrained coercivity of the linearized quadratic forms"""
     grid = spec.make_grid()
     nls = coercivity_nls(grid)
     double = coercivity_nls(Grid(2 * spec.n_points, spec.box_length))
@@ -462,22 +414,9 @@ def _run_coercivity_sweep(spec, run_dir, manifest, progress, workers=1):
         "lambda_min_constrained_doubled": double["lambda_min_constrained"],
     }
 
-    from .profiles import SolitonParams
     points = [(w, c) for w in spec.omegas_sweep for c in spec.speeds_sweep]
-    B = spec.B_values[0] if spec.B_values else None
-
-    def solve(point):
-        w, c = point
-        rep = h2_coercivity(grid, SolitonParams(omega=w, c=c))
-        rep["B"] = B
-        return rep
-
-    _progress(progress, f"coercivity sweep over {len(points)} (omega, c) points")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(solve, points))
-    else:
-        reports = [solve(p) for p in points]
+    progress(f"coercivity sweep over {len(points)} (omega, c) points")
+    reports = [h2_coercivity(grid, SolitonParams(omega=w, c=c)) for w, c in points]
     path = run_dir / "coercivity.json"
     path.write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     manifest.add_file(path, "coercivity_reports")
@@ -486,25 +425,19 @@ def _run_coercivity_sweep(spec, run_dir, manifest, progress, workers=1):
 
 
 def _run_local_quantities(spec, run_dir, manifest, progress):
+    """localized mass/momentum drift across cutoff widths"""
     traj = _backward_trajectory(spec, progress)
     series = error_series(traj, spec.config)
     fit = _fit_error_rates(series, manifest, spec.config.K)
     window = tuple(manifest.fits["theta_hat"]["window"]) if fit else (0.0, spec.t_final)
-    t = None
     drifts = {}
     for L in spec.L_values:
         loc = local_series(traj, spec.config, L)
         t = loc["t"]
         path = run_dir / f"local_L{L:g}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            K = spec.config.K
-            writer.writerow(["t"] + [f"M_{k+1}" for k in range(K)]
-                            + [f"P_{k+1}" for k in range(K)])
-            for i in range(t.size):
-                writer.writerow([repr(float(t[i]))]
-                                + [repr(float(x)) for x in loc["M_k"][i]]
-                                + [repr(float(x)) for x in loc["P_k"][i]])
+        K = spec.config.K
+        columns = ["t"] + [f"M_{k+1}" for k in range(K)] + [f"P_{k+1}" for k in range(K)]
+        _write_csv(path, columns, ([ti, *m, *p] for ti, m, p in zip(t, loc["M_k"], loc["P_k"])))
         manifest.add_file(path, f"local_series_L{L:g}")
         keep = (t >= window[0]) & (t <= window[1])
         final = loc["M_k"][-1]
@@ -521,8 +454,9 @@ def _run_local_quantities(spec, run_dir, manifest, progress):
 
 
 def _run_modulation_track(spec, run_dir, manifest, progress):
+    """backward run plus per-frame parameter modulation"""
     traj = _backward_trajectory(spec, progress)
-    _progress(progress, f"modulating {len(traj)} frames")
+    progress(f"modulating {len(traj)} frames")
     result = track(traj, spec.config, tolerance=spec.tolerance)
     path = run_dir / "modulation.csv"
     write_track_csv(path, result, spec.config)
@@ -544,6 +478,7 @@ def _run_modulation_track(spec, run_dir, manifest, progress):
 
 
 def _run_convergence_order(spec, run_dir, manifest, progress):
+    """splitting-order measurement by dt halving"""
     grid = spec.make_grid()
     params = spec.config.solitons[0]
     state = soliton_state(grid, params, 0.0)
@@ -554,7 +489,7 @@ def _run_convergence_order(spec, run_dir, manifest, progress):
                        blowup_threshold=spec.blowup_threshold).final
         return float(np.sqrt(quadrature(grid, np.abs(final.u - exact[0]) ** 2)))
 
-    _progress(progress, "measuring splitting order by dt halving")
+    progress("measuring splitting order by dt halving")
     errors = {}
     for label, dt in (("dt", spec.dt), ("dt_half", spec.dt / 2), ("dt_quarter", spec.dt / 4)):
         errors[label] = l2_error(dt)
@@ -565,8 +500,25 @@ def _run_convergence_order(spec, run_dir, manifest, progress):
     }
 
 
-def run(spec: ExperimentSpec, output_dir="runs", workers: int = 1,
-        progress=None) -> RunManifest:
+class Kind(NamedTuple):
+    """A kind's CLI subcommand and runner; the runner's docstring is the help."""
+
+    subcommand: str
+    runner: Callable
+
+
+KINDS = {
+    "simulate": Kind("simulate", _run_simulate),
+    "backward_msw": Kind("backward-msw", _run_backward_msw),
+    "modulation_track": Kind("modulate-track", _run_modulation_track),
+    "weinstein_audit": Kind("weinstein-audit", _run_weinstein_audit),
+    "coercivity_sweep": Kind("coercivity", _run_coercivity_sweep),
+    "local_quantities": Kind("local-quantities", _run_local_quantities),
+    "convergence_order": Kind("convergence-order", _run_convergence_order),
+}
+
+
+def run(spec: ExperimentSpec, output_dir="runs", progress=None) -> RunManifest:
     """Execute an experiment; outputs land in a content-addressed run dir.
 
     Deterministic for a given ExperimentSpec (quadratures sum in fixed order, floats are
@@ -576,33 +528,22 @@ def run(spec: ExperimentSpec, output_dir="runs", workers: int = 1,
     """
     run_dir = Path(output_dir) / f"{spec.kind}_{spec.content_hash()}"
     run_dir.mkdir(parents=True, exist_ok=True)
+    config = spec.config
     manifest = RunManifest(
         kind=spec.kind,
         spec=spec.to_dict(),
-        derived_constants=_derived_constants(spec.config),
+        derived_constants={"theta0": config.theta0, "omega_minus": config.omega_minus,
+                           "omega_plus": config.omega_plus},
         run_dir=str(run_dir),
     )
+    manifest_path = run_dir / "manifest.json"
     try:
-        if spec.kind == "backward_msw":
-            _run_backward_msw(spec, run_dir, manifest, progress)
-        elif spec.kind == "weinstein_audit":
-            _run_weinstein_audit(spec, run_dir, manifest, progress)
-        elif spec.kind == "coercivity_sweep":
-            _run_coercivity_sweep(spec, run_dir, manifest, progress, workers)
-        elif spec.kind == "local_quantities":
-            _run_local_quantities(spec, run_dir, manifest, progress)
-        elif spec.kind == "modulation_track":
-            _run_modulation_track(spec, run_dir, manifest, progress)
-        elif spec.kind == "convergence_order":
-            _run_convergence_order(spec, run_dir, manifest, progress)
-    except Exception as exc:  # noqa: BLE001 - surfaced via the manifest
+        KINDS[spec.kind].runner(spec, run_dir, manifest, progress or (lambda message: None))
+    except BaseException as exc:  # an interrupted run is marked incomplete too
         manifest.incomplete = True
         manifest.notes["error"] = f"{type(exc).__name__}: {exc}"
-        manifest_path = run_dir / "manifest.json"
+        raise
+    finally:
         manifest.add_file(manifest_path, "manifest")
         manifest.write(manifest_path)
-        raise
-    manifest_path = run_dir / "manifest.json"
-    manifest.add_file(manifest_path, "manifest")
-    manifest.write(manifest_path)
     return manifest

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, quadrature, sobolev_norms, spectral_derivative
+from .dynamics import State
+from .grid import Grid, quadrature, spectral_derivative
 from .profiles import MultiSolitonConfig, multi_soliton
 
 __all__ = [
@@ -48,18 +50,12 @@ __all__ = [
     "smooth_step",
     "cutoff_profile_constants",
     "CutoffFamily",
-    "cutoff_chi",
-    "local_mass",
-    "local_momentum",
     "localized_masses",
     "localized_momenta",
     "weinstein",
     "weinstein_decompose",
     "modified_energies",
-    "modified_energies_vs_reference",
-    "h2_error_square",
     "tail_mass",
-    "state_error",
     "FunctionalReport",
     "functional_report",
     "report_columns",
@@ -67,21 +63,156 @@ __all__ = [
 ]
 
 
+class _Frame:
+    """One snapshot's fields, derivatives and densities, each built once.
+
+    Every attribute is computed on first use and then kept, so a caller pays
+    only for what it reads and the diagnostics of one snapshot share one
+    profile build and one spectral derivative of each field.  `ref` (the
+    frame of the fixed-parameter profile sum R(t)) and `eps` (the frame of
+    state - R(t)) need a config; `chis` needs a cutoff family.
+    """
+
+    def __init__(self, state, config: MultiSolitonConfig | None = None,
+                 family: CutoffFamily | None = None):
+        if config is not None and family is not None and family.K != config.K:
+            raise ValueError(f"cutoff family has K={family.K} but config has K={config.K}")
+        self.state, self.grid, self.config, self.family = state, state.grid, config, family
+
+    @cached_property
+    def ux(self):
+        return spectral_derivative(self.grid, self.state.u, 1)
+
+    @cached_property
+    def uxx(self):
+        return spectral_derivative(self.grid, self.state.u, 2)
+
+    @cached_property
+    def nx(self):
+        return spectral_derivative(self.grid, self.state.n, 1)
+
+    @cached_property
+    def vx(self):
+        return spectral_derivative(self.grid, self.state.v, 1)
+
+    @cached_property
+    def mass_density(self):
+        return np.abs(self.state.u) ** 2
+
+    @cached_property
+    def energy_density(self):
+        s = self.state
+        return np.abs(self.ux) ** 2 + s.n * self.mass_density + 0.5 * (s.n**2 + s.v**2)
+
+    @cached_property
+    def momentum_density(self):
+        s = self.state
+        return np.imag(np.conj(s.u) * self.ux) + s.n * s.v
+
+    @cached_property
+    def chis(self):
+        return self.family.chis(self.grid, self.state.t)
+
+    @cached_property
+    def ref(self) -> _Frame:
+        t = self.state.t
+        return _Frame(State(self.grid, t, *multi_soliton(self.grid, self.config, t)))
+
+    @cached_property
+    def eps(self) -> _Frame:
+        s, r = self.state, self.ref.state
+        return _Frame(State(self.grid, s.t, s.u - r.u, s.n - r.n, s.v - r.v))
+
+    @property
+    def M(self) -> float:
+        return quadrature(self.grid, self.mass_density)
+
+    @property
+    def E(self) -> float:
+        return quadrature(self.grid, self.energy_density)
+
+    @property
+    def P(self) -> float:
+        return quadrature(self.grid, self.momentum_density)
+
+    def localized(self, density):
+        """The K cutoff-weighted integrals of a density."""
+        return np.array([quadrature(self.grid, density * c) for c in self.chis])
+
+    @property
+    def bold_H(self) -> float:
+        """sobolev_norms(...)["bold_H"] of the fields, from u_x alone."""
+        sq = [quadrature(self.grid, np.abs(f) ** 2).real
+              for f in (self.state.u, self.ux, self.state.n, self.state.v)]
+        return np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2]) + np.sqrt(sq[3])
+
+    @property
+    def h2_square(self) -> float:
+        """Squared H^2 x H^1 x H^1 seminorm (sum of squares)."""
+        g = self.grid
+        return (quadrature(g, np.abs(self.uxx) ** 2) + quadrature(g, self.nx**2)
+                + quadrature(g, self.vx**2))
+
+    def weinstein(self, config: MultiSolitonConfig, chis) -> float:
+        dens = self.energy_density
+        for k, p in enumerate(config.solitons):
+            dens = dens + chis[k] * (p.nu * self.mass_density - p.c * self.momentum_density)
+        return quadrature(self.grid, dens)
+
+    def modified(self, r_u, rux) -> dict:
+        """modified_energies of the fields as an error triple against r_u
+        (rux its derivative)."""
+        g = self.grid
+        U, N = self.state.u, self.state.n
+        Ux, Nx = self.ux, self.nx
+        h_val = quadrature(g, np.abs(self.uxx) ** 2 + 0.5 * Nx**2 + 0.5 * self.vx**2)
+        g_val = (
+            h_val
+            + 2.0 * quadrature(g, N * np.abs(Ux) ** 2)
+            + 2.0 * quadrature(g, np.real(U * Nx * np.conj(Ux)))
+            + 2.0 * quadrature(g, np.real(r_u * Nx * np.conj(Ux)))
+            - 2.0 * quadrature(g, np.real(np.conj(U) * rux * Nx))
+        )
+        return {"H": h_val, "G_mod": g_val}
+
+    def tails(self, K0: float) -> dict:
+        g = self.grid
+        if not 0 < K0 < 0.5 * g.box_length:
+            raise ValueError("K0 must lie inside (0, box_length/2)")
+        outside = np.clip((np.abs(g.x) - K0) / g.spacing + 0.5, 0.0, 1.0)
+        return {
+            "mass_tail": quadrature(g, self.mass_density * outside),
+            "energy_tail": quadrature(g, self.energy_density * outside),
+        }
+
+    def report(self, K0: float, omegas_t=None) -> FunctionalReport:
+        """functional_report of the snapshot (needs config and family)."""
+        e, r = self.eps, self.ref
+        return FunctionalReport(
+            t=self.state.t,
+            M=self.M,
+            E=self.E,
+            P=self.P,
+            M_k=tuple(self.localized(self.mass_density)),
+            P_k=tuple(self.localized(self.momentum_density)),
+            G=self.weinstein(self.config, self.chis),
+            parts=_decompose(e, r, self.config, self.chis, omegas_t),
+            modified=e.modified(r.state.u, r.ux),
+            tails=self.tails(K0),
+            g22_active=omegas_t is not None,
+        )
+
+
 def mass(state) -> float:
-    return quadrature(state.grid, np.abs(state.u) ** 2)
+    return _Frame(state).M
 
 
 def energy(state) -> float:
-    g = state.grid
-    ux = spectral_derivative(g, state.u, 1)
-    dens = np.abs(ux) ** 2 + state.n * np.abs(state.u) ** 2 + 0.5 * (state.n**2 + state.v**2)
-    return quadrature(g, dens)
+    return _Frame(state).E
 
 
 def momentum(state) -> float:
-    g = state.grid
-    ux = spectral_derivative(g, state.u, 1)
-    return quadrature(g, np.imag(np.conj(state.u) * ux) + state.n * state.v)
+    return _Frame(state).P
 
 
 def smooth_step(s):
@@ -162,52 +293,21 @@ class CutoffFamily:
         return np.stack(rows)
 
 
-def cutoff_chi(family: CutoffFamily, k: int, t: float, grid: Grid):
-    """The k-th cutoff (1-based) sampled on the grid at time t."""
-    if not 1 <= k <= family.K:
-        raise ValueError(f"cutoff index k={k} out of range 1..{family.K}")
-    return family.chis(grid, t)[k - 1]
-
-
-def local_mass(state, family: CutoffFamily, k: int) -> float:
-    chi = cutoff_chi(family, k, state.t, state.grid)
-    return quadrature(state.grid, np.abs(state.u) ** 2 * chi)
-
-
-def local_momentum(state, family: CutoffFamily, k: int) -> float:
-    g = state.grid
-    chi = cutoff_chi(family, k, state.t, g)
-    ux = spectral_derivative(g, state.u, 1)
-    dens = np.imag(np.conj(state.u) * ux) + state.n * state.v
-    return quadrature(g, dens * chi)
-
-
 def localized_masses(state, family: CutoffFamily):
     """All K localized masses at once (single cutoff evaluation)."""
-    chis = family.chis(state.grid, state.t)
-    return np.array([quadrature(state.grid, np.abs(state.u) ** 2 * c) for c in chis])
+    f = _Frame(state, family=family)
+    return f.localized(f.mass_density)
 
 
 def localized_momenta(state, family: CutoffFamily):
-    g = state.grid
-    ux = spectral_derivative(g, state.u, 1)
-    dens = np.imag(np.conj(state.u) * ux) + state.n * state.v
-    chis = family.chis(g, state.t)
-    return np.array([quadrature(g, dens * c) for c in chis])
+    f = _Frame(state, family=family)
+    return f.localized(f.momentum_density)
 
 
 def weinstein(state, config: MultiSolitonConfig, family: CutoffFamily) -> float:
     """Energy plus pulsation/speed-weighted localized masses and momenta."""
-    if family.K != config.K:
-        raise ValueError(f"cutoff family has K={family.K} but config has K={config.K}")
-    g = state.grid
-    ux = spectral_derivative(g, state.u, 1)
-    dens = np.abs(ux) ** 2 + state.n * np.abs(state.u) ** 2 + 0.5 * (state.n**2 + state.v**2)
-    chis = family.chis(g, state.t)
-    mom_dens = np.imag(np.conj(state.u) * ux) + state.n * state.v
-    for k, p in enumerate(config.solitons):
-        dens = dens + chis[k] * (p.nu * np.abs(state.u) ** 2 - p.c * mom_dens)
-    return quadrature(g, dens)
+    f = _Frame(state, config, family)
+    return f.weinstein(config, f.chis)
 
 
 def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFamily,
@@ -223,52 +323,52 @@ def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFa
     """
     if epsilon.grid is not S.grid:
         raise ValueError("epsilon and S must share one grid")
-    if family.K != config.K:
-        raise ValueError(f"cutoff family has K={family.K} but config has K={config.K}")
-    g = S.grid
-    t = S.t
+    ref = _Frame(S, config, family)
+    return _decompose(_Frame(epsilon), ref, config, ref.chis, omegas_t)
+
+
+def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t) -> dict:
+    """weinstein_decompose on the frames of epsilon and S."""
     omegas_t = np.asarray(config.omegas if omegas_t is None else omegas_t, dtype=float)
     if omegas_t.shape != (config.K,):
         raise ValueError("omegas_t must supply one pulsation per soliton")
+    g = S.grid
+    s_u, s_n, s_v, s_ux = S.state.u, S.state.n, S.state.v, S.ux
+    e_u, e_n, e_v, e_ux = e.state.u, e.state.n, e.state.v, e.ux
 
-    e_u, e_n, e_v = epsilon.u, epsilon.n, epsilon.v
-    chis = family.chis(g, t)
-    s_ux = spectral_derivative(g, S.u, 1)
-    e_ux = spectral_derivative(g, e_u, 1)
-
-    g0 = weinstein(S, config, family)
+    g0 = S.weinstein(config, chis)
 
     # first variation of G at S in direction eps
     lin = (
         2.0 * np.real(s_ux * np.conj(e_ux))
-        + 2.0 * S.n * np.real(np.conj(S.u) * e_u)
-        + e_n * np.abs(S.u) ** 2
-        + S.n * e_n
-        + S.v * e_v
+        + 2.0 * s_n * np.real(np.conj(s_u) * e_u)
+        + e_n * np.abs(s_u) ** 2
+        + s_n * e_n
+        + s_v * e_v
     )
     for k, p in enumerate(config.solitons):
         lin = lin + chis[k] * (
-            2.0 * p.nu * np.real(np.conj(S.u) * e_u)
-            - p.c * (np.imag(np.conj(e_u) * s_ux + np.conj(S.u) * e_ux)
-                     + S.n * e_v + e_n * S.v)
+            2.0 * p.nu * np.real(np.conj(s_u) * e_u)
+            - p.c * (np.imag(np.conj(e_u) * s_ux + np.conj(s_u) * e_ux)
+                     + s_n * e_v + e_n * s_v)
         )
     g1 = quadrature(g, lin)
 
     # localized quadratic form at the instantaneous pulsations, plus the
     # profile-coupling part (linear in S, so the per-soliton sum telescopes)
-    mom_dens = np.imag(np.conj(e_u) * e_ux) + e_n * e_v
-    quad = 2.0 * e_n * np.real(np.conj(S.u) * e_u) + S.n * np.abs(e_u) ** 2
+    mom_dens = e.momentum_density
+    quad = 2.0 * e_n * np.real(np.conj(s_u) * e_u) + s_n * e.mass_density
     g22 = 0.0
     for k, p in enumerate(config.solitons):
         nu_t = omegas_t[k] + 0.25 * p.c**2
         quad = quad + chis[k] * (
-            np.abs(e_ux) ** 2 + nu_t * np.abs(e_u) ** 2
+            np.abs(e_ux) ** 2 + nu_t * e.mass_density
             - p.c * mom_dens + 0.5 * (e_n**2 + e_v**2)
         )
-        g22 += (p.omega - omegas_t[k]) * quadrature(g, chis[k] * np.abs(e_u) ** 2)
+        g22 += (p.omega - omegas_t[k]) * quadrature(g, chis[k] * e.mass_density)
     g21 = quadrature(g, quad)
 
-    g3 = quadrature(g, e_n * np.abs(e_u) ** 2)
+    g3 = quadrature(g, e_n * e.mass_density)
     return {"G0": g0, "G1": g1, "G21": g21, "G22": g22, "G3": g3}
 
 
@@ -279,44 +379,7 @@ def modified_energies(grid: Grid, U, N, V, r_u) -> dict:
     self-interaction and the two R_u-coupling corrections that make its time
     derivative integrable along decaying trajectories.
     """
-    Ux = spectral_derivative(grid, U, 1)
-    Uxx = spectral_derivative(grid, U, 2)
-    Nx = spectral_derivative(grid, N, 1)
-    Vx = spectral_derivative(grid, V, 1)
-    rux = spectral_derivative(grid, r_u, 1)
-
-    h_val = quadrature(grid, np.abs(Uxx) ** 2 + 0.5 * Nx**2 + 0.5 * Vx**2)
-    g_val = (
-        h_val
-        + 2.0 * quadrature(grid, N * np.abs(Ux) ** 2)
-        + 2.0 * quadrature(grid, np.real(U * Nx * np.conj(Ux)))
-        + 2.0 * quadrature(grid, np.real(r_u * Nx * np.conj(Ux)))
-        - 2.0 * quadrature(grid, np.real(np.conj(U) * rux * Nx))
-    )
-    return {"H": h_val, "G_mod": g_val}
-
-
-def modified_energies_vs_reference(state, config: MultiSolitonConfig) -> dict:
-    """modified_energies of state - R(t) against the fixed-parameter profiles."""
-    ru, rn, rv = multi_soliton(state.grid, config, state.t)
-    return modified_energies(state.grid, state.u - ru, state.n - rn, state.v - rv, ru)
-
-
-def h2_error_square(state, config: MultiSolitonConfig) -> float:
-    """Squared H^2 x H^1 x H^1 seminorm of state - R(t) (sum of squares)."""
-    g = state.grid
-    ru, rn, rv = multi_soliton(g, config, state.t)
-    uxx = spectral_derivative(g, state.u - ru, 2)
-    nx = spectral_derivative(g, state.n - rn, 1)
-    vx = spectral_derivative(g, state.v - rv, 1)
-    return quadrature(g, np.abs(uxx) ** 2) + quadrature(g, nx**2) + quadrature(g, vx**2)
-
-
-def state_error(state, config: MultiSolitonConfig) -> float:
-    """bold-H norm of state - R(t) against the fixed-parameter profiles."""
-    g = state.grid
-    ru, rn, rv = multi_soliton(g, config, state.t)
-    return sobolev_norms(g, state.u - ru, state.n - rn, state.v - rv)["bold_H"]
+    return _Frame(State(grid, 0.0, U, N, V)).modified(r_u, spectral_derivative(grid, r_u, 1))
 
 
 def tail_mass(state, K0: float) -> dict:
@@ -326,16 +389,7 @@ def tail_mass(state, K0: float) -> dict:
     treatment of a domain boundary), which keeps the quadrature second-order
     instead of O(spacing) from a sharp step.
     """
-    if not 0 < K0 < 0.5 * state.grid.box_length:
-        raise ValueError("K0 must lie inside (0, box_length/2)")
-    g = state.grid
-    outside = np.clip((np.abs(g.x) - K0) / g.spacing + 0.5, 0.0, 1.0)
-    ux = spectral_derivative(g, state.u, 1)
-    e_dens = np.abs(ux) ** 2 + state.n * np.abs(state.u) ** 2 + 0.5 * (state.n**2 + state.v**2)
-    return {
-        "mass_tail": quadrature(g, np.abs(state.u) ** 2 * outside),
-        "energy_tail": quadrature(g, e_dens * outside),
-    }
+    return _Frame(state).tails(K0)
 
 
 @dataclass(frozen=True)
@@ -387,26 +441,23 @@ def functional_report(state, config: MultiSolitonConfig, family: CutoffFamily,
     callers with modulated parameters pass omegas_t and their own S via
     weinstein_decompose directly.
     """
-    from .dynamics import State  # deferred to avoid an import cycle at load
+    return _Frame(state, config, family).report(K0, omegas_t)
 
-    g = state.grid
-    ru, rn, rv = multi_soliton(g, config, state.t)
-    S = State(g, state.t, ru, rn, rv)
-    eps = State(g, state.t, state.u - ru, state.n - rn, state.v - rv)
-    parts = weinstein_decompose(eps, S, config, family, omegas_t=omegas_t)
-    return FunctionalReport(
-        t=state.t,
-        M=mass(state),
-        E=energy(state),
-        P=momentum(state),
-        M_k=tuple(localized_masses(state, family)),
-        P_k=tuple(localized_momenta(state, family)),
-        G=weinstein(state, config, family),
-        parts=parts,
-        modified=modified_energies(g, eps.u, eps.n, eps.v, ru),
-        tails=tail_mass(state, K0),
-        g22_active=omegas_t is not None,
-    )
+
+def _write_csv(path, columns, rows) -> None:
+    """The package's one CSV format: a header row, then floats written by
+    repr (so they read back bit for bit) and strings, bools and ints by str."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([
+                str(x) if isinstance(x, (str, bool, int, np.bool_, np.integer))
+                else repr(float(x))
+                for x in row
+            ])
 
 
 def write_report_csv(path, reports) -> list:
@@ -414,17 +465,7 @@ def write_report_csv(path, reports) -> list:
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to write")
-    K = len(reports[0].M_k)
-    columns = report_columns(K)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rep in reports:
-            d = rep.to_dict()
-            writer.writerow([
-                repr(float(d[c])) if c != "g22_active" else str(d[c])
-                for c in columns
-            ])
+    columns = report_columns(len(reports[0].M_k))
+    rows = ([d[c] for c in columns] for d in map(FunctionalReport.to_dict, reports))
+    _write_csv(path, columns, rows)
     return columns

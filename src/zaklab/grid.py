@@ -8,10 +8,7 @@ trapezoid rule, which on a periodic grid is spectrally accurate.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,10 +17,6 @@ __all__ = [
     "spectral_derivative",
     "quadrature",
     "sobolev_norms",
-    "write_field_csv",
-    "read_field_csv",
-    "grid_to_json",
-    "grid_from_json",
 ]
 
 
@@ -123,41 +116,3 @@ def sobolev_norms(grid: Grid, u, n, v) -> dict:
         "H1_of_v": np.sqrt(l2sq(v) + l2sq(vx)),
     }
 
-
-def write_field_csv(path, grid: Grid, field) -> None:
-    """Dump a field as rows (x, re, im); real fields get im = 0."""
-    f = np.asarray(field, dtype=complex)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for xj, fj in zip(grid.x, f):
-            writer.writerow([repr(float(xj)), repr(float(fj.real)), repr(float(fj.imag))])
-
-
-def read_field_csv(path):
-    """Read a (x, re, im) CSV back into (x, complex field) arrays."""
-    xs, res, ims = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["x", "re", "im"]:
-            raise ValueError(f"unexpected field CSV header: {header}")
-        for row in reader:
-            xs.append(float(row[0]))
-            res.append(float(row[1]))
-            ims.append(float(row[2]))
-    return np.array(xs), np.array(res) + 1j * np.array(ims)
-
-
-def grid_to_json(grid: Grid) -> str:
-    return json.dumps({"n_points": grid.n_points, "box_length": grid.box_length})
-
-
-def grid_from_json(text: str) -> Grid:
-    data = json.loads(text)
-    extra = set(data) - {"n_points", "box_length"}
-    if extra:
-        raise ValueError(f"unknown grid keys: {sorted(extra)}")
-    return Grid(n_points=int(data["n_points"]), box_length=float(data["box_length"]))

@@ -38,14 +38,13 @@ component order (all omega, all sigma, all gamma).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import State, Trajectory
+from .functionals import _write_csv
 from .grid import quadrature
 from .profiles import (
     MultiSolitonConfig,
@@ -434,20 +433,10 @@ def track_columns(K: int) -> list:
 
 def write_track_csv(path, result: TrackResult, config: MultiSolitonConfig) -> list:
     """Parameter/rate time series in the documented column order."""
-    K = config.K
-    columns = track_columns(K)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i, r in enumerate(result.results):
-            row = [result.times[i]]
-            row += list(result.pis[i])
-            row += list(result.rates[i])
-            row += list(result.gamma_rate_mismatch[i])
-            row += [r.epsilon_H_norm, r.residual_max]
-            row = [repr(float(x)) for x in row]
-            row += [str(r.iterations), str(bool(r.converged)), r.reason]
-            writer.writerow(row)
+    columns = track_columns(config.K)
+    rows = ([result.times[i], *result.pis[i], *result.rates[i],
+             *result.gamma_rate_mismatch[i], r.epsilon_H_norm, r.residual_max,
+             r.iterations, bool(r.converged), r.reason]
+            for i, r in enumerate(result.results))
+    _write_csv(path, columns, rows)
     return columns

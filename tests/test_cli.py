@@ -103,12 +103,10 @@ def test_override_reflected_in_canonical_output(tmp_path, capsys):
     cfg = _write(tmp_path, _one_soliton_config())
     assert main(["validate-config", "--config", cfg,
                  "--set", "numerics.dt=0.005",
-                 "--set", "solitons.0.omega=2.0",
-                 "--seed", "7"]) == 0
+                 "--set", "solitons.0.omega=2.0"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["numerics"]["dt"] == 0.005
     assert data["solitons"][0]["omega"] == 2.0
-    assert data["knobs"]["seed"] == 7
 
 
 def test_bad_override_key(tmp_path, capsys):
@@ -193,3 +191,8 @@ def test_blowup_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure in dynamics at t=" in err
     assert "blow-up ceiling" in err
+    # the failed run still leaves a manifest saying why
+    (manifest_path,) = (tmp_path / "runs").glob("simulate_*/manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["incomplete"] is True
+    assert manifest["notes"]["error"].startswith("BlowUpError")

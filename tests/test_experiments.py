@@ -36,7 +36,6 @@ def test_spec_defaults_and_grid():
     spec = ExperimentSpec(kind="backward_msw", config=ONE)
     g = spec.make_grid()
     assert (g.n_points, g.box_length) == (1024, 40.0)
-    assert spec.scheme == "strang"
     assert spec.L_values == (5.0, 10.0, 20.0)
 
 
@@ -82,15 +81,15 @@ def test_spec_from_dict_rejects_unknown_keys():
 
 
 def test_spec_rejects_unknown_scheme():
-    # the key stays for old configs, but only "strang" parses
+    # there is one integrator, so numerics.scheme is no longer a key at all
     base = ExperimentSpec(kind="backward_msw", config=ONE).to_dict()
-    assert ExperimentSpec.from_dict(base).scheme == "strang"
+    assert "scheme" not in base["numerics"]
     bad = json.loads(json.dumps(base))
-    bad["numerics"]["scheme"] = "rk4"
-    with pytest.raises(ValueError, match="scheme"):
+    bad["numerics"]["scheme"] = "strang"
+    with pytest.raises(ValueError, match=r"unknown numerics keys: \['scheme'\]"):
         ExperimentSpec.from_dict(bad)
-    with pytest.raises(ValueError, match="scheme"):
-        ExperimentSpec(kind="backward_msw", config=ONE, scheme="lie")
+    with pytest.raises(TypeError, match="scheme"):
+        ExperimentSpec(kind="backward_msw", config=ONE, scheme="strang")
 
 
 def test_content_hash_is_stable_and_sensitive():
@@ -286,11 +285,11 @@ def test_run_weinstein_audit_smoke(tmp_path):
     assert data["notes"]["young_mu"]["mu"] > 0
 
 
-def test_run_coercivity_sweep_with_workers(tmp_path):
+def test_run_coercivity_sweep(tmp_path):
     spec = ExperimentSpec(kind="coercivity_sweep", config=ONE, n_points=256,
                           box_length=40.0, omegas_sweep=(1.0,),
                           speeds_sweep=(0.0, 0.5))
-    man = run(spec, output_dir=tmp_path, workers=2)
+    man = run(spec, output_dir=tmp_path)
     data = _read_manifest(man)
     assert data["notes"]["all_constrained_positive"] is True
     assert data["notes"]["nls_block"]["lambda_min_constrained"] > 0

@@ -3,26 +3,23 @@ import csv
 import numpy as np
 import pytest
 
-from zaklab.grid import Grid, quadrature
-from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile
-from zaklab.dynamics import State, multi_soliton_state, soliton_state
+from zaklab.grid import Grid, quadrature, sobolev_norms, spectral_derivative
+from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile, multi_soliton
+from zaklab.dynamics import State, Trajectory, multi_soliton_state, soliton_state
+from zaklab.experiments import error_series, gmod_series
 from zaklab.functionals import (
     CutoffFamily,
-    cutoff_chi,
+    _Frame,
     cutoff_profile_constants,
     energy,
     functional_report,
-    local_mass,
-    local_momentum,
     localized_masses,
     localized_momenta,
     mass,
     modified_energies,
-    modified_energies_vs_reference,
     momentum,
     report_columns,
     smooth_step,
-    state_error,
     tail_mass,
     weinstein,
     weinstein_decompose,
@@ -101,23 +98,11 @@ def test_cutoff_family_single_soliton_is_identity():
     assert np.array_equal(fam.chis(g, 2.0), np.ones((1, g.n_points)))
 
 
-def test_cutoff_chi_matches_family_rows_and_checks_range():
-    g = Grid(1024, 80.0)
-    fam = CutoffFamily.for_config(TWO, L=10.0)
-    chis = fam.chis(g, 4.0)
-    assert np.array_equal(cutoff_chi(fam, 1, 4.0, g), chis[0])
-    assert np.array_equal(cutoff_chi(fam, 2, 4.0, g), chis[1])
-    with pytest.raises(ValueError):
-        cutoff_chi(fam, 0, 4.0, g)
-    with pytest.raises(ValueError):
-        cutoff_chi(fam, 3, 4.0, g)
-
-
 def test_cutoff_boundary_tracks_mean_speed():
     g = Grid(4096, 80.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
     for t in (0.0, 10.0):
-        chi2 = cutoff_chi(fam, 2, t, g)
+        chi2 = fam.chis(g, t)[1]
         # chi_2 crosses 1/2 where the moving boundary sits: x = mean(c) t = 0
         crossing = g.x[np.argmin(np.abs(chi2 - 0.5))]
         assert abs(crossing - 0.0) < 2.0 * g.spacing
@@ -131,8 +116,6 @@ def test_local_quantities_sum_to_global():
     momenta = localized_momenta(st, fam)
     assert abs(sum(masses) - mass(st)) < 1e-10
     assert abs(sum(momenta) - momentum(st)) < 1e-10
-    assert local_mass(st, fam, 1) == pytest.approx(masses[0], abs=1e-15)
-    assert local_momentum(st, fam, 2) == pytest.approx(momenta[1], abs=1e-15)
     # separated equal-mass pair: each window holds about half the mass
     assert masses[0] == pytest.approx(0.5 * mass(st), rel=1e-4)
 
@@ -230,11 +213,11 @@ def test_decomposition_requires_shared_grid():
 def test_modified_energies_vanish_on_reference():
     g = Grid(1024, 40.0)
     cfg = MultiSolitonConfig((SolitonParams(1.0, 0.3),))
-    st = multi_soliton_state(g, cfg, 0.8)
-    out = modified_energies_vs_reference(st, cfg)
-    assert abs(out["H"]) < 1e-20
-    assert abs(out["G_mod"]) < 1e-20
-    assert state_error(st, cfg) < 1e-12
+    traj = Trajectory(g, [multi_soliton_state(g, cfg, 0.8)])
+    out = gmod_series(traj, cfg)
+    assert abs(out["H"][0]) < 1e-20
+    assert abs(out["G_mod"][0]) < 1e-20
+    assert error_series(traj, cfg)["err_bold_H"][0] < 1e-12
 
 
 def test_modified_energy_quadratic_scaling():
@@ -305,3 +288,40 @@ def test_report_csv_round_trip(tmp_path):
     assert len(rows) == 3
     # repr round trip is exact
     assert float(rows[1][rows[0].index("M")]) == reports[0].M
+
+
+# --- the shared per-frame pass -------------------------------------------------------
+
+def test_frame_pass_matches_public_functions(backward_run):
+    """Every value the per-frame pass feeds the CSVs equals, bit for bit,
+    the public function (or the old formula) it replaces."""
+    grid, config, traj = backward_run
+    cases = [(min(traj, key=lambda s: abs(s.t - t)), config) for t in (0.0, 5.0, 30.0)]
+    one = MultiSolitonConfig((SolitonParams(1.0, 0.3),))
+    g1 = Grid(512, 40.0)
+    near = multi_soliton_state(g1, one, 0.8)
+    noise = _random_state(g1, np.random.default_rng(SEED), scale=1e-3, t=0.8)
+    cases.append((State(g1, 0.8, near.u + noise.u, near.n + noise.n, near.v + noise.v), one))
+
+    for st, cfg in cases:
+        g = st.grid
+        fam = CutoffFamily.for_config(cfg, L=5.0)
+        ru, rn, rv = multi_soliton(g, cfg, st.t)
+        S = State(g, st.t, ru, rn, rv)
+        eps = State(g, st.t, st.u - ru, st.n - rn, st.v - rv)
+        f = _Frame(st, cfg, fam)
+        rep = f.report(K0=5.0)
+        assert (rep.t, rep.M, rep.E, rep.P) == (st.t, mass(st), energy(st), momentum(st))
+        assert rep.M_k == tuple(localized_masses(st, fam))
+        assert rep.P_k == tuple(localized_momenta(st, fam))
+        assert rep.G == weinstein(st, cfg, fam)
+        assert rep.parts == weinstein_decompose(eps, S, cfg, fam)
+        assert rep.modified == modified_energies(g, eps.u, eps.n, eps.v, ru)
+        assert rep.tails == tail_mass(st, 5.0)
+        assert f.eps.bold_H == sobolev_norms(g, eps.u, eps.n, eps.v)["bold_H"]
+        h2_square = (quadrature(g, np.abs(spectral_derivative(g, eps.u, 2)) ** 2)
+                     + quadrature(g, spectral_derivative(g, eps.n, 1) ** 2)
+                     + quadrature(g, spectral_derivative(g, eps.v, 1) ** 2))
+        assert f.eps.h2_square == h2_square
+        omegas_t = np.array(cfg.omegas) * 1.01
+        assert f.report(5.0, omegas_t).parts == weinstein_decompose(eps, S, cfg, fam, omegas_t)

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from zaklab.grid import (
-    Grid,
-    grid_from_json,
-    grid_to_json,
-    quadrature,
-    read_field_csv,
-    sobolev_norms,
-    spectral_derivative,
-    write_field_csv,
-)
-
-SEED = 42
+from zaklab.grid import Grid, quadrature, sobolev_norms, spectral_derivative
 
 
 def test_grid_layout():
@@ -97,22 +86,3 @@ def test_dealias_mask_two_thirds():
     assert kept <= int(np.ceil(2 * 256 / 3)) + 1
     assert g.dealias_mask[0]  # the mean mode always survives
     assert not g.dealias_mask[g.n_points // 2]
-
-
-def test_field_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(SEED)
-    g = Grid(64, 10.0)
-    field = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    path = tmp_path / "field.csv"
-    write_field_csv(path, g, field)
-    x2, field2 = read_field_csv(path)
-    # repr-based serialization round-trips floats exactly
-    assert np.array_equal(x2, g.x)
-    assert np.array_equal(field, field2)
-
-
-def test_grid_json_roundtrip():
-    g = Grid(128, 40.0)
-    g2 = grid_from_json(grid_to_json(g))
-    assert g2.n_points == g.n_points
-    assert g2.box_length == g.box_length
