@@ -24,7 +24,6 @@ from .dynamics import (
     evolve,
     multi_soliton_state,
     soliton_state,
-    step,
     time_reverse,
 )
 from .functionals import (
@@ -46,7 +45,6 @@ from .spectral import (
     coercivity_nls,
     h2_coercivity,
     h2_form,
-    h2b_form,
     spectrum,
     young_mu,
 )
@@ -58,12 +56,12 @@ __all__ = [
     "SolitonParams", "MultiSolitonConfig", "ground_state", "lambda_q", "phi",
     "traveling_wave", "multi_soliton",
     "State", "Trajectory", "BlowUpError", "soliton_state", "multi_soliton_state",
-    "step", "evolve", "time_reverse", "backward_construct",
+    "evolve", "time_reverse", "backward_construct",
     "mass", "energy", "momentum", "CutoffFamily",
     "weinstein", "weinstein_decompose", "modified_energies", "tail_mass",
     "FunctionalReport", "functional_report",
     "ModulationResult", "TrackResult", "modulate", "track",
     "LinearizedOperator", "WeightPhiB", "spectrum", "coercivity_nls",
-    "h2_form", "h2b_form", "h2_coercivity", "young_mu",
+    "h2_form", "h2_coercivity", "young_mu",
     "ExperimentSpec", "RunManifest", "fit_exponential", "run",
 ]

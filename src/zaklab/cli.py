@@ -2,8 +2,9 @@
 
 One JSON config file (a "solitons" block, a "numerics" block, and a "knobs"
 block) describes a run; subcommands pick the experiment; dotted-key
-overrides mutate single values from the command line.  Progress goes to
-stderr, data files to the run directory, and the manifest path to stdout.
+overrides mutate single values from the command line.  Progress messages of
+the "zaklab" logger go to stderr, data files to the run directory, and the
+manifest path to stdout.
 
 Exit codes: 0 success, 1 configuration/validation error (the message names
 the offending key), 2 numerical failure (the message carries the failing
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -23,7 +25,6 @@ import numpy as np
 from ._version import __version__
 from .dynamics import BlowUpError
 from .experiments import _KNOB_KEYS, _NUMERICS_KEYS, KINDS, ExperimentSpec, run
-from .profiles import MultiSolitonConfig, SolitonParams
 
 __all__ = ["main"]
 
@@ -52,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zaklab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", type=Path, required=config_required,
+    def common(p):
+        p.add_argument("--config", type=Path, required=True,
                        help="JSON config file (solitons/numerics/knobs blocks)")
         p.add_argument("--output-dir", type=Path, default=Path("runs"),
                        help="directory that receives run directories (default: runs)")
@@ -64,14 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for kind, entry in KINDS.items():
         p = sub.add_parser(entry.subcommand, help=entry.runner.__doc__)
-        common(p, config_required=(kind != "coercivity_sweep"))
-        if kind == "coercivity_sweep":
-            p.add_argument("--omega", type=float, default=None,
-                           help="single pulsation (skips the config sweep lists)")
-            p.add_argument("--c", type=float, default=None,
-                           help="single speed (with --omega)")
-            p.add_argument("--n-points", type=int, default=1024,
-                           help="grid size when no config file is given")
+        common(p)
         p.set_defaults(func=_cmd_experiment, kind=kind)
 
     p = sub.add_parser("validate-config",
@@ -94,25 +88,23 @@ def _parse_override(raw: str):
 def _apply_override(data: dict, key: str, value):
     parts = key.split(".")
     node = data
-    for i, part in enumerate(parts[:-1]):
+    for i, part in enumerate(parts):
         if isinstance(node, list):
             if not part.isdigit() or int(part) >= len(node):
                 raise ConfigError(f"bad list index in override key {key!r}")
-            node = node[int(part)]
-            continue
-        if part not in node:
+            part = int(part)
+        elif not isinstance(node, dict):
+            raise ConfigError(f"override key {key!r} goes through the non-container "
+                              f"value at {'.'.join(parts[:i])!r}")
+        elif part not in node and i < len(parts) - 1:
             if part in ("numerics", "knobs") and i == 0:
                 node[part] = {}
             else:
                 raise ConfigError(f"unknown config key in override: {key!r}")
-        node = node[part]
-    last = parts[-1]
-    if isinstance(node, list):
-        if not last.isdigit() or int(last) >= len(node):
-            raise ConfigError(f"bad list index in override key {key!r}")
-        node[int(last)] = value
-    else:
-        node[last] = value
+        if i == len(parts) - 1:
+            node[part] = value
+        else:
+            node = node[part]
 
 
 def _load_config_dict(args) -> dict:
@@ -149,20 +141,7 @@ def _spec_from_config(args, kind: str | None) -> ExperimentSpec:
 
 
 def _cmd_experiment(args) -> int:
-    if args.kind == "coercivity_sweep" and args.config is None:
-        if args.omega is None:
-            raise ConfigError("coercivity needs --config or --omega/--c")
-        c = args.c if args.c is not None else 0.0
-        try:
-            config = MultiSolitonConfig((SolitonParams(omega=args.omega, c=c),))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        spec = ExperimentSpec(kind=args.kind, config=config, n_points=args.n_points,
-                              omegas_sweep=(args.omega,), speeds_sweep=(c,))
-    else:
-        spec = _spec_from_config(args, args.kind)
-    manifest = run(spec, output_dir=args.output_dir,
-                   progress=lambda message: print(message, file=sys.stderr, flush=True))
+    manifest = run(_spec_from_config(args, args.kind), output_dir=args.output_dir)
     print(Path(manifest.run_dir) / "manifest.json")
     return 0
 
@@ -175,6 +154,13 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # progress messages, one line each; the handler is bound to this call's stderr
+    log = logging.getLogger("zaklab")
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -187,6 +173,9 @@ def main(argv=None) -> int:
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

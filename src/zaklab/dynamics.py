@@ -14,11 +14,13 @@ on a periodic box, first-order in (n, v).  The flow is split into
          u <- exp(-i I) u,  I = integral of n over the substep, per mode
          I_hat = (n_hat0 + f_hat) sin(k dt)/k - i v_hat0 (1 - cos(k dt))/k
                  - f_hat dt          (zero mode: n_hat0 dt),
-     with f = |u|^2; also exact, and |u|-preserving.
+     with f = |u|^2 truncated by the grid's two-thirds dealias mask; also
+     exact, and |u|-preserving.
 
 One step is the Strang composition A(dt/2) W(dt) A(dt/2) of these two exact
 flows (Bao, Sun & Wei, J. Comput. Phys. 2003); the palindromic arrangement
-makes it globally second order.  `evolve` runs it with the state held in
+makes it globally second order.  `evolve` is the one entry point (a single
+step is `evolve(s, s.t + dt, dt).final`) and runs it with the state held in
 Fourier space: u_hat as a full FFT, n_hat and v_hat as rfft half-spectra
 (their self-conjugate Nyquist bins are kept real, the projection onto real
 n and v).  The trailing A(dt/2) of one step and the leading A(dt/2) of the
@@ -45,7 +47,6 @@ __all__ = [
     "State",
     "Trajectory",
     "BlowUpError",
-    "step",
     "evolve",
     "time_reverse",
     "backward_construct",
@@ -132,7 +133,7 @@ class _Coeffs:
     rfft bins, whose wavenumbers are the first n/2 + 1 FFT-ordered ones.
     """
 
-    def __init__(self, grid: Grid, dt: float, dealias: bool):
+    def __init__(self, grid: Grid, dt: float):
         k = grid.wavenumbers
         self.dt = dt
         self.kin_half = np.exp(-0.5j * k**2 * dt)
@@ -152,15 +153,14 @@ class _Coeffs:
         self.mi_sin = -1j * sin
         self.sin_over_k = sin_over_k.astype(complex)
         self.mi_omc_over_k = -1j * omc_over_k
-        self.mask = grid.dealias_mask[:half] if dealias else None
+        self.mask = grid.dealias_mask[:half]
 
 
 def _w_flow(u_hat, n_hat, v_hat, c):
     """Exact W flow over c.dt on spectral data; returns new (u_hat, n_hat, v_hat)."""
     u = np.fft.ifft(u_hat)
     f_hat = np.fft.rfft(np.abs(u) ** 2)
-    if c.mask is not None:
-        f_hat *= c.mask
+    f_hat *= c.mask
     w = n_hat + f_hat
     i_hat = w * c.sin_over_k + v_hat * c.mi_omc_over_k - f_hat * c.dt
     phase = np.fft.irfft(i_hat, u.size)
@@ -188,16 +188,7 @@ def _frame(grid, t, u_hat, n_hat, v_hat) -> State:
     return State(grid, t, np.fft.ifft(u_hat), np.fft.irfft(n_hat, n), np.fft.irfft(v_hat, n))
 
 
-def step(state: State, dt: float, dealias: bool = True) -> State:
-    """Advance one split step A(dt/2) W(dt) A(dt/2) of size dt; returns a new State."""
-    c = _Coeffs(state.grid, dt, dealias)
-    u_hat, n_hat, v_hat = _w_flow(c.kin_half * np.fft.fft(state.u),
-                                  np.fft.rfft(state.n), np.fft.rfft(state.v), c)
-    return _frame(state.grid, state.t + dt, c.kin_half * u_hat, n_hat, v_hat)
-
-
 def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
-           dealias: bool = True,
            blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
     """Integrate forward to t_target, sampling every sample_stride steps.
 
@@ -221,7 +212,7 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
         remainder = 0.0
 
     grid = state.grid
-    c = _Coeffs(grid, dt, dealias)
+    c = _Coeffs(grid, dt)
     u_hat = np.fft.fft(state.u)
     n_hat, v_hat = np.fft.rfft(state.n), np.fft.rfft(state.v)
     _check_h1(u_hat, c, t0, blowup_threshold)
@@ -243,7 +234,7 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
         else:
             u_hat *= c.kin
     if remainder > 0.0:
-        c = _Coeffs(grid, remainder, dealias)
+        c = _Coeffs(grid, remainder)
         u_hat, n_hat, v_hat = _w_flow(c.kin_half * u_hat, n_hat, v_hat, c)
         _check_h1(u_hat, c, t_target, blowup_threshold)
         states.append(_frame(grid, t_target, c.kin_half * u_hat, n_hat, v_hat))
@@ -257,7 +248,7 @@ def time_reverse(state: State) -> State:
 
 
 def backward_construct(grid: Grid, config: profiles.MultiSolitonConfig, t_final: float,
-                       dt: float, sample_stride: int = 1, dealias: bool = True,
+                       dt: float, sample_stride: int = 1,
                        blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
     """Solve backward from exact multi-soliton data prescribed at t_final.
 
@@ -267,7 +258,7 @@ def backward_construct(grid: Grid, config: profiles.MultiSolitonConfig, t_final:
     """
     end = multi_soliton_state(grid, config, t_final)
     rev = time_reverse(end)  # sits at time -t_final
-    traj = evolve(rev, 0.0, dt, sample_stride=sample_stride, dealias=dealias,
+    traj = evolve(rev, 0.0, dt, sample_stride=sample_stride,
                   blowup_threshold=blowup_threshold)
     # pop while reversing, so the forward frames are freed one by one
     states = [time_reverse(traj.states.pop()) for _ in range(len(traj.states))]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -53,10 +54,11 @@ __all__ = [
     "run",
 ]
 
-_NUMERICS_KEYS = ("n_points", "box_length", "dt", "sample_stride", "dealias",
-                  "blowup_threshold")
+_NUMERICS_KEYS = ("n_points", "box_length", "dt", "sample_stride", "blowup_threshold")
 _KNOB_KEYS = ("t_final", "L_values", "K0", "tolerance", "omegas_sweep", "speeds_sweep")
 _ERROR_COLUMNS = ("t", "M", "E", "P", "err_bold_H", "err_h2_square")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,6 @@ class ExperimentSpec:
     box_length: float = 40.0
     dt: float = 1e-3
     sample_stride: int = 100
-    dealias: bool = True
     blowup_threshold: float = 1e6
     # experiment knobs
     t_final: float = 10.0
@@ -92,15 +93,22 @@ class ExperimentSpec:
             raise ValueError("sample_stride must be >= 1")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
-        if self.K0 <= 0:
-            raise ValueError("K0 must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         for name in ("L_values", "omegas_sweep", "speeds_sweep"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        if not self.L_values:
+            raise ValueError("L_values must not be empty")
         if any(L <= 0 for L in self.L_values):
             raise ValueError("L_values must be positive")
+        if any(w <= 0 for w in self.omegas_sweep):
+            raise ValueError(f"omegas_sweep must be positive, got {list(self.omegas_sweep)}")
+        if any(abs(c) >= 1 for c in self.speeds_sweep):
+            raise ValueError(f"speeds_sweep must lie in (-1, 1), got {list(self.speeds_sweep)}")
         self.make_grid()  # validates n_points / box_length early
+        if not 0 < self.K0 < 0.5 * self.box_length:
+            raise ValueError(f"K0 must lie in (0, box_length/2), got {self.K0:g} "
+                             f"with box_length {self.box_length:g}")
 
     def make_grid(self) -> Grid:
         return Grid(n_points=self.n_points, box_length=self.box_length)
@@ -309,14 +317,13 @@ def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
     }
 
 
-def _backward_trajectory(spec: ExperimentSpec, progress) -> Trajectory:
+def _backward_trajectory(spec: ExperimentSpec) -> Trajectory:
     grid = spec.make_grid()
-    progress(f"backward construction to t=0 from t={spec.t_final} "
+    log.info(f"backward construction to t=0 from t={spec.t_final} "
              f"(n={spec.n_points}, dt={spec.dt})")
     return backward_construct(
         grid, spec.config, spec.t_final, spec.dt,
-        sample_stride=spec.sample_stride, dealias=spec.dealias,
-        blowup_threshold=spec.blowup_threshold,
+        sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold,
     )
 
 
@@ -351,28 +358,28 @@ def _save_error_series(series: dict, run_dir: Path, manifest: RunManifest):
     manifest.add_file(path, "error_series")
 
 
-def _run_simulate(spec, run_dir, manifest, progress):
+def _run_simulate(spec, run_dir, manifest):
     """forward-evolve multi-soliton data from t=0"""
-    progress(f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
+    log.info(f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
     state = multi_soliton_state(spec.make_grid(), spec.config, 0.0)
     traj = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
-                  dealias=spec.dealias, blowup_threshold=spec.blowup_threshold)
+                  blowup_threshold=spec.blowup_threshold)
     _save_error_series(error_series(traj, spec.config), run_dir, manifest)
 
 
-def _run_backward_msw(spec, run_dir, manifest, progress):
+def _run_backward_msw(spec, run_dir, manifest):
     """backward multi-soliton construction with error-decay fit"""
-    series = error_series(_backward_trajectory(spec, progress), spec.config)
+    series = error_series(_backward_trajectory(spec), spec.config)
     _save_error_series(series, run_dir, manifest)
     _fit_error_rates(series, manifest, spec.config.K)
 
 
-def _run_weinstein_audit(spec, run_dir, manifest, progress):
+def _run_weinstein_audit(spec, run_dir, manifest):
     """functional decomposition audit along a backward run"""
-    traj = _backward_trajectory(spec, progress)
+    traj = _backward_trajectory(spec)
     L = spec.L_values[0]
     family = CutoffFamily.for_config(spec.config, L)
-    progress(f"functional audit along {len(traj)} frames (L={L})")
+    log.info(f"functional audit along {len(traj)} frames (L={L})")
     # one frame per state feeds both the error series and the report
     rows, reports = [], []
     for s in traj:
@@ -403,7 +410,7 @@ def _run_weinstein_audit(spec, run_dir, manifest, progress):
         manifest.fits["edo_constant"] = edo_constant_fit(t, gmod, theta_hat, window)
 
 
-def _run_coercivity_sweep(spec, run_dir, manifest, progress):
+def _run_coercivity_sweep(spec, run_dir, manifest):
     """constrained coercivity of the linearized quadratic forms"""
     grid = spec.make_grid()
     nls = coercivity_nls(grid)
@@ -415,7 +422,7 @@ def _run_coercivity_sweep(spec, run_dir, manifest, progress):
     }
 
     points = [(w, c) for w in spec.omegas_sweep for c in spec.speeds_sweep]
-    progress(f"coercivity sweep over {len(points)} (omega, c) points")
+    log.info(f"coercivity sweep over {len(points)} (omega, c) points")
     reports = [h2_coercivity(grid, SolitonParams(omega=w, c=c)) for w, c in points]
     path = run_dir / "coercivity.json"
     path.write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
@@ -424,9 +431,9 @@ def _run_coercivity_sweep(spec, run_dir, manifest, progress):
         all(r["lambda_min_constrained"] > 0 for r in reports))
 
 
-def _run_local_quantities(spec, run_dir, manifest, progress):
+def _run_local_quantities(spec, run_dir, manifest):
     """localized mass/momentum drift across cutoff widths"""
-    traj = _backward_trajectory(spec, progress)
+    traj = _backward_trajectory(spec)
     series = error_series(traj, spec.config)
     fit = _fit_error_rates(series, manifest, spec.config.K)
     window = tuple(manifest.fits["theta_hat"]["window"]) if fit else (0.0, spec.t_final)
@@ -453,10 +460,10 @@ def _run_local_quantities(spec, run_dir, manifest, progress):
     }
 
 
-def _run_modulation_track(spec, run_dir, manifest, progress):
+def _run_modulation_track(spec, run_dir, manifest):
     """backward run plus per-frame parameter modulation"""
-    traj = _backward_trajectory(spec, progress)
-    progress(f"modulating {len(traj)} frames")
+    traj = _backward_trajectory(spec)
+    log.info(f"modulating {len(traj)} frames")
     result = track(traj, spec.config, tolerance=spec.tolerance)
     path = run_dir / "modulation.csv"
     write_track_csv(path, result, spec.config)
@@ -477,7 +484,7 @@ def _run_modulation_track(spec, run_dir, manifest, progress):
                 result.times[keep], gaps[keep])
 
 
-def _run_convergence_order(spec, run_dir, manifest, progress):
+def _run_convergence_order(spec, run_dir, manifest):
     """splitting-order measurement by dt halving"""
     grid = spec.make_grid()
     params = spec.config.solitons[0]
@@ -485,11 +492,11 @@ def _run_convergence_order(spec, run_dir, manifest, progress):
     exact = traveling_wave(grid, params, spec.t_final)
 
     def l2_error(dt):
-        final = evolve(state, spec.t_final, dt, sample_stride=10**9, dealias=spec.dealias,
+        final = evolve(state, spec.t_final, dt, sample_stride=10**9,
                        blowup_threshold=spec.blowup_threshold).final
         return float(np.sqrt(quadrature(grid, np.abs(final.u - exact[0]) ** 2)))
 
-    progress("measuring splitting order by dt halving")
+    log.info("measuring splitting order by dt halving")
     errors = {}
     for label, dt in (("dt", spec.dt), ("dt_half", spec.dt / 2), ("dt_quarter", spec.dt / 4)):
         errors[label] = l2_error(dt)
@@ -518,13 +525,14 @@ KINDS = {
 }
 
 
-def run(spec: ExperimentSpec, output_dir="runs", progress=None) -> RunManifest:
+def run(spec: ExperimentSpec, output_dir="runs") -> RunManifest:
     """Execute an experiment; outputs land in a content-addressed run dir.
 
     Deterministic for a given ExperimentSpec (quadratures sum in fixed order, floats are
     serialized by repr), so re-running a spec overwrites its directory with
     identical bytes.  Failures mark the manifest incomplete with the error
-    recorded rather than losing already-written outputs.
+    recorded rather than losing already-written outputs.  Progress messages
+    go to the "zaklab.experiments" logger at INFO level.
     """
     run_dir = Path(output_dir) / f"{spec.kind}_{spec.content_hash()}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -538,7 +546,7 @@ def run(spec: ExperimentSpec, output_dir="runs", progress=None) -> RunManifest:
     )
     manifest_path = run_dir / "manifest.json"
     try:
-        KINDS[spec.kind].runner(spec, run_dir, manifest, progress or (lambda message: None))
+        KINDS[spec.kind].runner(spec, run_dir, manifest)
     except BaseException as exc:  # an interrupted run is marked incomplete too
         manifest.incomplete = True
         manifest.notes["error"] = f"{type(exc).__name__}: {exc}"

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, spectral_derivative
+from .grid import Grid
 
 __all__ = [
     "SolitonParams",
@@ -44,8 +44,6 @@ __all__ = [
     "traveling_wave",
     "multi_soliton",
     "modulated_profile",
-    "single_modulated_profile",
-    "interaction_sources",
     "soliton_phase",
 ]
 
@@ -233,15 +231,24 @@ def soliton_phase(grid: Grid, c: float, omega_phase: float, gamma: float, t: flo
     return 0.5 * c * x_near - 0.25 * c**2 * t + omega_phase * t + gamma
 
 
+def _wave(grid: Grid, params: SolitonParams, omega: float, sigma: float, gamma: float,
+          t: float):
+    """(u, n, v) of the wave of speed params.c with pulsation omega,
+    translation sigma and phase gamma, its phase clock running at
+    params.omega (for a modulated wave, gamma absorbs the difference)."""
+    c = params.c
+    center = c * t + sigma
+    envelope = phi(grid, omega, center)
+    gph = soliton_phase(grid, c, params.omega, gamma, t, center)
+    u = np.sqrt(1.0 - c**2) * envelope * np.exp(1j * gph)
+    n = -(envelope**2)
+    v = c * n
+    return u, n, v
+
+
 def traveling_wave(grid: Grid, params: SolitonParams, t: float):
     """Exact traveling wave (u, n, v) at time t on the periodic grid."""
-    center = params.c * t + params.sigma
-    envelope = phi(grid, params.omega, center)
-    gamma_t = soliton_phase(grid, params.c, params.omega, params.gamma, t, center)
-    u = np.sqrt(1.0 - params.c**2) * envelope * np.exp(1j * gamma_t)
-    n = -(envelope**2)
-    v = params.c * n
-    return u, n, v
+    return _wave(grid, params, params.omega, params.sigma, params.gamma, t)
 
 
 def multi_soliton(grid: Grid, config: MultiSolitonConfig, t: float):
@@ -254,21 +261,6 @@ def multi_soliton(grid: Grid, config: MultiSolitonConfig, t: float):
         u += uk
         n += nk
         v += vk
-    return u, n, v
-
-
-def single_modulated_profile(grid: Grid, params0: SolitonParams, omega_t: float,
-                             sigma_t: float, gamma_t: float, t: float):
-    """One soliton with modulated (omega, sigma, gamma) but the phase clock
-    still running at the reference pulsation omega0 (the gamma parameter
-    absorbs the accumulated difference)."""
-    c = params0.c
-    center = c * t + sigma_t
-    envelope = phi(grid, omega_t, center)
-    gph = soliton_phase(grid, c, params0.omega, gamma_t, t, center)
-    u = np.sqrt(1.0 - c**2) * envelope * np.exp(1j * gph)
-    n = -(envelope**2)
-    v = c * n
     return u, n, v
 
 
@@ -286,27 +278,8 @@ def modulated_profile(grid: Grid, config: MultiSolitonConfig, pi, t: float):
     n = np.zeros(grid.n_points)
     v = np.zeros(grid.n_points)
     for k, p in enumerate(config.solitons):
-        uk, nk, vk = single_modulated_profile(grid, p, pi[k], pi[K + k], pi[2 * K + k], t)
+        uk, nk, vk = _wave(grid, p, pi[k], pi[K + k], pi[2 * K + k], t)
         u += uk
         n += nk
         v += vk
     return u, n, v
-
-
-def interaction_sources(grid: Grid, config: MultiSolitonConfig, t: float):
-    """Residual source terms of the multi-soliton superposition.
-
-    psi_u = sum_{j != k} R_j^u R_k^n and
-    psi_v = d/dx ( |sum_k R_k^u|^2 - sum_k |R_k^u|^2 ),
-    both decaying like the pairwise tail overlaps.
-    """
-    parts = [traveling_wave(grid, p, t) for p in config.solitons]
-    u_total = np.sum([p[0] for p in parts], axis=0)
-    n_total = np.sum([p[1] for p in parts], axis=0)
-    psi_u = np.zeros(grid.n_points, dtype=complex)
-    cross = np.abs(u_total) ** 2
-    for uk, nk, _ in parts:
-        psi_u += uk * (n_total - nk)
-        cross -= np.abs(uk) ** 2
-    psi_v = spectral_derivative(grid, cross, 1)
-    return psi_u, psi_v

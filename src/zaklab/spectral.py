@@ -10,9 +10,10 @@ whose kernels are spanned by Q' and Q.  The stability machinery rests on the
 quadratic form <L_plus a, a> + <L_minus b, b> being positive definite on the
 H^1 sphere once a is orthogonal to Q and yQ and b is orthogonal to
 LambdaQ = (Q + yQ')/2; this module estimates that constrained minimum by a
-dense generalized symmetric eigensolve, and evaluates the coupled quadratic
-forms of the full (eta_u, eta_n, eta_v) linearization around a single
-traveling wave, with and without exponential localization weights.
+dense generalized symmetric eigensolve.  It also evaluates one weighted
+quadratic form, h2_form, of the full (eta_u, eta_n, eta_v) linearization
+around a single traveling wave: unweighted, or with a cutoff or an
+exponential localization weight on its quadratic part.
 
 The localization weight Phi_B interpolates between 1 on [0, B] and
 e^{-|x|/B} beyond 2B through a C^2 monotone transition built in log space,
@@ -43,17 +44,13 @@ __all__ = [
     "derivative_matrix",
     "stiffness_matrix",
     "spectrum",
-    "nls_quadratic_form",
     "coercivity_nls",
     "WeightPhiB",
     "q_density",
     "coupling_density",
     "h2_form",
-    "h2b_form",
-    "chi_weighted_form",
     "h2_coercivity",
     "young_mu",
-    "young_margin",
 ]
 
 
@@ -129,15 +126,6 @@ def spectrum(op: LinearizedOperator, n_eigs: int):
     return vals, vecs
 
 
-def nls_quadratic_form(grid: Grid, eta) -> float:
-    """<L_plus Re(eta), Re(eta)> + <L_minus Im(eta), Im(eta)>."""
-    a = np.real(np.asarray(eta, dtype=complex))
-    b = np.imag(np.asarray(eta, dtype=complex))
-    lp = LinearizedOperator.plus(grid)
-    lm = LinearizedOperator.minus(grid)
-    return quadrature(grid, a * lp.apply(a) + b * lm.apply(b))
-
-
 def _constrained_min(a, b, constraints):
     """Smallest generalized eigenvalue of (a, b) restricted off the constraints.
 
@@ -152,14 +140,14 @@ def _constrained_min(a, b, constraints):
     return float(vals[0])
 
 
-def coercivity_nls(grid: Grid, eta=None) -> dict:
+def coercivity_nls(grid: Grid) -> dict:
     """Constrained minimum of the linearized quadratic form on the H^1 sphere.
 
     Minimizes <L_plus a, a> + <L_minus b, b> subject to ||a||_{H^1}^2 +
     ||b||_{H^1}^2 = 1 and the orthogonality constraints <a, Q> = <a, yQ> =
     <b, LambdaQ> = 0 (L^2 pairings).  The form is block diagonal in (a, b),
     so the minimum is the smaller of two independent constrained generalized
-    eigenvalues.  Optionally also evaluates the form at a given eta.
+    eigenvalues.
     """
     h = grid.spacing
     n = grid.n_points
@@ -175,16 +163,12 @@ def coercivity_nls(grid: Grid, eta=None) -> dict:
     plus_u = float(eigh(a_plus, gram, subset_by_index=[0, 0], eigvals_only=True)[0])
     minus_u = float(eigh(a_minus, gram, subset_by_index=[0, 0], eigvals_only=True)[0])
 
-    out = {
+    return {
         "lambda_min_constrained": min(plus_c, minus_c),
         "lambda_min_unconstrained": min(plus_u, minus_u),
         "plus_block": {"constrained": plus_c, "unconstrained": plus_u},
         "minus_block": {"constrained": minus_c, "unconstrained": minus_u},
-        "quadratic_value": None,
     }
-    if eta is not None:
-        out["quadratic_value"] = nls_quadratic_form(grid, eta)
-    return out
 
 
 @dataclass(frozen=True)
@@ -263,34 +247,23 @@ def coupling_density(grid: Grid, eta_u, eta_n, params: SolitonParams, t: float =
     )
 
 
-def h2_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t: float = 0.0) -> float:
-    """Quadratic form of the linearization around one traveling wave."""
-    dens = q_density(grid, eta_u, eta_n, eta_v, params.nu, params.c) \
-        + coupling_density(grid, eta_u, eta_n, params, t)
-    return quadrature(grid, dens)
+def h2_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t: float = 0.0,
+            weight=None) -> float:
+    """Quadratic form of the linearization around one traveling wave.
 
-
-def h2b_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t, B) -> float:
-    """h2_form with the quadratic part localized by Phi_B around the wave.
-
-    The coupling part stays unweighted (the profile already localizes it);
-    B may be a number or a prebuilt WeightPhiB.
+    weight, if given, localizes the quadratic part; the coupling part stays
+    unweighted (the profile already localizes it).  It is an array of grid
+    values (a cutoff chi, say) or a WeightPhiB, which is centered on the wave
+    and needs 2B < box_length/2 to fit in the box.
     """
-    weight = B if isinstance(B, WeightPhiB) else WeightPhiB(float(B))
-    if not 2.0 * weight.B < 0.5 * grid.box_length:
-        raise ValueError("weight needs 2B < box_length/2 to fit in the box")
-    w_vals = weight.values(grid, center=params.c * t + params.sigma)
-    dens = w_vals * q_density(grid, eta_u, eta_n, eta_v, params.nu, params.c) \
-        + coupling_density(grid, eta_u, eta_n, params, t)
-    return quadrature(grid, dens)
-
-
-def chi_weighted_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t,
-                      chi_values) -> float:
-    """Like h2b_form but with an arbitrary weight on the quadratic part."""
-    dens = np.asarray(chi_values) * q_density(grid, eta_u, eta_n, eta_v, params.nu, params.c) \
-        + coupling_density(grid, eta_u, eta_n, params, t)
-    return quadrature(grid, dens)
+    dens = q_density(grid, eta_u, eta_n, eta_v, params.nu, params.c)
+    if isinstance(weight, WeightPhiB):
+        if not 2.0 * weight.B < 0.5 * grid.box_length:
+            raise ValueError("weight needs 2B < box_length/2 to fit in the box")
+        weight = weight.values(grid, center=params.c * t + params.sigma)
+    if weight is not None:
+        dens = np.asarray(weight) * dens
+    return quadrature(grid, dens + coupling_density(grid, eta_u, eta_n, params, t))
 
 
 def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
@@ -370,33 +343,3 @@ def young_mu(config: MultiSolitonConfig) -> dict:
         for p in config.solitons
     )
     return {"mu_1": mu_1, "mu_2": mu_2, "mu": min(mu_1, mu_2)}
-
-
-def young_margin(config: MultiSolitonConfig, n_trials: int = 1_000_000,
-                 seed: int = 0) -> dict:
-    """Sampled worst-case margin of the pointwise quadratic lower bound.
-
-    Draws random pointwise values (eta_u, d_x eta_u complex; eta_n, eta_v
-    real) and returns the minimum over trials and solitons of
-    q_density - mu * (|d_x eta_u|^2 + |eta_u|^2 + eta_n^2 + eta_v^2).
-    Equality cases exist (e.g. pure (eta_n, eta_v) content when mu = 1/2),
-    so the margin can touch 0 to rounding but must never go meaningfully
-    negative.
-    """
-    mu = young_mu(config)["mu"]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((6, n_trials))
-    eu = z[0] + 1j * z[1]
-    dxu = z[2] + 1j * z[3]
-    en, ev = z[4], z[5]
-    base = np.abs(dxu) ** 2 + np.abs(eu) ** 2 + en**2 + ev**2
-    worst = np.inf
-    for p in config.solitons:
-        lhs = (
-            np.abs(dxu) ** 2
-            + p.nu * np.abs(eu) ** 2
-            - p.c * (en * ev + np.imag(np.conj(eu) * dxu))
-            + 0.5 * (en**2 + ev**2)
-        )
-        worst = min(worst, float(np.min(lhs - mu * base)))
-    return {"mu": mu, "min_margin": worst, "trials": int(n_trials)}

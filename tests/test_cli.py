@@ -7,6 +7,7 @@ from zaklab.cli import main
 
 CHEAP_NUMERICS = {"n_points": 256, "box_length": 40.0, "dt": 0.01,
                   "sample_stride": 10}
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def _one_soliton_config():
@@ -97,6 +98,31 @@ def test_config_not_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_configs_validate(path, capsys):
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["solitons"]
+
+
+# --- values that runners would only reject after the integration ----------------
+
+@pytest.mark.parametrize("subcommand, override, key", [
+    ("weinstein-audit", "knobs.K0=20.0", "K0"),
+    ("local-quantities", "knobs.L_values=[]", "L_values"),
+    ("coercivity", "knobs.omegas_sweep=[1.0,0.0]", "omegas_sweep"),
+    ("coercivity", "knobs.speeds_sweep=[0.5,1.0]", "speeds_sweep"),
+])
+def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
+    cfg = _write(tmp_path, _one_soliton_config())
+    out_dir = tmp_path / "runs"
+    assert main([subcommand, "--config", cfg, "--set", override,
+                 "--output-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert not out_dir.exists()  # rejected before any run directory is made
+
+
 # --- overrides --------------------------------------------------------------------
 
 def test_override_reflected_in_canonical_output(tmp_path, capsys):
@@ -116,6 +142,14 @@ def test_bad_override_key(tmp_path, capsys):
     assert "unknown config key in override" in capsys.readouterr().err
 
 
+def test_override_through_a_scalar_value(tmp_path, capsys):
+    cfg = _write(tmp_path, _one_soliton_config())
+    assert main(["validate-config", "--config", cfg, "--set", "knobs.t_final.x=1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "knobs.t_final.x" in err
+
+
 def test_override_without_equals(tmp_path, capsys):
     cfg = _write(tmp_path, _one_soliton_config())
     assert main(["validate-config", "--config", cfg, "--set", "numerics.dt"]) == 1
@@ -133,10 +167,12 @@ def test_kind_mismatch_between_file_and_subcommand(tmp_path, capsys):
 
 # --- experiment subcommands ----------------------------------------------------------
 
-def test_coercivity_direct_mode(tmp_path, capsys):
+def test_coercivity_single_point_from_config(tmp_path, capsys):
+    cfg = _write(tmp_path, _one_soliton_config())
     out_dir = tmp_path / "runs"
-    assert main(["coercivity", "--omega", "1.0", "--c", "0.0",
-                 "--n-points", "256", "--output-dir", str(out_dir)]) == 0
+    assert main(["coercivity", "--config", cfg,
+                 "--set", "knobs.omegas_sweep=[1.0]", "--set", "knobs.speeds_sweep=[0.0]",
+                 "--output-dir", str(out_dir)]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
     assert len(lines) == 1  # stdout carries exactly the manifest path
@@ -148,9 +184,11 @@ def test_coercivity_direct_mode(tmp_path, capsys):
     assert reports[0]["lambda_min_constrained"] > 0
 
 
-def test_coercivity_requires_omega_or_config(capsys):
-    assert main(["coercivity"]) == 1
-    assert "--omega" in capsys.readouterr().err
+def test_coercivity_requires_config(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coercivity"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_backward_msw_from_config_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from zaklab.profiles import (
     SolitonParams,
     ground_state,
     ground_state_prime,
-    interaction_sources,
     lambda_omega,
     lambda_q,
     modulated_profile,
@@ -179,14 +178,46 @@ def test_modulated_profile_matches_multi_soliton_at_reference():
         assert np.max(np.abs(sv - mv)) < 1e-14
 
 
+@pytest.mark.parametrize("omega_t, sigma_t, gamma_t, t", [(0.8, 1.0, 0.2, 0.9),
+                                                          (1.3, -2.5, 0.4, 1.7)])
+def test_modulated_profile_matches_single_modulated_oracle(omega_t, sigma_t, gamma_t, t):
+    # oracle: the one-soliton modulated profile as written before traveling_wave
+    # and modulated_profile shared a wave builder
+    g = Grid(1024, 40.0)
+    p0 = SolitonParams(0.8, 0.4, 1.0, 0.2)
+    c = p0.c
+    center = c * t + sigma_t
+    envelope = phi(g, omega_t, center)
+    gph = soliton_phase(g, c, p0.omega, gamma_t, t, center)
+    u = np.sqrt(1.0 - c**2) * envelope * np.exp(1j * gph)
+    n = -(envelope**2)
+    want = (u, n, c * n)
+    got = modulated_profile(g, MultiSolitonConfig((p0,)), [omega_t, sigma_t, gamma_t], t)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if (omega_t, sigma_t, gamma_t) == (p0.omega, p0.sigma, p0.gamma):
+        for a, b in zip(traveling_wave(g, p0, t), want):
+            assert np.array_equal(a, b)
+
+
+def _interaction_sources(grid, config, t):
+    """psi_u = sum_{j != k} R_j^u R_k^n and
+    psi_v = d/dx ( |sum_k R_k^u|^2 - sum_k |R_k^u|^2 )."""
+    parts = [traveling_wave(grid, p, t) for p in config.solitons]
+    n_total = np.sum([p[1] for p in parts], axis=0)
+    psi_u = sum(uk * (n_total - nk) for uk, nk, _ in parts)
+    cross = np.abs(sum(p[0] for p in parts)) ** 2 - sum(np.abs(p[0]) ** 2 for p in parts)
+    return psi_u, spectral_derivative(grid, cross, 1)
+
+
 def test_interaction_sources_decay_with_separation():
     g = Grid(2048, 80.0)
     near = MultiSolitonConfig((SolitonParams(1.0, -0.5, -3.0),
                                SolitonParams(1.0, 0.5, 3.0)))
     far = MultiSolitonConfig((SolitonParams(1.0, -0.5, -15.0),
                               SolitonParams(1.0, 0.5, 15.0)))
-    pu_near, pv_near = interaction_sources(g, near, 0.0)
-    pu_far, pv_far = interaction_sources(g, far, 0.0)
+    pu_near, pv_near = _interaction_sources(g, near, 0.0)
+    pu_far, pv_far = _interaction_sources(g, far, 0.0)
     assert np.max(np.abs(pu_far)) < 1e-4 * np.max(np.abs(pu_near))
     assert np.max(np.abs(pv_far)) < 1e-4 * np.max(np.abs(pv_near))
 
