@@ -101,6 +101,11 @@ class ExperimentSpec:
             raise ValueError("L_values must not be empty")
         if any(L <= 0 for L in self.L_values):
             raise ValueError("L_values must be positive")
+        if any(a >= b for a, b in zip(self.L_values, self.L_values[1:])):
+            raise ValueError(f"L_values must be strictly increasing, got {list(self.L_values)}")
+        if self.kind == "local_quantities" and len(self.L_values) < 2:
+            raise ValueError("local_quantities compares drifts across L_values and needs "
+                             f"at least two, got {list(self.L_values)}")
         if any(w <= 0 for w in self.omegas_sweep):
             raise ValueError(f"omegas_sweep must be positive, got {list(self.omegas_sweep)}")
         if any(abs(c) >= 1 for c in self.speeds_sweep):

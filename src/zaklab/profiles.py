@@ -39,7 +39,6 @@ __all__ = [
     "lambda_q",
     "y_ground_state",
     "phi",
-    "phi_prime",
     "lambda_omega",
     "traveling_wave",
     "multi_soliton",
@@ -205,12 +204,6 @@ def phi(grid_or_y, omega: float, center: float = 0.0):
     """phi_omega evaluated at wrapped (x - center); accepts a Grid or raw array."""
     root = np.sqrt(omega)
     return sum(np.sqrt(omega) * _q_of(root * y)
-               for y in _image_coords(grid_or_y, center))
-
-
-def phi_prime(grid_or_y, omega: float, center: float = 0.0):
-    root = np.sqrt(omega)
-    return sum(omega * _q_prime_of(root * y)
                for y in _image_coords(grid_or_y, center))
 
 

@@ -9,11 +9,14 @@ produces
 whose kernels are spanned by Q' and Q.  The stability machinery rests on the
 quadratic form <L_plus a, a> + <L_minus b, b> being positive definite on the
 H^1 sphere once a is orthogonal to Q and yQ and b is orthogonal to
-LambdaQ = (Q + yQ')/2; this module estimates that constrained minimum by a
-dense generalized symmetric eigensolve.  It also evaluates one weighted
-quadratic form, h2_form, of the full (eta_u, eta_n, eta_v) linearization
-around a single traveling wave: unweighted, or with a cutoff or an
-exponential localization weight on its quadratic part.
+LambdaQ = (Q + yQ')/2.  Each operator is defined once, by its FFT action;
+this module estimates such constrained minima matrix-free, by Lanczos
+iteration on the pencil whose H^1 / L^2 norm is diagonal in Fourier space.
+Only spectrum() builds a dense matrix, column by column from that action.
+It also evaluates one weighted quadratic form, h2_form, of the full
+(eta_u, eta_n, eta_v) linearization around a single traveling wave:
+unweighted, or with a cutoff or an exponential localization weight on its
+quadratic part; h2_coercivity minimizes the unweighted one.
 
 The localization weight Phi_B interpolates between 1 on [0, B] and
 e^{-|x|/B} beyond 2B through a C^2 monotone transition built in log space,
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh
 
 from .grid import Grid, quadrature, spectral_derivative
 from .profiles import (
@@ -41,8 +44,6 @@ from .profiles import (
 
 __all__ = [
     "LinearizedOperator",
-    "derivative_matrix",
-    "stiffness_matrix",
     "spectrum",
     "coercivity_nls",
     "WeightPhiB",
@@ -83,30 +84,9 @@ class LinearizedOperator:
         return -spectral_derivative(self.grid, f, 2) + self.potential * f
 
     def matrix(self):
-        """Dense symmetric discretization (spectral stiffness + diagonal)."""
-        mat = stiffness_matrix(self.grid) + np.diag(self.potential)
+        """Dense symmetric matrix: apply() on each unit vector, symmetrized."""
+        mat = np.stack([self.apply(e) for e in np.eye(self.grid.n_points)], axis=1)
         return 0.5 * (mat + mat.T)
-
-
-def derivative_matrix(grid: Grid, order: int = 1):
-    """Dense spectral differentiation matrix (real, exact on grid modes)."""
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    mult = (1j * grid.wavenumbers) ** order
-    mat = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(grid.n_points), axis=0), axis=0)
-    return np.ascontiguousarray(mat.real)
-
-
-def stiffness_matrix(grid: Grid):
-    """Dense matrix of -d^2/dx^2 with the full k^2 symbol.
-
-    Not the same as d1.T @ d1: the real first-derivative matrix annihilates
-    the Nyquist mode, so its square misses that channel, whereas the second
-    derivative used by apply() keeps it.
-    """
-    mult = grid.wavenumbers**2
-    mat = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(grid.n_points), axis=0), axis=0)
-    return np.ascontiguousarray(mat.real)
 
 
 def spectrum(op: LinearizedOperator, n_eigs: int):
@@ -126,18 +106,49 @@ def spectrum(op: LinearizedOperator, n_eigs: int):
     return vals, vecs
 
 
-def _constrained_min(a, b, constraints):
-    """Smallest generalized eigenvalue of (a, b) restricted off the constraints.
+def _lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
+    """Smallest lambda of A z = lambda B z over z L^2-orthogonal to constraints.
 
-    constraints is an (n, m) array of L^2 constraint directions; the problem
-    is projected on their orthogonal complement before the symmetric solve.
+    z stacks one length-n block per entry of h1_blocks; apply(z) is A z, with
+    the quadrature weight h included.  B is the Gram matrix of the norm,
+    h (1 + k^2) on H^1 blocks and h on L^2 blocks, diagonal in Fourier space,
+    so the pencil becomes the standard problem for B^{-1/2} A B^{-1/2}, which
+    implicitly restarted Lanczos solves from FFT matvecs alone.  constraints
+    is an (n_blocks * n, m) array of directions.
     """
-    z = null_space(constraints.T)
-    az = z.T @ a @ z
-    bz = z.T @ b @ z
-    vals = eigh(0.5 * (az + az.T), 0.5 * (bz + bz.T), subset_by_index=[0, 0],
-                eigvals_only=True)
-    return float(vals[0])
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = grid.n_points
+    n_blocks = len(h1_blocks)
+    k = np.abs(grid.wavenumbers[: n // 2 + 1])
+    inv_sqrt_h1 = 1.0 / np.sqrt(grid.spacing * (1.0 + k**2))
+    inv_sqrt_l2 = 1.0 / np.sqrt(grid.spacing)
+
+    def scale(z):  # B^{-1/2} z, blockwise; z is one vector or a column stack
+        blocks = np.reshape(z, (n_blocks, n, -1))
+        return np.concatenate([
+            np.fft.irfft(inv_sqrt_h1[:, None] * np.fft.rfft(b, axis=0), n, axis=0)
+            if h1 else inv_sqrt_l2 * b
+            for b, h1 in zip(blocks, h1_blocks)
+        ]).reshape(np.shape(z))
+
+    size = n_blocks * n
+    basis = (np.linalg.qr(scale(constraints))[0] if constraints is not None
+             else np.empty((size, 0)))
+
+    def project(y):
+        return y - basis @ (basis.T @ y)
+
+    # Constraint directions get eigenvalue 10.  Every minimum sought lies
+    # below 1 (a high-k mode, or a pure (n, v) field, already gives a
+    # Rayleigh quotient below 1), so the shifted directions never win.
+    def matvec(y):
+        p = project(y)
+        return project(scale(apply(scale(p)))) + 10.0 * (y - p)
+
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    v0 = project(np.ones(size))
+    return float(eigsh(op, k=1, which="SA", tol=0, v0=v0, return_eigenvectors=False)[0])
 
 
 def coercivity_nls(grid: Grid) -> dict:
@@ -150,24 +161,21 @@ def coercivity_nls(grid: Grid) -> dict:
     eigenvalues.
     """
     h = grid.spacing
-    n = grid.n_points
-    q = ground_state(grid)
-    lam_q = lambda_q(grid)
-    stiff = stiffness_matrix(grid)
-    a_plus = h * (stiff + np.diag(1.0 - 3.0 * q**2))
-    a_minus = h * (stiff + np.diag(1.0 - q**2))
-    gram = h * (np.eye(n) + stiff)
 
-    plus_c = _constrained_min(a_plus, gram, np.stack([q, y_ground_state(grid)], axis=1))
-    minus_c = _constrained_min(a_minus, gram, lam_q[:, None])
-    plus_u = float(eigh(a_plus, gram, subset_by_index=[0, 0], eigvals_only=True)[0])
-    minus_u = float(eigh(a_minus, gram, subset_by_index=[0, 0], eigvals_only=True)[0])
+    def block(op, constraints):
+        def apply(z):
+            return h * op.apply(z)
+        return {"constrained": _lowest(grid, (True,), apply, constraints),
+                "unconstrained": _lowest(grid, (True,), apply)}
 
+    plus = block(LinearizedOperator.plus(grid),
+                 np.stack([ground_state(grid), y_ground_state(grid)], axis=1))
+    minus = block(LinearizedOperator.minus(grid), lambda_q(grid)[:, None])
     return {
-        "lambda_min_constrained": min(plus_c, minus_c),
-        "lambda_min_unconstrained": min(plus_u, minus_u),
-        "plus_block": {"constrained": plus_c, "unconstrained": plus_u},
-        "minus_block": {"constrained": minus_c, "unconstrained": minus_u},
+        "lambda_min_constrained": min(plus["constrained"], minus["constrained"]),
+        "lambda_min_unconstrained": min(plus["unconstrained"], minus["unconstrained"]),
+        "plus_block": plus,
+        "minus_block": minus,
     }
 
 
@@ -284,31 +292,20 @@ def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
     cg, sg = np.cos(gam), np.sin(gam)
     w = np.sqrt(1.0 - params.c**2)
     c = params.c
+    pot = params.nu - f**2
 
-    d1 = derivative_matrix(grid, 1)
-    stiff = stiffness_matrix(grid)
-    eye = np.eye(n)
-    diag_u = np.diag(params.nu - f**2)
-
-    a = np.zeros((4 * n, 4 * n))
-    sl = [slice(k * n, (k + 1) * n) for k in range(4)]
-    a[sl[0], sl[0]] = stiff + diag_u
-    a[sl[1], sl[1]] = stiff + diag_u
-    # -c Im(conj(eta_u) d_x eta_u) = -c (a db - b da) pointwise
-    a[sl[0], sl[1]] = -c * d1
-    a[sl[1], sl[0]] = c * d1
-    a[sl[2], sl[0]] = np.diag(2.0 * w * f * cg)
-    a[sl[2], sl[1]] = np.diag(2.0 * w * f * sg)
-    a[sl[2], sl[2]] = 0.5 * eye
-    a[sl[3], sl[3]] = 0.5 * eye
-    a[sl[2], sl[3]] = -c * eye
-    a = h * 0.5 * (a + a.T)
-
-    b = np.zeros_like(a)
-    b[sl[0], sl[0]] = h * (eye + stiff)
-    b[sl[1], sl[1]] = h * (eye + stiff)
-    b[sl[2], sl[2]] = h * eye
-    b[sl[3], sl[3]] = h * eye
+    def apply(z):
+        # the symmetric operator of h2_form: -c Im(conj(eta_u) d_x eta_u)
+        # pairs Re eta_u with d_x Im eta_u, the coupling pairs eta_n with eta_u
+        a, b, en, ev = np.reshape(z, (4, n))
+        return h * np.concatenate([
+            -spectral_derivative(grid, a, 2) + pot * a
+            - c * spectral_derivative(grid, b, 1) + w * f * cg * en,
+            -spectral_derivative(grid, b, 2) + pot * b
+            + c * spectral_derivative(grid, a, 1) + w * f * sg * en,
+            w * f * (cg * a + sg * b) + 0.5 * en - 0.5 * c * ev,
+            0.5 * ev - 0.5 * c * en,
+        ])
 
     zero = np.zeros(n)
     constraints = np.stack([
@@ -317,13 +314,12 @@ def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
         np.concatenate([-lam * sg, lam * cg, zero, zero]),
     ], axis=1)
 
-    lam_c = _constrained_min(a, b, constraints)
-    lam_u = float(eigh(a, b, subset_by_index=[0, 0], eigvals_only=True)[0])
+    h1_blocks = (True, True, False, False)
     return {
         "omega": params.omega,
         "c": params.c,
-        "lambda_min_constrained": lam_c,
-        "lambda_min_unconstrained": lam_u,
+        "lambda_min_constrained": _lowest(grid, h1_blocks, apply, constraints),
+        "lambda_min_unconstrained": _lowest(grid, h1_blocks, apply),
         "grid": {"n_points": n, "box_length": grid.box_length},
     }
 

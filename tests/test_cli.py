@@ -109,6 +109,10 @@ def test_committed_configs_validate(path, capsys):
 @pytest.mark.parametrize("subcommand, override, key", [
     ("weinstein-audit", "knobs.K0=20.0", "K0"),
     ("local-quantities", "knobs.L_values=[]", "L_values"),
+    ("local-quantities", "knobs.L_values=[5.0]", "L_values"),
+    ("local-quantities", "knobs.L_values=[5.0,5.0]", "L_values"),
+    ("local-quantities", "knobs.L_values=[20.0,10.0,5.0]", "L_values"),
+    ("weinstein-audit", "knobs.L_values=[10.0,5.0]", "L_values"),
     ("coercivity", "knobs.omegas_sweep=[1.0,0.0]", "omegas_sweep"),
     ("coercivity", "knobs.speeds_sweep=[0.5,1.0]", "speeds_sweep"),
 ])

@@ -10,6 +10,7 @@ from zaklab.profiles import MultiSolitonConfig, SolitonParams
 from zaklab.dynamics import BlowUpError, Trajectory, multi_soliton_state
 from zaklab.functionals import mass, energy, momentum
 from zaklab.experiments import (
+    KINDS,
     ExperimentSpec,
     RunManifest,
     auto_window,
@@ -52,6 +53,15 @@ def test_spec_validation():
         ExperimentSpec(kind="backward_msw", config=ONE, sample_stride=0)
     with pytest.raises(ValueError, match="L_values"):
         ExperimentSpec(kind="backward_msw", config=ONE, L_values=(5.0, -1.0))
+    # widths must be strictly increasing for every kind; local_quantities
+    # compares drifts across them and needs two
+    for kind in KINDS:
+        for widths in ((5.0, 5.0), (20.0, 10.0, 5.0)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ExperimentSpec(kind=kind, config=ONE, L_values=widths)
+    with pytest.raises(ValueError, match="at least two"):
+        ExperimentSpec(kind="local_quantities", config=ONE, L_values=(5.0,))
+    assert ExperimentSpec(kind="weinstein_audit", config=ONE, L_values=(5.0,)).L_values == (5.0,)
 
 
 def test_spec_dict_round_trip():

@@ -14,7 +14,6 @@ from zaklab.profiles import (
     modulated_profile,
     multi_soliton,
     phi,
-    phi_prime,
     soliton_phase,
     traveling_wave,
     y_ground_state,
@@ -22,6 +21,15 @@ from zaklab.profiles import (
 
 GRID = Grid(1024, 40.0)
 OMEGAS = (0.5, 1.0, 2.0)
+
+
+def _phi_prime(grid, omega):
+    """Closed form d(phi_omega)/dx = omega Q'(sqrt(omega) y), summed over the
+    box and its two neighbouring images like the package's profiles."""
+    y = grid.wrap(grid.x)
+    root = np.sqrt(omega)
+    return sum(omega * (-np.sqrt(2.0) * np.tanh(root * s) / np.cosh(root * s))
+               for s in (y, y - grid.box_length, y + grid.box_length))
 
 
 # --- ground state ----------------------------------------------------------
@@ -73,7 +81,7 @@ def test_phi_ode_and_first_integral(omega):
     assert np.max(np.abs(fxx - omega * f + f**3)) < 1e-8
     fx = spectral_derivative(g, f, 1).real
     assert np.max(np.abs(fx**2 - omega * f**2 + 0.5 * f**4)) < 1e-8
-    assert np.max(np.abs(fx - phi_prime(g, omega))) < 1e-10
+    assert np.max(np.abs(fx - _phi_prime(g, omega))) < 1e-10
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
@@ -84,7 +92,7 @@ def test_phi_integrals(omega):
     assert quadrature(g, f**2) == pytest.approx(4.0 * np.sqrt(omega), abs=1e-9)
     assert quadrature(g, f**4) == pytest.approx(
         16.0 / 3.0 * omega**1.5, abs=1e-9)
-    assert quadrature(g, phi_prime(g, omega) ** 2) == pytest.approx(
+    assert quadrature(g, _phi_prime(g, omega) ** 2) == pytest.approx(
         4.0 / 3.0 * omega**1.5, abs=1e-9)
     # the scaling generator carries a linear-in-y factor, so its box images
     # are the largest of the family (about 2e-9 at omega = 0.5)

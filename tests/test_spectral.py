@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
+from zaklab import spectral
 from zaklab.grid import Grid, quadrature, spectral_derivative
 from zaklab.profiles import (
     MultiSolitonConfig,
     SolitonParams,
     ground_state,
     ground_state_prime,
+    lambda_omega,
     lambda_q,
+    phi,
+    soliton_phase,
     y_ground_state,
 )
 from zaklab.spectral import (
@@ -15,12 +20,10 @@ from zaklab.spectral import (
     WeightPhiB,
     coercivity_nls,
     coupling_density,
-    derivative_matrix,
     h2_coercivity,
     h2_form,
     q_density,
     spectrum,
-    stiffness_matrix,
     young_mu,
 )
 from zaklab.functionals import CutoffFamily, weinstein_decompose
@@ -28,6 +31,117 @@ from zaklab.dynamics import State, multi_soliton_state
 
 SEED = 42
 GRID = Grid(1024, 40.0)
+
+
+# --- dense oracle ----------------------------------------------------------------
+# The pencils and the constrained eigensolve as the package assembled them
+# before its matrix-free solver; the solver must reproduce their minima.
+
+def _derivative_matrix(grid: Grid, order: int = 1):
+    """Dense spectral differentiation matrix (real, exact on grid modes)."""
+    if order < 1:
+        raise ValueError("derivative order must be >= 1")
+    mult = (1j * grid.wavenumbers) ** order
+    mat = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(grid.n_points), axis=0), axis=0)
+    return np.ascontiguousarray(mat.real)
+
+
+def _stiffness_matrix(grid: Grid):
+    """Dense matrix of -d^2/dx^2 with the full k^2 symbol.
+
+    Not the same as d1.T @ d1: the real first-derivative matrix annihilates
+    the Nyquist mode, so its square misses that channel, whereas the second
+    derivative used by apply() keeps it.
+    """
+    mult = grid.wavenumbers**2
+    mat = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(grid.n_points), axis=0), axis=0)
+    return np.ascontiguousarray(mat.real)
+
+
+def _constrained_min(a, b, constraints):
+    """Smallest generalized eigenvalue of (a, b) restricted off the constraints.
+
+    constraints is an (n, m) array of L^2 constraint directions; the problem
+    is projected on their orthogonal complement before the symmetric solve.
+    """
+    z = null_space(constraints.T)
+    az = z.T @ a @ z
+    bz = z.T @ b @ z
+    vals = eigh(0.5 * (az + az.T), 0.5 * (bz + bz.T), subset_by_index=[0, 0],
+                eigvals_only=True)
+    return float(vals[0])
+
+
+def _dense_coercivity_nls(grid: Grid) -> dict:
+    h = grid.spacing
+    n = grid.n_points
+    q = ground_state(grid)
+    lam_q = lambda_q(grid)
+    stiff = _stiffness_matrix(grid)
+    a_plus = h * (stiff + np.diag(1.0 - 3.0 * q**2))
+    a_minus = h * (stiff + np.diag(1.0 - q**2))
+    gram = h * (np.eye(n) + stiff)
+
+    plus_c = _constrained_min(a_plus, gram, np.stack([q, y_ground_state(grid)], axis=1))
+    minus_c = _constrained_min(a_minus, gram, lam_q[:, None])
+    plus_u = float(eigh(a_plus, gram, subset_by_index=[0, 0], eigvals_only=True)[0])
+    minus_u = float(eigh(a_minus, gram, subset_by_index=[0, 0], eigvals_only=True)[0])
+
+    return {
+        "lambda_min_constrained": min(plus_c, minus_c),
+        "lambda_min_unconstrained": min(plus_u, minus_u),
+        "plus_block": {"constrained": plus_c, "unconstrained": plus_u},
+        "minus_block": {"constrained": minus_c, "unconstrained": minus_u},
+    }
+
+
+def _dense_h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
+    n = grid.n_points
+    h = grid.spacing
+    center = params.c * t + params.sigma
+    x_rel = grid.wrap(grid.x - center)
+    f = phi(grid, params.omega, center)
+    lam = lambda_omega(grid, params.omega, center)
+    gam = soliton_phase(grid, params.c, params.omega, params.gamma, t, center)
+    cg, sg = np.cos(gam), np.sin(gam)
+    w = np.sqrt(1.0 - params.c**2)
+    c = params.c
+
+    d1 = _derivative_matrix(grid, 1)
+    stiff = _stiffness_matrix(grid)
+    eye = np.eye(n)
+    diag_u = np.diag(params.nu - f**2)
+
+    a = np.zeros((4 * n, 4 * n))
+    sl = [slice(k * n, (k + 1) * n) for k in range(4)]
+    a[sl[0], sl[0]] = stiff + diag_u
+    a[sl[1], sl[1]] = stiff + diag_u
+    # -c Im(conj(eta_u) d_x eta_u) = -c (a db - b da) pointwise
+    a[sl[0], sl[1]] = -c * d1
+    a[sl[1], sl[0]] = c * d1
+    a[sl[2], sl[0]] = np.diag(2.0 * w * f * cg)
+    a[sl[2], sl[1]] = np.diag(2.0 * w * f * sg)
+    a[sl[2], sl[2]] = 0.5 * eye
+    a[sl[3], sl[3]] = 0.5 * eye
+    a[sl[2], sl[3]] = -c * eye
+    a = h * 0.5 * (a + a.T)
+
+    b = np.zeros_like(a)
+    b[sl[0], sl[0]] = h * (eye + stiff)
+    b[sl[1], sl[1]] = h * (eye + stiff)
+    b[sl[2], sl[2]] = h * eye
+    b[sl[3], sl[3]] = h * eye
+
+    zero = np.zeros(n)
+    constraints = np.stack([
+        np.concatenate([f * cg, f * sg, zero, zero]),
+        np.concatenate([x_rel * f * cg, x_rel * f * sg, zero, zero]),
+        np.concatenate([-lam * sg, lam * cg, zero, zero]),
+    ], axis=1)
+
+    lam_c = _constrained_min(a, b, constraints)
+    lam_u = float(eigh(a, b, subset_by_index=[0, 0], eigvals_only=True)[0])
+    return {"lambda_min_constrained": lam_c, "lambda_min_unconstrained": lam_u}
 
 
 # --- linearized operators ----------------------------------------------------
@@ -49,13 +163,16 @@ def test_apply_matches_matrix():
     g = Grid(256, 40.0)
     op = LinearizedOperator.plus(g)
     f = rng.standard_normal(g.n_points)
-    assert np.max(np.abs(op.apply(f) - op.matrix() @ f)) < 1e-9
+    dense = _stiffness_matrix(g) + np.diag(op.potential)
+    assert np.max(np.abs(op.apply(f) - dense @ f)) < 1e-9
+    # matrix(), built from apply(), is the symmetrized stiffness-based matrix
+    assert np.max(np.abs(op.matrix() - 0.5 * (dense + dense.T))) < 1e-12
 
 
 def test_derivative_matrix_matches_spectral():
     rng = np.random.default_rng(SEED)
     g = Grid(128, 20.0)
-    d1 = derivative_matrix(g, 1)
+    d1 = _derivative_matrix(g, 1)
     f = np.exp(-g.x**2) * rng.standard_normal()  # smooth, decaying
     assert np.max(np.abs(d1 @ f - spectral_derivative(g, f, 1).real)) < 1e-10
 
@@ -96,8 +213,8 @@ def test_nls_quadratic_form_positive_on_gaussian():
     # the dense blocks that coercivity_nls minimizes give the same value
     q2 = ground_state(g) ** 2
     a, b = eta.real, eta.imag
-    dense = g.spacing * (a @ (stiffness_matrix(g) + np.diag(1.0 - 3.0 * q2)) @ a
-                         + b @ (stiffness_matrix(g) + np.diag(1.0 - q2)) @ b)
+    dense = g.spacing * (a @ (_stiffness_matrix(g) + np.diag(1.0 - 3.0 * q2)) @ a
+                         + b @ (_stiffness_matrix(g) + np.diag(1.0 - q2)) @ b)
     assert dense == pytest.approx(val, rel=1e-10)
 
 
@@ -109,6 +226,21 @@ def test_coercivity_nls_constrained_positive():
     assert out["lambda_min_unconstrained"] < 0.0
     assert out["plus_block"]["constrained"] > 0.0
     assert out["minus_block"]["constrained"] > 0.0
+
+
+@pytest.mark.parametrize("n", (16, 512))
+def test_coercivity_nls_matches_dense_oracle(n):
+    g = Grid(n, 40.0)
+    out, ref = coercivity_nls(g), _dense_coercivity_nls(g)
+    for block in ("plus_block", "minus_block"):
+        for key in ("constrained", "unconstrained"):
+            val, want = out[block][key], ref[block][key]
+            if abs(want) < 1e-8:  # the minus block's kernel eigenvalue, ~0
+                assert abs(val - want) <= 1e-12
+            else:
+                assert abs(val - want) <= 1e-10 * abs(want)
+    for key in ("constrained", "unconstrained"):
+        assert out[f"lambda_min_{key}"] == min(out["plus_block"][key], out["minus_block"][key])
 
 
 def test_coercivity_nls_stable_under_grid_doubling():
@@ -263,6 +395,56 @@ def test_h2_coercivity_sweep_positive(omega, c):
     out = h2_coercivity(g, SolitonParams(omega=omega, c=c))
     assert out["lambda_min_constrained"] > 0.0
     assert out["lambda_min_unconstrained"] < 0.0
+
+
+@pytest.mark.parametrize("n, omega, c, sigma, gamma, t", [
+    *((128, omega, c, 0.0, 0.0, 0.0) for omega in (0.5, 1.0, 2.0) for c in (-0.9, 0.0, 0.9)),
+    (512, 1.0, 0.5, 0.0, 0.0, 0.0),
+    (16, 1.0, 0.5, 0.0, 0.0, 0.0),
+    # shifted and phase-rotated at t != 0: the constraints sit off the origin
+    # and the coupling acts through both Re and Im eta_u
+    (128, 2.0, -0.4, 1.5, 0.7, 0.3),
+])
+def test_h2_coercivity_matches_dense_oracle(n, omega, c, sigma, gamma, t):
+    g = Grid(n, 40.0)
+    p = SolitonParams(omega, c, sigma, gamma)
+    out, ref = h2_coercivity(g, p, t), _dense_h2_coercivity(g, p, t)
+    for key in ("lambda_min_constrained", "lambda_min_unconstrained"):
+        assert abs(out[key] - ref[key]) <= 1e-10 * abs(ref[key])
+
+
+@pytest.mark.parametrize("p, t", [(SolitonParams(1.0, 0.5), 0.0),
+                                  (SolitonParams(2.0, -0.4, 1.5, 0.7), 0.3)])
+def test_h2_coercivity_operator_is_the_h2_form(monkeypatch, p, t):
+    # z^T (A z) of the operator h2_coercivity minimizes is h2_form on
+    # band-limited fields (no Nyquist content, where the two derivatives differ)
+    calls = []
+
+    def record(grid, h1_blocks, apply, constraints=None):
+        calls.append(apply)
+        return 0.0
+
+    monkeypatch.setattr(spectral, "_lowest", record)
+    g = Grid(256, 40.0)
+    h2_coercivity(g, p, t)
+    rng = np.random.default_rng(SEED + 6)
+    low = np.abs(g.wavenumbers) < 0.5 * np.abs(g.wavenumbers).max()
+
+    def field():
+        return np.fft.ifft(low * np.fft.fft(rng.standard_normal(g.n_points))).real
+
+    a, b, eta_n, eta_v = field(), field(), field(), field()
+    z = np.concatenate([a, b, eta_n, eta_v])
+    form = h2_form(g, a + 1j * b, eta_n, eta_v, p, t)
+    for apply in calls:
+        assert z @ apply(z) == pytest.approx(form, rel=1e-13)
+
+
+def test_coercivity_solves_are_repeatable():
+    g = Grid(256, 40.0)
+    p = SolitonParams(omega=1.0, c=0.9)
+    assert repr(h2_coercivity(g, p)) == repr(h2_coercivity(g, p))
+    assert repr(coercivity_nls(g)) == repr(coercivity_nls(g))
 
 
 def test_h2_coercivity_stable_under_doubling():
