@@ -19,8 +19,8 @@ from .profiles import (
 from .dynamics import (
     BlowUpError,
     State,
-    Trajectory,
     backward_construct,
+    backward_frames,
     evolve,
     multi_soliton_state,
     soliton_state,
@@ -55,8 +55,8 @@ __all__ = [
     "Grid", "quadrature", "sobolev_norms", "spectral_derivative",
     "SolitonParams", "MultiSolitonConfig", "ground_state", "lambda_q", "phi",
     "traveling_wave", "multi_soliton",
-    "State", "Trajectory", "BlowUpError", "soliton_state", "multi_soliton_state",
-    "evolve", "time_reverse", "backward_construct",
+    "State", "BlowUpError", "soliton_state", "multi_soliton_state",
+    "evolve", "time_reverse", "backward_frames", "backward_construct",
     "mass", "energy", "momentum", "CutoffFamily",
     "weinstein", "weinstein_decompose", "modified_energies", "tail_mass",
     "FunctionalReport", "functional_report",

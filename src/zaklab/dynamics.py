@@ -19,14 +19,15 @@ on a periodic box, first-order in (n, v).  The flow is split into
 
 One step is the Strang composition A(dt/2) W(dt) A(dt/2) of these two exact
 flows (Bao, Sun & Wei, J. Comput. Phys. 2003); the palindromic arrangement
-makes it globally second order.  `evolve` is the one entry point (a single
-step is `evolve(s, s.t + dt, dt).final`) and runs it with the state held in
-Fourier space: u_hat as a full FFT, n_hat and v_hat as rfft half-spectra
-(their self-conjugate Nyquist bins are kept real, the projection onto real
-n and v).  The trailing A(dt/2) of one step and the leading A(dt/2) of the
-next are fused into one A(dt); they are split only at sampled frames and
-before a shortened last step.  A step then costs four transforms: ifft of
-u_hat, rfft of f, irfft of I_hat, fft of the phased u.
+makes it globally second order.  `evolve` is the one entry point: an
+iterator that yields each sampled frame as soon as it exists, so a consumer
+holds only the frames it keeps.  It steps with the state held in Fourier
+space: u_hat as a full FFT, n_hat and v_hat as rfft half-spectra (their
+self-conjugate Nyquist bins are kept real, the projection onto real n and v).
+The trailing A(dt/2) of one step and the leading A(dt/2) of the next are
+fused into one A(dt); they are split only at sampled frames and before a
+shortened last step.  A step then costs four transforms: ifft of u_hat, rfft
+of f, irfft of I_hat, fft of the phased u.
 
 W multiplies u by unit-modulus factors only, so the discrete u-mass
 sum(|u|^2) is conserved to rounding regardless of dt.  The blow-up guard
@@ -36,7 +37,8 @@ runs after every step on the u_hat the step already has, through Parseval:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +47,10 @@ from . import profiles
 
 __all__ = [
     "State",
-    "Trajectory",
     "BlowUpError",
     "evolve",
     "time_reverse",
+    "backward_frames",
     "backward_construct",
     "soliton_state",
     "multi_soliton_state",
@@ -89,33 +91,6 @@ class State:
 
     def norms(self) -> dict:
         return sobolev_norms(self.grid, self.u, self.n, self.v)
-
-
-@dataclass
-class Trajectory:
-    """Sampled states with strictly increasing times."""
-
-    grid: Grid
-    states: list = field(default_factory=list)
-
-    def __post_init__(self):
-        ts = self.times
-        if len(ts) and not np.all(np.diff(ts) > 0):
-            raise ValueError("trajectory times must be strictly increasing")
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
-    @property
-    def final(self) -> State:
-        return self.states[-1]
-
-    def __len__(self):
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 def soliton_state(grid: Grid, params: profiles.SolitonParams, t: float = 0.0) -> State:
@@ -189,13 +164,13 @@ def _frame(grid, t, u_hat, n_hat, v_hat) -> State:
 
 
 def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
-           blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
-    """Integrate forward to t_target, sampling every sample_stride steps.
+           blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Iterator[State]:
+    """Integrate forward to t_target, yielding a frame every sample_stride steps.
 
-    The returned trajectory always contains the initial state and a final
-    state whose time is exactly t_target (the last step is shortened when
-    t_target - t is not an integer multiple of dt).  Raises BlowUpError when
-    ||u||_H1 exceeds blowup_threshold after any step.
+    The frames run from a copy of the initial state to one at exactly t_target
+    (the last step is shortened when t_target - t is not a multiple of dt).
+    Arguments are checked at the call; the steps run as the iterator advances
+    and raise BlowUpError once ||u||_H1 > blowup_threshold.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -203,7 +178,10 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
         raise ValueError("sample_stride must be >= 1")
     if t_target < state.t:
         raise ValueError("t_target is in the past; use time_reverse for backward runs")
+    return _frames(state, t_target, dt, sample_stride, blowup_threshold)
 
+
+def _frames(state, t_target, dt, sample_stride, blowup_threshold):
     t0 = state.t
     total = t_target - t0
     n_full = int(np.floor(total / dt + 1e-12))
@@ -216,7 +194,7 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
     u_hat = np.fft.fft(state.u)
     n_hat, v_hat = np.fft.rfft(state.n), np.fft.rfft(state.v)
     _check_h1(u_hat, c, t0, blowup_threshold)
-    states = [state.copy()]
+    yield state.copy()
     if n_full:
         u_hat *= c.kin_half
     for j in range(1, n_full + 1):
@@ -228,7 +206,7 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
         if sample or last:
             u_hat *= c.kin_half
             if sample:
-                states.append(_frame(grid, t, u_hat, n_hat, v_hat))
+                yield _frame(grid, t, u_hat, n_hat, v_hat)
             if not last:
                 u_hat *= c.kin_half
         else:
@@ -237,8 +215,7 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
         c = _Coeffs(grid, remainder)
         u_hat, n_hat, v_hat = _w_flow(c.kin_half * u_hat, n_hat, v_hat, c)
         _check_h1(u_hat, c, t_target, blowup_threshold)
-        states.append(_frame(grid, t_target, c.kin_half * u_hat, n_hat, v_hat))
-    return Trajectory(grid, states)
+        yield _frame(grid, t_target, c.kin_half * u_hat, n_hat, v_hat)
 
 
 def time_reverse(state: State) -> State:
@@ -247,19 +224,19 @@ def time_reverse(state: State) -> State:
     return State(state.grid, 0.0 - state.t, np.conj(state.u), state.n.copy(), -state.v)
 
 
-def backward_construct(grid: Grid, config: profiles.MultiSolitonConfig, t_final: float,
-                       dt: float, sample_stride: int = 1,
-                       blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
+def backward_frames(grid: Grid, config: profiles.MultiSolitonConfig, t_final: float,
+                    dt: float, sample_stride: int = 1,
+                    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Iterator[State]:
     """Solve backward from exact multi-soliton data prescribed at t_final.
 
     The state at t_final is the exact superposition; the equation is solved
-    toward t = 0 through the reversal symmetry, and the samples are returned
-    in increasing time over [0, t_final].
+    toward t = 0 through the reversal symmetry, and the frames are yielded
+    in integration order, from t_final down to 0, as `evolve` makes them.
     """
-    end = multi_soliton_state(grid, config, t_final)
-    rev = time_reverse(end)  # sits at time -t_final
-    traj = evolve(rev, 0.0, dt, sample_stride=sample_stride,
-                  blowup_threshold=blowup_threshold)
-    # pop while reversing, so the forward frames are freed one by one
-    states = [time_reverse(traj.states.pop()) for _ in range(len(traj.states))]
-    return Trajectory(grid, states)
+    start = time_reverse(multi_soliton_state(grid, config, t_final))  # at time -t_final
+    return map(time_reverse, evolve(start, 0.0, dt, sample_stride, blowup_threshold))
+
+
+def backward_construct(*args, **kwargs) -> list:
+    """Every frame of backward_frames(*args, **kwargs), listed in increasing time."""
+    return list(backward_frames(*args, **kwargs))[::-1]

@@ -21,13 +21,15 @@ import json
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .dynamics import Trajectory, backward_construct, evolve, multi_soliton_state, soliton_state
+from .dynamics import backward_construct, backward_frames, evolve, multi_soliton_state
+from .dynamics import soliton_state
 from .functionals import (
     CutoffFamily,
     _Frame,
@@ -49,6 +51,7 @@ __all__ = [
     "error_series",
     "write_error_csv",
     "local_series",
+    "write_local_csv",
     "gmod_series",
     "edo_constant_fit",
     "run",
@@ -57,6 +60,10 @@ __all__ = [
 _NUMERICS_KEYS = ("n_points", "box_length", "dt", "sample_stride", "blowup_threshold")
 _KNOB_KEYS = ("t_final", "L_values", "K0", "tolerance", "omegas_sweep", "speeds_sweep")
 _ERROR_COLUMNS = ("t", "M", "E", "P", "err_bold_H", "err_h2_square")
+_LOCAL_COLUMNS = ("t", "M_k", "P_k")
+# The backward kinds take frames in batches: one at a time measured ~2.5 % slower
+# on audit-dense than batches of 32 or more (32 frames at n = 2048 are 2 MB).
+_BATCH = 32
 
 log = logging.getLogger(__name__)
 
@@ -87,14 +94,13 @@ class ExperimentSpec:
                              f"expected one of {tuple(KINDS)}")
         if not isinstance(self.config, MultiSolitonConfig):
             raise TypeError("config must be a MultiSolitonConfig")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name in ("n_points", "sample_stride"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # bools and floats are not counts
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("dt", "blowup_threshold", "t_final", "tolerance"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("L_values", "omegas_sweep", "speeds_sweep"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if not self.L_values:
@@ -262,9 +268,9 @@ def _series(rows, columns) -> dict:
     return {c: np.array(v) for c, v in zip(columns, zip(*rows))}
 
 
-def error_series(trajectory: Trajectory, config: MultiSolitonConfig) -> dict:
-    """Per-frame invariants and profile errors along a trajectory."""
-    return _series((_error_row(_Frame(s, config)) for s in trajectory), _ERROR_COLUMNS)
+def error_series(frames, config: MultiSolitonConfig) -> dict:
+    """Per-frame invariants and profile errors over an iterable of States."""
+    return _series((_error_row(_Frame(s, config)) for s in frames), _ERROR_COLUMNS)
 
 
 def write_error_csv(path, series: dict) -> list:
@@ -273,22 +279,32 @@ def write_error_csv(path, series: dict) -> list:
     return columns
 
 
-def local_series(trajectory: Trajectory, config: MultiSolitonConfig, L: float) -> dict:
-    """Localized masses and momenta along a trajectory for one cutoff width."""
+def _local_row(f: _Frame, family: CutoffFamily) -> tuple:
+    """One frame's t, K localized masses and K localized momenta under family."""
+    chis = family.chis(f.grid, f.state.t)
+    return f.state.t, f.localized(f.mass_density, chis), f.localized(f.momentum_density, chis)
+
+
+def local_series(frames, config: MultiSolitonConfig, L: float) -> dict:
+    """Localized masses and momenta over an iterable of States for one cutoff width."""
     family = CutoffFamily.for_config(config, L)
-    frames = (_Frame(s, family=family) for s in trajectory)
-    rows = ((f.state.t, f.localized(f.mass_density), f.localized(f.momentum_density))
-            for f in frames)
-    return {**_series(rows, ("t", "M_k", "P_k")), "L": L}
+    return {**_series((_local_row(_Frame(s), family) for s in frames), _LOCAL_COLUMNS), "L": L}
 
 
-def gmod_series(trajectory: Trajectory, config: MultiSolitonConfig) -> dict:
-    """Modified energies H and G_mod of state - R(t) along a trajectory."""
+def write_local_csv(path, series: dict) -> list:
+    K = series["M_k"].shape[1]
+    columns = ["t"] + [f"M_{k+1}" for k in range(K)] + [f"P_{k+1}" for k in range(K)]
+    _write_csv(path, columns, ([t, *m, *p] for t, m, p in zip(*map(series.get, _LOCAL_COLUMNS))))
+    return columns
+
+
+def gmod_series(frames, config: MultiSolitonConfig) -> dict:
+    """Modified energies H and G_mod of state - R(t) over an iterable of States."""
     def row(f):
         vals = f.eps.modified(f.ref.state.u, f.ref.ux)
         return f.state.t, vals["H"], vals["G_mod"]
 
-    return _series((row(_Frame(s, config)) for s in trajectory), ("t", "H", "G_mod"))
+    return _series((row(_Frame(s, config)) for s in frames), ("t", "H", "G_mod"))
 
 
 def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
@@ -322,14 +338,25 @@ def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
     }
 
 
-def _backward_trajectory(spec: ExperimentSpec) -> Trajectory:
-    grid = spec.make_grid()
+def _backward(spec: ExperimentSpec, build=backward_frames):
+    """build (backward_frames or backward_construct) applied to the spec's run."""
     log.info(f"backward construction to t=0 from t={spec.t_final} "
              f"(n={spec.n_points}, dt={spec.dt})")
-    return backward_construct(
-        grid, spec.config, spec.t_final, spec.dt,
-        sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold,
-    )
+    return build(spec.make_grid(), spec.config, spec.t_final, spec.dt,
+                 sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
+
+
+def _backward_series(spec: ExperimentSpec, family=None, extra=lambda f: None):
+    """The backward run's error series and extra(frame) per frame, in increasing
+    time.  The frames stream in integration order (t_final -> 0) and each batch
+    is dropped once its rows are made: only the small rows are held and reversed."""
+    frames, rows = _backward(spec), []
+    while batch := list(islice(frames, _BATCH)):
+        rows += [(_error_row(f), extra(f))
+                 for f in (_Frame(s, spec.config, family) for s in batch)]
+    rows.reverse()
+    errors, extras = zip(*rows)
+    return _series(errors, _ERROR_COLUMNS), extras
 
 
 def _fit_error_rates(series: dict, manifest: RunManifest, K: int):
@@ -367,31 +394,24 @@ def _run_simulate(spec, run_dir, manifest):
     """forward-evolve multi-soliton data from t=0"""
     log.info(f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
     state = multi_soliton_state(spec.make_grid(), spec.config, 0.0)
-    traj = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
-                  blowup_threshold=spec.blowup_threshold)
-    _save_error_series(error_series(traj, spec.config), run_dir, manifest)
+    frames = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
+                    blowup_threshold=spec.blowup_threshold)
+    _save_error_series(error_series(frames, spec.config), run_dir, manifest)
 
 
 def _run_backward_msw(spec, run_dir, manifest):
     """backward multi-soliton construction with error-decay fit"""
-    series = error_series(_backward_trajectory(spec), spec.config)
+    series, _ = _backward_series(spec)
     _save_error_series(series, run_dir, manifest)
     _fit_error_rates(series, manifest, spec.config.K)
 
 
 def _run_weinstein_audit(spec, run_dir, manifest):
     """functional decomposition audit along a backward run"""
-    traj = _backward_trajectory(spec)
     L = spec.L_values[0]
     family = CutoffFamily.for_config(spec.config, L)
-    log.info(f"functional audit along {len(traj)} frames (L={L})")
-    # one frame per state feeds both the error series and the report
-    rows, reports = [], []
-    for s in traj:
-        f = _Frame(s, spec.config, family)
-        rows.append(_error_row(f))
-        reports.append(f.report(spec.K0))
-    series = _series(rows, _ERROR_COLUMNS)
+    log.info(f"functional audit of every frame (L={L})")
+    series, reports = _backward_series(spec, family, lambda f: f.report(spec.K0))
     _save_error_series(series, run_dir, manifest)
     fit = _fit_error_rates(series, manifest, spec.config.K)
 
@@ -438,18 +458,17 @@ def _run_coercivity_sweep(spec, run_dir, manifest):
 
 def _run_local_quantities(spec, run_dir, manifest):
     """localized mass/momentum drift across cutoff widths"""
-    traj = _backward_trajectory(spec)
-    series = error_series(traj, spec.config)
+    families = [CutoffFamily.for_config(spec.config, L) for L in spec.L_values]
+    series, local_rows = _backward_series(
+        spec, extra=lambda f: [_local_row(f, family) for family in families])
     fit = _fit_error_rates(series, manifest, spec.config.K)
     window = tuple(manifest.fits["theta_hat"]["window"]) if fit else (0.0, spec.t_final)
     drifts = {}
-    for L in spec.L_values:
-        loc = local_series(traj, spec.config, L)
+    for L, width_rows in zip(spec.L_values, zip(*local_rows)):
+        loc = _series(width_rows, _LOCAL_COLUMNS)
         t = loc["t"]
         path = run_dir / f"local_L{L:g}.csv"
-        K = spec.config.K
-        columns = ["t"] + [f"M_{k+1}" for k in range(K)] + [f"P_{k+1}" for k in range(K)]
-        _write_csv(path, columns, ([ti, *m, *p] for ti, m, p in zip(t, loc["M_k"], loc["P_k"])))
+        write_local_csv(path, loc)
         manifest.add_file(path, f"local_series_L{L:g}")
         keep = (t >= window[0]) & (t <= window[1])
         final = loc["M_k"][-1]
@@ -467,9 +486,10 @@ def _run_local_quantities(spec, run_dir, manifest):
 
 def _run_modulation_track(spec, run_dir, manifest):
     """backward run plus per-frame parameter modulation"""
-    traj = _backward_trajectory(spec)
-    log.info(f"modulating {len(traj)} frames")
-    result = track(traj, spec.config, tolerance=spec.tolerance)
+    # the warm-started fit runs in increasing time, so this kind holds every frame
+    frames = _backward(spec, backward_construct)
+    log.info(f"modulating {len(frames)} frames")
+    result = track(frames, spec.config, tolerance=spec.tolerance)
     path = run_dir / "modulation.csv"
     write_track_csv(path, result, spec.config)
     manifest.add_file(path, "modulation_series")
@@ -497,8 +517,8 @@ def _run_convergence_order(spec, run_dir, manifest):
     exact = traveling_wave(grid, params, spec.t_final)
 
     def l2_error(dt):
-        final = evolve(state, spec.t_final, dt, sample_stride=10**9,
-                       blowup_threshold=spec.blowup_threshold).final
+        *_, final = evolve(state, spec.t_final, dt, sample_stride=10**9,
+                           blowup_threshold=spec.blowup_threshold)
         return float(np.sqrt(quadrature(grid, np.abs(final.u - exact[0]) ** 2)))
 
     log.info("measuring splitting order by dt halving")

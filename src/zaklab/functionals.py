@@ -135,9 +135,10 @@ class _Frame:
     def P(self) -> float:
         return quadrature(self.grid, self.momentum_density)
 
-    def localized(self, density):
-        """The K cutoff-weighted integrals of a density."""
-        return np.array([quadrature(self.grid, density * c) for c in self.chis])
+    def localized(self, density, chis=None):
+        """The K cutoff-weighted integrals of a density (own chis by default)."""
+        return np.array([quadrature(self.grid, density * c)
+                         for c in (self.chis if chis is None else chis)])
 
     @property
     def bold_H(self) -> float:

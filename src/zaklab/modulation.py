@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import State, Trajectory
+from .dynamics import State
 from .functionals import _write_csv
 from .grid import quadrature
 from .profiles import (
@@ -243,7 +243,7 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig) -> FitEvaluati
 @dataclass(frozen=True)
 class ModulationResult:
     pi: np.ndarray
-    epsilon: State
+    epsilon: State | None    # state - S(pi); None in the results track keeps
     residuals: np.ndarray
     iterations: int
     converged: bool
@@ -374,9 +374,10 @@ class TrackResult:
     converged: np.ndarray
 
 
-def track(trajectory: Trajectory, config: MultiSolitonConfig,
+def track(frames, config: MultiSolitonConfig,
           tolerance: float = 1e-10, max_iter: int = 50) -> TrackResult:
-    """Modulate every frame, warm-starting each solve from its predecessor.
+    """Modulate every frame (States in increasing time), warm-starting each
+    solve from its predecessor; the stored results drop their epsilon State.
 
     The first frame starts from Pi^0; after a failed frame the next one
     restarts from Pi^0.  gamma components are unwrapped to the 2*pi branch
@@ -384,10 +385,10 @@ def track(trajectory: Trajectory, config: MultiSolitonConfig,
     """
     K = config.K
     pi0 = pi_from_config(config)
-    results = []
+    times, results = [], []
     guess = pi0
     prev_pi = None
-    for frame in trajectory:
+    for frame in frames:
         res = modulate(frame, config, pi_guess=guess, tolerance=tolerance,
                        max_iter=max_iter)
         pi = res.pi.copy()
@@ -396,12 +397,12 @@ def track(trajectory: Trajectory, config: MultiSolitonConfig,
             shift = two_pi * np.round((prev_pi[2 * K:] - pi[2 * K:]) / two_pi)
             if np.any(shift != 0.0):
                 pi[2 * K:] += shift
-                res = replace(res, pi=pi)
-        results.append(res)
+        times.append(frame.t)
+        results.append(replace(res, pi=pi, epsilon=None))
         guess = pi if res.converged else pi0
         prev_pi = pi if res.converged else prev_pi
 
-    times = np.asarray(trajectory.times)
+    times = np.array(times)
     pis = np.stack([r.pi for r in results])
     if len(times) >= 2:
         rates = np.gradient(pis, times, axis=0)

@@ -115,6 +115,10 @@ def test_committed_configs_validate(path, capsys):
     ("weinstein-audit", "knobs.L_values=[10.0,5.0]", "L_values"),
     ("coercivity", "knobs.omegas_sweep=[1.0,0.0]", "omegas_sweep"),
     ("coercivity", "knobs.speeds_sweep=[0.5,1.0]", "speeds_sweep"),
+    ("simulate", "numerics.sample_stride=2.5", "sample_stride"),
+    ("simulate", "numerics.sample_stride=true", "sample_stride"),
+    ("simulate", "numerics.n_points=512.0", "n_points"),
+    ("simulate", "numerics.blowup_threshold=-1", "blowup_threshold"),
 ])
 def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
     cfg = _write(tmp_path, _one_soliton_config())

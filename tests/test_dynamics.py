@@ -8,8 +8,8 @@ from zaklab.profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from zaklab.dynamics import (
     BlowUpError,
     State,
-    Trajectory,
     backward_construct,
+    backward_frames,
     evolve,
     multi_soliton_state,
     soliton_state,
@@ -28,7 +28,7 @@ def _state_gap(a: State, b: State) -> float:
     return sobolev_norms(a.grid, a.u - b.u, a.n - b.n, a.v - b.v)["bold_H"]
 
 
-# --- State / Trajectory plumbing -------------------------------------------
+# --- State plumbing and the frame stream -------------------------------------
 
 def test_state_copy_is_independent():
     g = Grid(128, 40.0)
@@ -44,14 +44,55 @@ def test_state_shape_validation():
         State(g, 0.0, np.zeros(64, dtype=complex), np.zeros(128), np.zeros(128))
 
 
+def _last(frames):
+    *_, final = frames
+    return final
+
+
 def test_trajectory_accessors():
     g = Grid(128, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.0))
-    traj = evolve(s, 0.01, 1e-3, sample_stride=5)
-    assert len(traj) >= 2
-    assert traj.times[0] == 0.0
-    assert traj.final.t == pytest.approx(0.01)
-    assert [st.t for st in traj] == list(traj.times)
+    frames = list(evolve(s, 0.01, 1e-3, sample_stride=5))
+    assert [st.t for st in frames] == pytest.approx([0.0, 0.005, 0.01])
+    assert frames[0].t == 0.0
+    assert frames[-1].t == pytest.approx(0.01)
+    # the first frame is a copy, not the caller's state
+    assert frames[0] is not s and np.array_equal(frames[0].u, s.u)
+
+
+def test_evolve_returns_an_iterator_and_checks_arguments_at_the_call():
+    g = Grid(128, 40.0)
+    s = soliton_state(g, SolitonParams(1.0, 0.0))
+    frames = evolve(s, 0.01, 1e-3)
+    assert iter(frames) is frames
+    assert next(frames).t == 0.0
+    assert next(frames).t == pytest.approx(1e-3)
+    # bad arguments raise here, before anything is iterated
+    for kwargs in ({"dt": 0.0}, {"dt": 1e-3, "sample_stride": 0}):
+        with pytest.raises(ValueError):
+            evolve(s, 0.01, **kwargs)
+    with pytest.raises(ValueError, match="time_reverse"):
+        evolve(s, -1.0, 1e-3)
+    # the blow-up guard runs as the steps run
+    frames = evolve(s, 0.01, 1e-3, blowup_threshold=1.0)
+    with pytest.raises(BlowUpError):
+        next(frames)
+
+
+def test_backward_frames_come_in_integration_order():
+    g = Grid(256, 40.0)
+    cfg = MultiSolitonConfig((SolitonParams(1.0, -0.5, -8.0, 0.0),
+                              SolitonParams(1.0, 0.5, 8.0, 1.0)))
+    frames = backward_frames(g, cfg, 0.1, 1e-2, sample_stride=2)
+    assert iter(frames) is frames
+    frames = list(frames)
+    assert [st.t for st in frames] == pytest.approx([0.1, 0.08, 0.06, 0.04, 0.02, 0.0])
+    built = backward_construct(g, cfg, 0.1, 1e-2, sample_stride=2)
+    assert isinstance(built, list)
+    assert len(built) == len(frames)
+    for a, b in zip(built, reversed(frames)):
+        assert a.t == b.t
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "unv")
 
 
 # --- single step and equivalence with the unfused full-FFT kernel -------------
@@ -59,7 +100,7 @@ def test_trajectory_accessors():
 def test_step_conserves_u_mass():
     g = Grid(512, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.4))
-    out = evolve(s, s.t + 1e-3, 1e-3).final
+    out = _last(evolve(s, s.t + 1e-3, 1e-3))
     assert mass(out) == pytest.approx(mass(s), rel=1e-13)
     assert out.t == pytest.approx(1e-3)
 
@@ -92,7 +133,7 @@ def test_evolve_matches_unfused_reference_kernel():
     s = multi_soliton_state(g, cfg, 0.0)
     nyquist = 1e-3 * (-1.0) ** np.arange(g.n_points)
     s = State(g, 0.0, s.u, s.n + nyquist, s.v + nyquist)
-    traj = evolve(s, 0.2055, dt, sample_stride=stride)
+    traj = list(evolve(s, 0.2055, dt, sample_stride=stride))
     u, n, v = s.u, s.n, s.v
     expected = [s]
     for j in range(1, 206):
@@ -113,7 +154,7 @@ def test_evolve_makes_at_most_four_transforms_per_step(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
     g = Grid(256, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.3))
-    traj = evolve(s, 0.2, 1e-3, sample_stride=10**9)
+    traj = list(evolve(s, 0.2, 1e-3, sample_stride=10**9))
     assert len(traj) == 2
     # three transforms load the initial state, three unload the final frame
     assert len(calls) - 6 <= 4 * 200
@@ -125,9 +166,9 @@ def test_strang_is_second_order_on_traveling_wave():
     s = soliton_state(g, p)
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        traj = evolve(s, 0.5, dt, sample_stride=10**9)
-        exact_u, _, _ = traveling_wave(g, p, traj.final.t)
-        errs.append(_l2(g, traj.final.u - exact_u))
+        final = _last(evolve(s, 0.5, dt, sample_stride=10**9))
+        exact_u, _, _ = traveling_wave(g, p, final.t)
+        errs.append(_l2(g, final.u - exact_u))
     assert 3.5 < errs[0] / errs[1] < 4.5
     assert 3.5 < errs[1] / errs[2] < 4.5
 
@@ -137,19 +178,18 @@ def test_strang_is_second_order_on_traveling_wave():
 def test_standing_wave_is_near_exact():
     g = Grid(1024, 40.0)
     p = SolitonParams(1.0, 0.0)
-    traj = evolve(soliton_state(g, p), 1.0, 1e-3, sample_stride=10**9)
+    final = _last(evolve(soliton_state(g, p), 1.0, 1e-3, sample_stride=10**9))
     exact_u, exact_n, exact_v = traveling_wave(g, p, 1.0)
-    assert _l2(g, traj.final.u - exact_u) < 1e-6
+    assert _l2(g, final.u - exact_u) < 1e-6
     # the n-component picks up a larger splitting constant than u
-    assert _l2(g, traj.final.n - exact_n) < 5e-6
+    assert _l2(g, final.n - exact_n) < 5e-6
 
 
 def test_moving_soliton_conserved_quantities():
     g = Grid(1024, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.5))
-    traj = evolve(s, 2.0, 1e-3, sample_stride=200)
     m0, e0, p0 = mass(s), energy(s), momentum(s)
-    for st in traj:
+    for st in evolve(s, 2.0, 1e-3, sample_stride=200):
         assert abs(mass(st) - m0) / m0 < 1e-12
         assert abs(energy(st) - e0) < 1e-7
         assert abs(momentum(st) - p0) < 1e-7
@@ -167,8 +207,7 @@ def test_backward_run_via_time_reverse():
     g = Grid(512, 40.0)
     p = SolitonParams(1.0, 0.3)
     s = soliton_state(g, p, t=1.0)
-    traj = evolve(time_reverse(s), 0.0, 1e-3, sample_stride=10**9)
-    rec = time_reverse(traj.final)
+    rec = time_reverse(_last(evolve(time_reverse(s), 0.0, 1e-3, sample_stride=10**9)))
     exact_u, _, _ = traveling_wave(g, p, 0.0)
     assert rec.t == pytest.approx(0.0, abs=1e-12)
     assert _l2(g, rec.u - exact_u) < 1e-6
@@ -190,9 +229,9 @@ def test_time_reverse_is_involution_and_symmetry():
 def test_round_trip_forward_backward():
     g = Grid(512, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.5))
-    fwd = evolve(s, 0.5, 1e-3, sample_stride=10**9)
-    back = evolve(time_reverse(fwd.final), 0.0, 1e-3, sample_stride=10**9)
-    rec = time_reverse(back.final)
+    fwd = _last(evolve(s, 0.5, 1e-3, sample_stride=10**9))
+    back = _last(evolve(time_reverse(fwd), 0.0, 1e-3, sample_stride=10**9))
+    rec = time_reverse(back)
     assert _state_gap(rec, s) < 1e-6
 
 
@@ -200,7 +239,7 @@ def test_blowup_detection():
     g = Grid(256, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.0))
     with pytest.raises(BlowUpError) as err:
-        evolve(s, 1.0, 1e-3, blowup_threshold=1.0)
+        list(evolve(s, 1.0, 1e-3, blowup_threshold=1.0))
     assert err.value.norm > 1.0
 
 
@@ -212,7 +251,8 @@ def test_blowup_guard_sees_steps_between_frames():
     h1 = [st.norms()["H1_of_u"] for st in evolve(s, 0.2, 1e-3)]
     assert np.all(np.diff(h1) > 0)
     with pytest.raises(BlowUpError) as err:
-        evolve(s, 0.2, 1e-3, sample_stride=10**9, blowup_threshold=0.5 * (h1[100] + h1[101]))
+        list(evolve(s, 0.2, 1e-3, sample_stride=10**9,
+                    blowup_threshold=0.5 * (h1[100] + h1[101])))
     assert err.value.t == pytest.approx(0.101, abs=1e-12)
     assert h1[100] < err.value.norm < h1[102]
 
@@ -221,13 +261,14 @@ def test_blowup_guard_sees_steps_between_frames():
 
 def test_backward_construct_endpoints(backward_run):
     grid, cfg, traj = backward_run
-    assert traj.times[0] == pytest.approx(0.0, abs=1e-12)
-    assert math.copysign(1.0, traj.times[0]) == 1.0
-    assert traj.times[-1] == pytest.approx(30.0)
-    assert np.all(np.diff(traj.times) > 0)
+    times = np.array([st.t for st in traj])
+    assert times[0] == pytest.approx(0.0, abs=1e-12)
+    assert math.copysign(1.0, times[0]) == 1.0
+    assert times[-1] == pytest.approx(30.0)
+    assert np.all(np.diff(times) > 0)
     # the final frame is the pure superposition by construction
     target = multi_soliton_state(grid, cfg, 30.0)
-    assert _state_gap(traj.final, target) < 1e-12
+    assert _state_gap(traj[-1], target) < 1e-12
 
 
 def test_backward_construct_error_decays(backward_run):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams
-from zaklab.dynamics import BlowUpError, Trajectory, multi_soliton_state
+from zaklab.dynamics import BlowUpError, backward_construct, multi_soliton_state
 from zaklab.functionals import mass, energy, momentum
 from zaklab.experiments import (
     KINDS,
@@ -21,6 +22,7 @@ from zaklab.experiments import (
     local_series,
     run,
     write_error_csv,
+    write_local_csv,
 )
 
 ONE = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
@@ -51,6 +53,15 @@ def test_spec_validation():
         ExperimentSpec(kind="backward_msw", config=ONE, t_final=-1.0)
     with pytest.raises(ValueError, match="sample_stride"):
         ExperimentSpec(kind="backward_msw", config=ONE, sample_stride=0)
+    # counts must be real ints: a float stride would sample at another rate
+    # than the one recorded, and bools are not counts
+    for name, value in (("n_points", 512.0), ("n_points", True),
+                        ("sample_stride", 2.5), ("sample_stride", True)):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            ExperimentSpec(kind="backward_msw", config=ONE, **{name: value})
+    for value in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="blowup_threshold must be positive"):
+            ExperimentSpec(kind="backward_msw", config=ONE, blowup_threshold=value)
     with pytest.raises(ValueError, match="L_values"):
         ExperimentSpec(kind="backward_msw", config=ONE, L_values=(5.0, -1.0))
     # widths must be strictly increasing for every kind; local_quantities
@@ -187,7 +198,7 @@ def test_edo_constant_fit_has_zero_violations_by_construction():
 # --- series helpers ---------------------------------------------------------------
 
 def _exact_traj(grid, config, times):
-    return Trajectory(grid, tuple(multi_soliton_state(grid, config, t) for t in times))
+    return [multi_soliton_state(grid, config, t) for t in times]
 
 
 def test_error_series_matches_direct_evaluation(tmp_path):
@@ -196,7 +207,7 @@ def test_error_series_matches_direct_evaluation(tmp_path):
     series = error_series(traj, ONE)
     assert list(series) == ["t", "M", "E", "P", "err_bold_H", "err_h2_square"]
     assert np.array_equal(series["t"], [0.0, 0.25, 0.5])
-    st = traj.states[1]
+    st = traj[1]
     assert series["M"][1] == mass(st)
     assert series["E"][1] == energy(st)
     assert series["P"][1] == momentum(st)
@@ -260,6 +271,11 @@ def test_run_backward_msw_is_deterministic(tmp_path):
         assert data["notes"]["max_err_bold_H"] < 1e-3
         assert Path(man.run_dir).name == f"backward_msw_{spec.content_hash()}"
     assert digests[0] == digests[1]
+    # a rerun into the same directory rewrites the manifest with the same bytes
+    manifest_path = tmp_path / "a" / f"backward_msw_{spec.content_hash()}" / "manifest.json"
+    first = manifest_path.read_bytes()
+    run(spec, output_dir=tmp_path / "a")
+    assert manifest_path.read_bytes() == first
 
 
 def test_run_marks_incomplete_when_no_window_exists(tmp_path):
@@ -317,6 +333,41 @@ def test_run_local_quantities_smoke(tmp_path):
     assert set(data["notes"]["mass_drift_by_L"]) == {"4", "8"}
     assert (Path(man.run_dir) / "local_L4.csv").exists()
     assert (Path(man.run_dir) / "local_L8.csv").exists()
+
+
+def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
+    # the runner covers every width in one pass over the streamed frames
+    spec = ExperimentSpec(kind="local_quantities", config=TWO, **CHEAP,
+                          L_values=(4.0, 8.0))
+    man = run(spec, output_dir=tmp_path / "runs")
+    frames = backward_construct(spec.make_grid(), TWO, spec.t_final, spec.dt,
+                                sample_stride=spec.sample_stride)
+    for L in spec.L_values:
+        path = tmp_path / f"L{L:g}.csv"
+        write_local_csv(path, local_series(frames, TWO, L))
+        assert path.read_bytes() == (Path(man.run_dir) / f"local_L{L:g}.csv").read_bytes()
+
+
+def _traced_peak(spec, out_dir) -> int:
+    tracemalloc.start()
+    try:
+        run(spec, output_dir=out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weinstein_audit_does_not_hold_its_frames(tmp_path):
+    # the traced peak of a run grows with its frame count by far less than
+    # the frames themselves take; fixed costs cancel in the difference
+    base = dict(CHEAP, dt=1e-2, sample_stride=1)
+    short = ExperimentSpec(kind="weinstein_audit", config=ONE, **dict(base, t_final=2.0))
+    long = ExperimentSpec(kind="weinstein_audit", config=ONE, **dict(base, t_final=20.0))
+    run(short, output_dir=tmp_path)  # imports and first-call costs
+    growth = _traced_peak(long, tmp_path) - _traced_peak(short, tmp_path)
+    extra_frames = 2001 - 201
+    frame_bytes = 4 * 8 * base["n_points"]  # complex u, real n and v
+    assert growth < 0.5 * extra_frames * frame_bytes
 
 
 def test_run_modulation_track_smoke(tmp_path):

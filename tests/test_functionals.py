@@ -5,7 +5,7 @@ import pytest
 
 from zaklab.grid import Grid, quadrature, sobolev_norms, spectral_derivative
 from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile, multi_soliton
-from zaklab.dynamics import State, Trajectory, multi_soliton_state, soliton_state
+from zaklab.dynamics import State, multi_soliton_state, soliton_state
 from zaklab.experiments import error_series, gmod_series
 from zaklab.functionals import (
     CutoffFamily,
@@ -213,7 +213,7 @@ def test_decomposition_requires_shared_grid():
 def test_modified_energies_vanish_on_reference():
     g = Grid(1024, 40.0)
     cfg = MultiSolitonConfig((SolitonParams(1.0, 0.3),))
-    traj = Trajectory(g, [multi_soliton_state(g, cfg, 0.8)])
+    traj = [multi_soliton_state(g, cfg, 0.8)]
     out = gmod_series(traj, cfg)
     assert abs(out["H"][0]) < 1e-20
     assert abs(out["G_mod"][0]) < 1e-20

@@ -5,7 +5,7 @@ import pytest
 
 from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile
-from zaklab.dynamics import State, Trajectory, multi_soliton_state
+from zaklab.dynamics import State, multi_soliton_state
 from zaklab.modulation import (
     REASONS,
     fd_jacobian,
@@ -207,8 +207,7 @@ def test_leading_diagonal_constants(omega, c):
 # --- tracking -------------------------------------------------------------------
 
 def _exact_trajectory(grid, config, times):
-    return Trajectory(grid, tuple(multi_soliton_state(grid, config, t)
-                                  for t in times))
+    return [multi_soliton_state(grid, config, t) for t in times]
 
 
 def test_track_exact_trajectory_stays_at_reference():
@@ -229,7 +228,7 @@ def test_track_exact_trajectory_stays_at_reference():
 def test_track_on_backward_run_converges_when_separated(backward_run):
     grid, cfg, traj = backward_run
     late = [st for st in traj if st.t >= 10.0]
-    out = track(Trajectory(grid, tuple(late)), cfg)
+    out = track(late, cfg)
     conv = np.array(out.converged)
     assert np.all(conv)
     # modulation keeps parameters near the reference once solitons separate
@@ -242,7 +241,7 @@ def test_track_on_backward_run_converges_when_separated(backward_run):
 def test_write_track_csv(tmp_path, backward_run):
     grid, cfg, traj = backward_run
     late = [st for st in traj if st.t >= 25.0]
-    out = track(Trajectory(grid, tuple(late)), cfg)
+    out = track(late, cfg)
     path = tmp_path / "track.csv"
     write_track_csv(path, out, cfg)
     with open(path, newline="") as fh:
@@ -258,7 +257,7 @@ def test_write_track_csv(tmp_path, backward_run):
 def test_track_fails_fast_and_quietly_near_collision(backward_run):
     grid, cfg, traj = backward_run
     early = [st for st in traj if st.t <= 4.0]
-    out = track(Trajectory(grid, tuple(early)), cfg)
+    out = track(early, cfg)
     failed = [r for r in out.results if not r.converged]
     assert failed, "the overlapping frames near t = 0 are expected to fail"
     assert all(r.reason == "stagnation" for r in failed)
