@@ -29,6 +29,15 @@ fused into one A(dt); they are split only at sampled frames and before a
 shortened last step.  A step then costs four transforms: ifft of u_hat, rfft
 of f, irfft of I_hat, fft of the phased u.
 
+A step allocates nothing.  It updates u_hat, n_hat and v_hat in place, and
+every intermediate (u, |u|^2, f_hat, w = n_hat + f_hat, I_hat, the phase
+and its rotation, the blow-up guard's product) lives in a work array of the
+run's coefficient set; each transform writes into its target through
+numpy's `out=`.  The sums are built term by term in the order of the
+formulas above, so the step gives the bits of the plain expressions.  Each
+yielded frame is transformed out into arrays of its own, which the later
+steps do not touch.
+
 W multiplies u by unit-modulus factors only, so the discrete u-mass
 sum(|u|^2) is conserved to rounding regardless of dt.  The blow-up guard
 runs after every step on the u_hat the step already has, through Parseval:
@@ -102,10 +111,11 @@ def multi_soliton_state(grid: Grid, config: profiles.MultiSolitonConfig, t: floa
 
 
 class _Coeffs:
-    """Per-(grid, dt) coefficient arrays for one split step.
+    """Per-(grid, dt) coefficient and work arrays for one split step.
 
     The kinetic factors act on the full FFT of u; the W-flow factors on the
-    rfft bins, whose wavenumbers are the first n/2 + 1 FFT-ordered ones.
+    rfft bins, whose wavenumbers are the first n/2 + 1 FFT-ordered ones.  The
+    work arrays are the step's scratch space, overwritten by every step.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -129,31 +139,55 @@ class _Coeffs:
         self.sin_over_k = sin_over_k.astype(complex)
         self.mi_omc_over_k = -1j * omc_over_k
         self.mask = grid.dealias_mask[:half]
+        n = grid.n_points
+        self.u = np.empty(n, dtype=complex)         # u in x-space
+        self.abs2 = np.empty(n)                     # |u|^2
+        self.f_hat = np.empty(half, dtype=complex)  # its dealiased rfft
+        self.w = np.empty(half, dtype=complex)      # n_hat + f_hat
+        self.i_hat = np.empty(half, dtype=complex)  # I_hat
+        self.tmp = np.empty(half, dtype=complex)    # one term of a sum
+        self.phase = np.empty(n)                    # I in x-space
+        self.rot = np.empty(n, dtype=complex)       # exp(-i I)
+        self.h1 = np.empty(n, dtype=complex)        # h1_weight * u_hat
 
 
 def _w_flow(u_hat, n_hat, v_hat, c):
-    """Exact W flow over c.dt on spectral data; returns new (u_hat, n_hat, v_hat)."""
-    u = np.fft.ifft(u_hat)
-    f_hat = np.fft.rfft(np.abs(u) ** 2)
+    """Exact W flow over c.dt on spectral data, in place.
+
+    The temporaries are c's work arrays; each sum is built term by term in
+    the order of the formulas, so the bits are those of the plain
+    expressions."""
+    u, tmp, f_hat, w, i_hat = c.u, c.tmp, c.f_hat, c.w, c.i_hat
+    np.fft.ifft(u_hat, out=u)
+    np.abs(u, out=c.abs2)
+    np.square(c.abs2, out=c.abs2)
+    np.fft.rfft(c.abs2, out=f_hat)
     f_hat *= c.mask
-    w = n_hat + f_hat
-    i_hat = w * c.sin_over_k + v_hat * c.mi_omc_over_k - f_hat * c.dt
-    phase = np.fft.irfft(i_hat, u.size)
-    n_hat = w * c.cos + v_hat * c.mi_sin - f_hat
-    v_hat = v_hat * c.cos + w * c.mi_sin
+    np.add(n_hat, f_hat, out=w)
+    # i_hat = w sin_over_k + v_hat mi_omc_over_k - f_hat dt
+    np.multiply(w, c.sin_over_k, out=i_hat)
+    i_hat += np.multiply(v_hat, c.mi_omc_over_k, out=tmp)
+    i_hat -= np.multiply(f_hat, c.dt, out=tmp)
+    np.fft.irfft(i_hat, u.size, out=c.phase)
+    # n_hat = w cos + v_hat mi_sin - f_hat, then v_hat = v_hat cos + w mi_sin
+    np.multiply(w, c.cos, out=n_hat)
+    n_hat += np.multiply(v_hat, c.mi_sin, out=tmp)
+    n_hat -= f_hat
+    v_hat *= c.cos
+    v_hat += np.multiply(w, c.mi_sin, out=tmp)
     n_hat[-1] = n_hat[-1].real
     v_hat[-1] = v_hat[-1].real
     # exp(-i phase) built as cos - i sin, which is cheaper than complex exp
-    rot = np.empty_like(u)
-    np.cos(phase, out=rot.real)
-    np.sin(phase, out=rot.imag)
+    rot = c.rot
+    np.cos(c.phase, out=rot.real)
+    np.sin(c.phase, out=rot.imag)
     np.negative(rot.imag, out=rot.imag)
     u *= rot
-    return np.fft.fft(u), n_hat, v_hat
+    np.fft.fft(u, out=u_hat)
 
 
 def _check_h1(u_hat, c, t, threshold):
-    h1 = np.sqrt(np.vdot(u_hat, c.h1_weight * u_hat).real)
+    h1 = np.sqrt(np.vdot(u_hat, np.multiply(c.h1_weight, u_hat, out=c.h1)).real)
     if not np.isfinite(h1) or h1 > threshold:
         raise BlowUpError(t, h1)
 
@@ -172,8 +206,12 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
     Arguments are checked at the call; the steps run as the iterator advances
     and raise BlowUpError once ||u||_H1 > blowup_threshold.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target!r}")
+    if isinstance(sample_stride, bool) or not isinstance(sample_stride, (int, np.integer)):
+        raise ValueError(f"sample_stride must be an integer, got {sample_stride!r}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     if t_target < state.t:
@@ -198,7 +236,7 @@ def _frames(state, t_target, dt, sample_stride, blowup_threshold):
     if n_full:
         u_hat *= c.kin_half
     for j in range(1, n_full + 1):
-        u_hat, n_hat, v_hat = _w_flow(u_hat, n_hat, v_hat, c)
+        _w_flow(u_hat, n_hat, v_hat, c)
         last = j == n_full
         t = t_target if (last and remainder == 0.0) else t0 + j * dt
         _check_h1(u_hat, c, t, blowup_threshold)
@@ -213,9 +251,11 @@ def _frames(state, t_target, dt, sample_stride, blowup_threshold):
             u_hat *= c.kin
     if remainder > 0.0:
         c = _Coeffs(grid, remainder)
-        u_hat, n_hat, v_hat = _w_flow(c.kin_half * u_hat, n_hat, v_hat, c)
+        np.multiply(c.kin_half, u_hat, out=u_hat)
+        _w_flow(u_hat, n_hat, v_hat, c)
         _check_h1(u_hat, c, t_target, blowup_threshold)
-        yield _frame(grid, t_target, c.kin_half * u_hat, n_hat, v_hat)
+        np.multiply(c.kin_half, u_hat, out=u_hat)
+        yield _frame(grid, t_target, u_hat, n_hat, v_hat)
 
 
 def time_reverse(state: State) -> State:

@@ -21,7 +21,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -61,9 +61,17 @@ _NUMERICS_KEYS = ("n_points", "box_length", "dt", "sample_stride", "blowup_thres
 _KNOB_KEYS = ("t_final", "L_values", "K0", "tolerance", "omegas_sweep", "speeds_sweep")
 _ERROR_COLUMNS = ("t", "M", "E", "P", "err_bold_H", "err_h2_square")
 _LOCAL_COLUMNS = ("t", "M_k", "P_k")
-# The backward kinds take frames in batches: one at a time measured ~2.5 % slower
-# on audit-dense than batches of 32 or more (32 frames at n = 2048 are 2 MB).
-_BATCH = 32
+# The per-frame diagnostics run on batches of frames stacked as (B, n) arrays,
+# which pays numpy's per-call overhead once per batch.  audit-dense on 2-vCPU
+# hosts, batch size against wall time and peak RSS (the frames' caches grow
+# with B; 32 peaks above the 89 MB of one-frame-at-a-time diagnostics):
+#     B     quiet host      busy host (median of 3)
+#     1     7.4 s  68 MB    15.5 s  68 MB
+#     4     7.0 s  70 MB    11.3 s  68 MB
+#     8     6.8 s  74 MB    10.3 s  71 MB
+#     16    6.6 s  78 MB    11.0 s  78 MB
+#     32    6.7 s  92 MB    11.5 s  91 MB
+_BATCH = 16
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +109,9 @@ class ExperimentSpec:
         for name in ("dt", "blowup_threshold", "t_final", "tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("dt", "t_final"):  # evolve refuses infinite times
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("L_values", "omegas_sweep", "speeds_sweep"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if not self.L_values:
@@ -258,9 +269,16 @@ def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2,
     return (float(t[best[0]]), float(t[best[1] - 1]))
 
 
-def _error_row(f: _Frame) -> tuple:
-    """One frame's _ERROR_COLUMNS: invariants, then norms of state - R(t)."""
-    return (f.state.t, f.M, f.E, f.P, f.eps.bold_H, f.eps.h2_square)
+def _batches(states, config: MultiSolitonConfig | None = None, family=None):
+    """One _Frame for each run of _BATCH consecutive states."""
+    states = iter(states)
+    while batch := list(islice(states, _BATCH)):
+        yield _Frame.of(batch, config, family)
+
+
+def _error_rows(f: _Frame) -> list:
+    """Each snapshot's _ERROR_COLUMNS: invariants, then norms of state - R(t)."""
+    return list(zip(f.times, f.M, f.E, f.P, f.eps.bold_H, f.eps.h2_square))
 
 
 def _series(rows, columns) -> dict:
@@ -270,7 +288,8 @@ def _series(rows, columns) -> dict:
 
 def error_series(frames, config: MultiSolitonConfig) -> dict:
     """Per-frame invariants and profile errors over an iterable of States."""
-    return _series((_error_row(_Frame(s, config)) for s in frames), _ERROR_COLUMNS)
+    return _series(chain.from_iterable(map(_error_rows, _batches(frames, config))),
+                   _ERROR_COLUMNS)
 
 
 def write_error_csv(path, series: dict) -> list:
@@ -279,16 +298,18 @@ def write_error_csv(path, series: dict) -> list:
     return columns
 
 
-def _local_row(f: _Frame, family: CutoffFamily) -> tuple:
-    """One frame's t, K localized masses and K localized momenta under family."""
-    chis = family.chis(f.grid, f.state.t)
-    return f.state.t, f.localized(f.mass_density, chis), f.localized(f.momentum_density, chis)
+def _local_rows(f: _Frame, family: CutoffFamily) -> list:
+    """Each snapshot's t, K localized masses and K localized momenta under family."""
+    chis = family.chis(f.grid, f.t)
+    return list(zip(f.times, f.localized(f.mass_density, chis),
+                    f.localized(f.momentum_density, chis)))
 
 
 def local_series(frames, config: MultiSolitonConfig, L: float) -> dict:
     """Localized masses and momenta over an iterable of States for one cutoff width."""
     family = CutoffFamily.for_config(config, L)
-    return {**_series((_local_row(_Frame(s), family) for s in frames), _LOCAL_COLUMNS), "L": L}
+    rows = chain.from_iterable(_local_rows(f, family) for f in _batches(frames))
+    return {**_series(rows, _LOCAL_COLUMNS), "L": L}
 
 
 def write_local_csv(path, series: dict) -> list:
@@ -300,11 +321,11 @@ def write_local_csv(path, series: dict) -> list:
 
 def gmod_series(frames, config: MultiSolitonConfig) -> dict:
     """Modified energies H and G_mod of state - R(t) over an iterable of States."""
-    def row(f):
-        vals = f.eps.modified(f.ref.state.u, f.ref.ux)
-        return f.state.t, vals["H"], vals["G_mod"]
+    def rows(f):
+        vals = f.eps.modified(f.ref.u, f.ref.ux)
+        return zip(f.times, vals["H"], vals["G_mod"])
 
-    return _series((row(_Frame(s, config)) for s in frames), ("t", "H", "G_mod"))
+    return _series(chain.from_iterable(map(rows, _batches(frames, config))), ("t", "H", "G_mod"))
 
 
 def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
@@ -346,14 +367,14 @@ def _backward(spec: ExperimentSpec, build=backward_frames):
                  sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
 
 
-def _backward_series(spec: ExperimentSpec, family=None, extra=lambda f: None):
-    """The backward run's error series and extra(frame) per frame, in increasing
-    time.  The frames stream in integration order (t_final -> 0) and each batch
-    is dropped once its rows are made: only the small rows are held and reversed."""
-    frames, rows = _backward(spec), []
-    while batch := list(islice(frames, _BATCH)):
-        rows += [(_error_row(f), extra(f))
-                 for f in (_Frame(s, spec.config, family) for s in batch)]
+def _backward_series(spec: ExperimentSpec, family=None, extra=lambda f: repeat(None)):
+    """The backward run's error series and extra's per-snapshot values, in
+    increasing time.  The frames stream in integration order (t_final -> 0)
+    and each batch is dropped once its rows are made: only the small rows are
+    held and reversed.  extra(f) gives one value per snapshot of a _Frame."""
+    rows = []
+    for f in _batches(_backward(spec), spec.config, family):
+        rows += zip(_error_rows(f), extra(f))
     rows.reverse()
     errors, extras = zip(*rows)
     return _series(errors, _ERROR_COLUMNS), extras
@@ -411,7 +432,7 @@ def _run_weinstein_audit(spec, run_dir, manifest):
     L = spec.L_values[0]
     family = CutoffFamily.for_config(spec.config, L)
     log.info(f"functional audit of every frame (L={L})")
-    series, reports = _backward_series(spec, family, lambda f: f.report(spec.K0))
+    series, reports = _backward_series(spec, family, lambda f: f.reports(spec.K0))
     _save_error_series(series, run_dir, manifest)
     fit = _fit_error_rates(series, manifest, spec.config.K)
 
@@ -460,7 +481,7 @@ def _run_local_quantities(spec, run_dir, manifest):
     """localized mass/momentum drift across cutoff widths"""
     families = [CutoffFamily.for_config(spec.config, L) for L in spec.L_values]
     series, local_rows = _backward_series(
-        spec, extra=lambda f: [_local_row(f, family) for family in families])
+        spec, extra=lambda f: zip(*(_local_rows(f, family) for family in families)))
     fit = _fit_error_rates(series, manifest, spec.config.K)
     window = tuple(manifest.fits["theta_hat"]["window"]) if fit else (0.0, spec.t_final)
     drifts = {}

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import State
-from .grid import Grid, quadrature, spectral_derivative
+from .grid import Grid, _derivative_of_transform, quadrature, spectral_derivative
 from .profiles import MultiSolitonConfig, multi_soliton
 
 __all__ = [
@@ -64,97 +64,119 @@ __all__ = [
 
 
 class _Frame:
-    """One snapshot's fields, derivatives and densities, each built once.
+    """A batch of snapshots' fields, derivatives and densities, each built once.
 
-    Every attribute is computed on first use and then kept, so a caller pays
-    only for what it reads and the diagnostics of one snapshot share one
-    profile build and one spectral derivative of each field.  `ref` (the
-    frame of the fixed-parameter profile sum R(t)) and `eps` (the frame of
-    state - R(t)) need a config; `chis` needs a cutoff family.
+    The fields u, n, v are stacked on a leading batch axis as (B, n_points)
+    arrays and the times t form a (B, 1) column, so every density broadcasts
+    over the batch and every quadrature sums the last axis: a scalar
+    diagnostic is a (B,) array, one value per snapshot, each with the bits
+    the snapshot gets in a batch of its own.  Every attribute is computed on
+    first use and then kept, so a caller pays only for what it reads and the
+    diagnostics share one profile build and one transform of each field.
+    `ref` (the frame of the fixed-parameter profile sums R(t)) and `eps` (the
+    frame of state - R(t)) need a config; `chis` needs a cutoff family.
     """
 
-    def __init__(self, state, config: MultiSolitonConfig | None = None,
+    def __init__(self, grid: Grid, t, u, n, v, config: MultiSolitonConfig | None = None,
                  family: CutoffFamily | None = None):
         if config is not None and family is not None and family.K != config.K:
             raise ValueError(f"cutoff family has K={family.K} but config has K={config.K}")
-        self.state, self.grid, self.config, self.family = state, state.grid, config, family
+        self.grid, self.t, self.u, self.n, self.v = grid, t, u, n, v
+        self.config, self.family = config, family
+
+    @classmethod
+    def of(cls, states, config: MultiSolitonConfig | None = None,
+           family: CutoffFamily | None = None) -> _Frame:
+        """The frame of a sequence of States on one grid."""
+        grid = states[0].grid
+        if any(s.grid is not grid for s in states):
+            raise ValueError("the states of one frame must share one grid")
+        return cls(grid, np.array([[s.t] for s in states], dtype=float),
+                   *(np.stack([getattr(s, f) for s in states]) for f in "unv"),
+                   config, family)
+
+    @property
+    def times(self):
+        return self.t[:, 0]
+
+    @cached_property
+    def _u_hat(self):
+        return np.fft.fft(self.u)
 
     @cached_property
     def ux(self):
-        return spectral_derivative(self.grid, self.state.u, 1)
+        return _derivative_of_transform(self.grid, self._u_hat, 1, real=False)
 
     @cached_property
     def uxx(self):
-        return spectral_derivative(self.grid, self.state.u, 2)
+        return _derivative_of_transform(self.grid, self._u_hat, 2, real=False)
 
     @cached_property
     def nx(self):
-        return spectral_derivative(self.grid, self.state.n, 1)
+        return spectral_derivative(self.grid, self.n, 1)
 
     @cached_property
     def vx(self):
-        return spectral_derivative(self.grid, self.state.v, 1)
+        return spectral_derivative(self.grid, self.v, 1)
 
     @cached_property
     def mass_density(self):
-        return np.abs(self.state.u) ** 2
+        return np.abs(self.u) ** 2
 
     @cached_property
     def energy_density(self):
-        s = self.state
-        return np.abs(self.ux) ** 2 + s.n * self.mass_density + 0.5 * (s.n**2 + s.v**2)
+        return np.abs(self.ux) ** 2 + self.n * self.mass_density + 0.5 * (self.n**2 + self.v**2)
 
     @cached_property
     def momentum_density(self):
-        s = self.state
-        return np.imag(np.conj(s.u) * self.ux) + s.n * s.v
+        return np.imag(np.conj(self.u) * self.ux) + self.n * self.v
 
     @cached_property
     def chis(self):
-        return self.family.chis(self.grid, self.state.t)
+        return self.family.chis(self.grid, self.t)
 
     @cached_property
     def ref(self) -> _Frame:
-        t = self.state.t
-        return _Frame(State(self.grid, t, *multi_soliton(self.grid, self.config, t)))
+        return _Frame(self.grid, self.t, *multi_soliton(self.grid, self.config, self.t))
 
     @cached_property
     def eps(self) -> _Frame:
-        s, r = self.state, self.ref.state
-        return _Frame(State(self.grid, s.t, s.u - r.u, s.n - r.n, s.v - r.v))
+        r = self.ref
+        return _Frame(self.grid, self.t, self.u - r.u, self.n - r.n, self.v - r.v)
 
     @property
-    def M(self) -> float:
+    def M(self):
         return quadrature(self.grid, self.mass_density)
 
     @property
-    def E(self) -> float:
+    def E(self):
         return quadrature(self.grid, self.energy_density)
 
     @property
-    def P(self) -> float:
+    def P(self):
         return quadrature(self.grid, self.momentum_density)
 
     def localized(self, density, chis=None):
-        """The K cutoff-weighted integrals of a density (own chis by default)."""
-        return np.array([quadrature(self.grid, density * c)
-                         for c in (self.chis if chis is None else chis)])
+        """The K cutoff-weighted integrals of a density (own chis by default),
+        as a (B, K) array."""
+        return np.stack([quadrature(self.grid, density * c)
+                         for c in (self.chis if chis is None else chis)], axis=-1)
 
     @property
-    def bold_H(self) -> float:
+    def bold_H(self):
         """sobolev_norms(...)["bold_H"] of the fields, from u_x alone."""
         sq = [quadrature(self.grid, np.abs(f) ** 2).real
-              for f in (self.state.u, self.ux, self.state.n, self.state.v)]
+              for f in (self.u, self.ux, self.n, self.v)]
         return np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2]) + np.sqrt(sq[3])
 
     @property
-    def h2_square(self) -> float:
+    def h2_square(self):
         """Squared H^2 x H^1 x H^1 seminorm (sum of squares)."""
         g = self.grid
         return (quadrature(g, np.abs(self.uxx) ** 2) + quadrature(g, self.nx**2)
                 + quadrature(g, self.vx**2))
 
-    def weinstein(self, config: MultiSolitonConfig, chis) -> float:
+    def weinstein(self, config: MultiSolitonConfig, chis):
         dens = self.energy_density
         for k, p in enumerate(config.solitons):
             dens = dens + chis[k] * (p.nu * self.mass_density - p.c * self.momentum_density)
@@ -164,7 +186,7 @@ class _Frame:
         """modified_energies of the fields as an error triple against r_u
         (rux its derivative)."""
         g = self.grid
-        U, N = self.state.u, self.state.n
+        U, N = self.u, self.n
         Ux, Nx = self.ux, self.nx
         h_val = quadrature(g, np.abs(self.uxx) ** 2 + 0.5 * Nx**2 + 0.5 * self.vx**2)
         g_val = (
@@ -186,34 +208,38 @@ class _Frame:
             "energy_tail": quadrature(g, self.energy_density * outside),
         }
 
-    def report(self, K0: float, omegas_t=None) -> FunctionalReport:
-        """functional_report of the snapshot (needs config and family)."""
+    def reports(self, K0: float, omegas_t=None) -> list:
+        """functional_report of each snapshot (needs config and family)."""
         e, r = self.eps, self.ref
-        return FunctionalReport(
-            t=self.state.t,
-            M=self.M,
-            E=self.E,
-            P=self.P,
-            M_k=tuple(self.localized(self.mass_density)),
-            P_k=tuple(self.localized(self.momentum_density)),
-            G=self.weinstein(self.config, self.chis),
-            parts=_decompose(e, r, self.config, self.chis, omegas_t),
-            modified=e.modified(r.state.u, r.ux),
-            tails=self.tails(K0),
-            g22_active=omegas_t is not None,
-        )
+        parts = _decompose(e, r, self.config, self.chis, omegas_t)
+        modified = e.modified(r.u, r.ux)
+        tails = self.tails(K0)
+        columns = zip(self.times, self.M, self.E, self.P, self.localized(self.mass_density),
+                      self.localized(self.momentum_density),
+                      self.weinstein(self.config, self.chis))
+        return [
+            FunctionalReport(t=t, M=M, E=E, P=P, M_k=tuple(M_k), P_k=tuple(P_k), G=G,
+                             parts=_row(parts, b), modified=_row(modified, b),
+                             tails=_row(tails, b), g22_active=omegas_t is not None)
+            for b, (t, M, E, P, M_k, P_k, G) in enumerate(columns)
+        ]
+
+
+def _row(values: dict, b: int) -> dict:
+    """Snapshot b's entry of each (B,) array of a dict."""
+    return {key: val[b] for key, val in values.items()}
 
 
 def mass(state) -> float:
-    return _Frame(state).M
+    return _Frame.of([state]).M[0]
 
 
 def energy(state) -> float:
-    return _Frame(state).E
+    return _Frame.of([state]).E[0]
 
 
 def momentum(state) -> float:
-    return _Frame(state).P
+    return _Frame.of([state]).P[0]
 
 
 def smooth_step(s):
@@ -226,24 +252,39 @@ def smooth_step(s):
     return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
+_CHUNK = 1 << 15  # samples per chunk of cutoff_profile_constants
+
+
 def cutoff_profile_constants(n_samples: int = 400001) -> dict:
     """Measured regularity constants of the base step profile.
 
     The analysis wants (psi')^2 <= psi and (psi'')^2 <= C psi'; the polynomial
     step satisfies both only up to finite constants, which are measured here
     (suprema over a fine sampling of the transition interval) and reported in
-    run manifests rather than assumed to be 1.
+    run manifests rather than assumed to be 1.  The samples are those of
+    np.linspace(-1, 1, n_samples), taken in chunks of _CHUNK so that the
+    working memory stays small; a supremum is the maximum of the chunk maxima.
     """
-    s = np.linspace(-1.0, 1.0, n_samples)
-    t = (s + 1.0) * 0.5
-    psi = t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
-    dpsi = 70.0 * t**3 * (1.0 - t) ** 3
-    d2psi = 105.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
-    inner = (psi > 0) & (dpsi > 0)
+    step = 2.0 / (n_samples - 1)
+    sups = np.zeros(3)
+    for lo in range(0, n_samples, _CHUNK):
+        # linspace's own formula: index * step + start, and the end point exact
+        s = np.arange(lo, min(lo + _CHUNK, n_samples), dtype=float) * step - 1.0
+        if lo + _CHUNK >= n_samples:
+            s[-1] = 1.0
+        t = (s + 1.0) * 0.5
+        psi = t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
+        dpsi = 70.0 * t**3 * (1.0 - t) ** 3
+        d2psi = 105.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
+        inner = (psi > 0) & (dpsi > 0)
+        chunk = (np.max(dpsi),
+                 np.max(dpsi[psi > 0] ** 2 / psi[psi > 0], initial=0.0),
+                 np.max(d2psi[inner] ** 2 / dpsi[inner], initial=0.0))
+        sups = np.maximum(sups, chunk)
     return {
-        "sup_psi_prime": float(np.max(dpsi)),
-        "sup_psi_prime_sq_over_psi": float(np.max(dpsi[psi > 0] ** 2 / psi[psi > 0])),
-        "sup_psi_second_sq_over_psi_prime": float(np.max(d2psi[inner] ** 2 / dpsi[inner])),
+        "sup_psi_prime": float(sups[0]),
+        "sup_psi_prime_sq_over_psi": float(sups[1]),
+        "sup_psi_second_sq_over_psi_prime": float(sups[2]),
     }
 
 
@@ -279,10 +320,11 @@ class CutoffFamily:
     def K(self) -> int:
         return len(self.boundary_speeds) + 1
 
-    def chis(self, grid: Grid, t: float):
-        """All K cutoffs stacked as a (K, n_points) array."""
+    def chis(self, grid: Grid, t):
+        """All K cutoffs stacked as a (K, n_points) array; t broadcasts
+        against the grid (a (B, 1) column of times gives (K, B, n_points))."""
         if self.K == 1:
-            return np.ones((1, grid.n_points))
+            return np.ones((1,) + np.broadcast_shapes(np.shape(t), grid.x.shape))
         steps = [
             self.psi(grid.wrap(grid.x - cbar * t) / self.L)
             for cbar in self.boundary_speeds
@@ -296,19 +338,19 @@ class CutoffFamily:
 
 def localized_masses(state, family: CutoffFamily):
     """All K localized masses at once (single cutoff evaluation)."""
-    f = _Frame(state, family=family)
-    return f.localized(f.mass_density)
+    f = _Frame.of([state], family=family)
+    return f.localized(f.mass_density)[0]
 
 
 def localized_momenta(state, family: CutoffFamily):
-    f = _Frame(state, family=family)
-    return f.localized(f.momentum_density)
+    f = _Frame.of([state], family=family)
+    return f.localized(f.momentum_density)[0]
 
 
 def weinstein(state, config: MultiSolitonConfig, family: CutoffFamily) -> float:
     """Energy plus pulsation/speed-weighted localized masses and momenta."""
-    f = _Frame(state, config, family)
-    return f.weinstein(config, f.chis)
+    f = _Frame.of([state], config, family)
+    return f.weinstein(config, f.chis)[0]
 
 
 def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFamily,
@@ -324,8 +366,8 @@ def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFa
     """
     if epsilon.grid is not S.grid:
         raise ValueError("epsilon and S must share one grid")
-    ref = _Frame(S, config, family)
-    return _decompose(_Frame(epsilon), ref, config, ref.chis, omegas_t)
+    ref = _Frame.of([S], config, family)
+    return _row(_decompose(_Frame.of([epsilon]), ref, config, ref.chis, omegas_t), 0)
 
 
 def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t) -> dict:
@@ -334,8 +376,8 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
     if omegas_t.shape != (config.K,):
         raise ValueError("omegas_t must supply one pulsation per soliton")
     g = S.grid
-    s_u, s_n, s_v, s_ux = S.state.u, S.state.n, S.state.v, S.ux
-    e_u, e_n, e_v, e_ux = e.state.u, e.state.n, e.state.v, e.ux
+    s_u, s_n, s_v, s_ux = S.u, S.n, S.v, S.ux
+    e_u, e_n, e_v, e_ux = e.u, e.n, e.v, e.ux
 
     g0 = S.weinstein(config, chis)
 
@@ -380,7 +422,8 @@ def modified_energies(grid: Grid, U, N, V, r_u) -> dict:
     self-interaction and the two R_u-coupling corrections that make its time
     derivative integrable along decaying trajectories.
     """
-    return _Frame(State(grid, 0.0, U, N, V)).modified(r_u, spectral_derivative(grid, r_u, 1))
+    f = _Frame.of([State(grid, 0.0, U, N, V)])
+    return _row(f.modified(r_u, spectral_derivative(grid, r_u, 1)), 0)
 
 
 def tail_mass(state, K0: float) -> dict:
@@ -390,7 +433,7 @@ def tail_mass(state, K0: float) -> dict:
     treatment of a domain boundary), which keeps the quadrature second-order
     instead of O(spacing) from a sharp step.
     """
-    return _Frame(state).tails(K0)
+    return _row(_Frame.of([state]).tails(K0), 0)
 
 
 @dataclass(frozen=True)
@@ -442,7 +485,7 @@ def functional_report(state, config: MultiSolitonConfig, family: CutoffFamily,
     callers with modulated parameters pass omegas_t and their own S via
     weinstein_decompose directly.
     """
-    return _Frame(state, config, family).report(K0, omegas_t)
+    return _Frame.of([state], config, family).reports(K0, omegas_t)[0]
 
 
 def _write_csv(path, columns, rows) -> None:

@@ -9,6 +9,7 @@ trapezoid rule, which on a periodic grid is spectrally accurate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class Grid:
         object.__setattr__(self, "wavenumbers", k)
         object.__setattr__(self, "dealias_mask", mask)
 
+    @cached_property
+    def derivative_factors(self) -> tuple:
+        """(ik)^order for orders 1 through 4, at index order - 1."""
+        return tuple((1j * self.wavenumbers) ** order for order in range(1, 5))
+
     def wrap(self, y):
         """Map coordinates to their periodic representative in [-L/2, L/2)."""
         L = self.box_length
@@ -70,22 +76,28 @@ class Grid:
 def spectral_derivative(grid: Grid, field, order: int = 1):
     """Differentiate a periodic field by Fourier multiplication with (ik)^order.
 
+    The field runs along the last axis (leading axes are a batch of fields).
     Real input returns a real array.  Orders 1 through 4 are supported.
     """
+    f = np.asarray(field)
+    if f.shape[-1:] != grid.x.shape:
+        raise ValueError("field shape does not match grid")
+    return _derivative_of_transform(grid, np.fft.fft(f), order, np.isrealobj(f))
+
+
+def _derivative_of_transform(grid: Grid, f_hat, order: int, real: bool):
+    """spectral_derivative of the field whose FFT is f_hat, so that one
+    transform serves several orders."""
     if not 1 <= order <= 4:
         raise ValueError(f"derivative order must be in 1..4, got {order}")
-    f = np.asarray(field)
-    if f.shape != grid.x.shape:
-        raise ValueError("field shape does not match grid")
-    df = np.fft.ifft((1j * grid.wavenumbers) ** order * np.fft.fft(f))
-    if np.isrealobj(f):
-        return df.real
-    return df
+    df = np.fft.ifft(grid.derivative_factors[order - 1] * f_hat)
+    return df.real if real else df
 
 
-def quadrature(grid: Grid, values) -> float:
-    """Integrate over the periodic box: spacing times the ordered sum."""
-    return grid.spacing * np.asarray(values).sum()
+def quadrature(grid: Grid, values):
+    """Integrate over the periodic box: spacing times the ordered sum over
+    the last axis (one value per field of a batch)."""
+    return grid.spacing * np.asarray(values).sum(axis=-1)
 
 
 def sobolev_norms(grid: Grid, u, n, v) -> dict:

@@ -162,10 +162,14 @@ class MultiSolitonConfig:
 
 def _image_coords(grid_or_y, center):
     if isinstance(grid_or_y, Grid):
-        y = grid_or_y.wrap(grid_or_y.x - center)
-        box = grid_or_y.box_length
-        return (y, y - box, y + box)
+        return _images(grid_or_y, grid_or_y.wrap(grid_or_y.x - center))
     return (np.asarray(grid_or_y) - center,)
+
+
+def _images(grid: Grid, y):
+    """Wrapped coordinates y and their two neighbouring box images."""
+    box = grid.box_length
+    return (y, y - box, y + box)
 
 
 def _q_of(y):
@@ -202,9 +206,12 @@ def y_ground_state(grid: Grid):
 
 def phi(grid_or_y, omega: float, center: float = 0.0):
     """phi_omega evaluated at wrapped (x - center); accepts a Grid or raw array."""
+    return _phi_of(_image_coords(grid_or_y, center), omega)
+
+
+def _phi_of(coords, omega):
     root = np.sqrt(omega)
-    return sum(np.sqrt(omega) * _q_of(root * y)
-               for y in _image_coords(grid_or_y, center))
+    return sum(np.sqrt(omega) * _q_of(root * y) for y in coords)
 
 
 def lambda_omega(grid_or_y, omega: float, center: float = 0.0):
@@ -220,19 +227,25 @@ def soliton_phase(grid: Grid, c: float, omega_phase: float, gamma: float, t: flo
     x is reconstructed as wrap(x - center) + center so the 2 pi phase seam
     coincides with the envelope minimum rather than the box edge.
     """
-    x_near = grid.wrap(grid.x - center) + center
+    return _phase_of(grid.wrap(grid.x - center) + center, c, omega_phase, gamma, t)
+
+
+def _phase_of(x_near, c, omega_phase, gamma, t):
     return 0.5 * c * x_near - 0.25 * c**2 * t + omega_phase * t + gamma
 
 
 def _wave(grid: Grid, params: SolitonParams, omega: float, sigma: float, gamma: float,
-          t: float):
+          t):
     """(u, n, v) of the wave of speed params.c with pulsation omega,
     translation sigma and phase gamma, its phase clock running at
-    params.omega (for a modulated wave, gamma absorbs the difference)."""
+    params.omega (for a modulated wave, gamma absorbs the difference).
+    t may be an array (a (B, 1) column gives (B, n_points) fields); the
+    wrapped coordinate serves both the envelope and the phase."""
     c = params.c
     center = c * t + sigma
-    envelope = phi(grid, omega, center)
-    gph = soliton_phase(grid, c, params.omega, gamma, t, center)
+    y = grid.wrap(grid.x - center)
+    envelope = _phi_of(_images(grid, y), omega)
+    gph = _phase_of(y + center, c, params.omega, gamma, t)
     u = np.sqrt(1.0 - c**2) * envelope * np.exp(1j * gph)
     n = -(envelope**2)
     v = c * n
@@ -244,11 +257,15 @@ def traveling_wave(grid: Grid, params: SolitonParams, t: float):
     return _wave(grid, params, params.omega, params.sigma, params.gamma, t)
 
 
-def multi_soliton(grid: Grid, config: MultiSolitonConfig, t: float):
-    """Superposition of the exact traveling waves of the config at time t."""
-    u = np.zeros(grid.n_points, dtype=complex)
-    n = np.zeros(grid.n_points)
-    v = np.zeros(grid.n_points)
+def multi_soliton(grid: Grid, config: MultiSolitonConfig, t):
+    """Superposition of the exact traveling waves of the config at time t.
+
+    t broadcasts against the grid: a (B, 1) column of times gives the B
+    superpositions stacked as (B, n_points) fields."""
+    shape = np.broadcast_shapes(np.shape(t), grid.x.shape)
+    u = np.zeros(shape, dtype=complex)
+    n = np.zeros(shape)
+    v = np.zeros(shape)
     for p in config.solitons:
         uk, nk, vk = traveling_wave(grid, p, t)
         u += uk

@@ -119,6 +119,8 @@ def test_committed_configs_validate(path, capsys):
     ("simulate", "numerics.sample_stride=true", "sample_stride"),
     ("simulate", "numerics.n_points=512.0", "n_points"),
     ("simulate", "numerics.blowup_threshold=-1", "blowup_threshold"),
+    ("simulate", "numerics.dt=Infinity", "dt"),
+    ("backward-msw", "knobs.t_final=Infinity", "t_final"),
 ])
 def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
     cfg = _write(tmp_path, _one_soliton_config())

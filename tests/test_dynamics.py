@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zaklab import dynamics
 from zaklab.grid import Grid, quadrature, sobolev_norms
 from zaklab.profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from zaklab.dynamics import (
@@ -71,6 +72,17 @@ def test_evolve_returns_an_iterator_and_checks_arguments_at_the_call():
     for kwargs in ({"dt": 0.0}, {"dt": 1e-3, "sample_stride": 0}):
         with pytest.raises(ValueError):
             evolve(s, 0.01, **kwargs)
+    # each refusal names the argument at fault
+    for t_target, dt, stride, name in ((0.01, math.nan, 1, "dt"),
+                                       (0.01, math.inf, 1, "dt"),
+                                       (math.nan, 1e-3, 1, "t_target"),
+                                       (math.inf, 1e-3, 1, "t_target"),
+                                       (0.01, 1e-3, 2.5, "sample_stride"),
+                                       (0.01, 1e-3, 2.0, "sample_stride"),
+                                       (0.01, 1e-3, True, "sample_stride")):
+        with pytest.raises(ValueError, match=name):
+            evolve(s, t_target, dt, sample_stride=stride)
+    assert len(list(evolve(s, 0.01, 1e-3, sample_stride=np.int64(5)))) == 3
     with pytest.raises(ValueError, match="time_reverse"):
         evolve(s, -1.0, 1e-3)
     # the blow-up guard runs as the steps run
@@ -145,6 +157,96 @@ def test_evolve_matches_unfused_reference_kernel():
     for got, want in zip(traj, expected):
         assert got.t == pytest.approx(want.t, abs=1e-15)
         assert _state_gap(got, want) <= 1e-10
+
+
+def _old_w_flow(u_hat, n_hat, v_hat, c):
+    """The W flow as it stood before the step worked in place (verbatim)."""
+    u = np.fft.ifft(u_hat)
+    f_hat = np.fft.rfft(np.abs(u) ** 2)
+    f_hat *= c.mask
+    w = n_hat + f_hat
+    i_hat = w * c.sin_over_k + v_hat * c.mi_omc_over_k - f_hat * c.dt
+    phase = np.fft.irfft(i_hat, u.size)
+    n_hat = w * c.cos + v_hat * c.mi_sin - f_hat
+    v_hat = v_hat * c.cos + w * c.mi_sin
+    n_hat[-1] = n_hat[-1].real
+    v_hat[-1] = v_hat[-1].real
+    # exp(-i phase) built as cos - i sin, which is cheaper than complex exp
+    rot = np.empty_like(u)
+    np.cos(phase, out=rot.real)
+    np.sin(phase, out=rot.imag)
+    np.negative(rot.imag, out=rot.imag)
+    u *= rot
+    return np.fft.fft(u), n_hat, v_hat
+
+
+def _old_frames(state, t_target, dt, sample_stride, blowup_threshold):
+    """The stepping loop as it stood before the step worked in place (verbatim)."""
+    _Coeffs, _check_h1, _frame = dynamics._Coeffs, dynamics._check_h1, dynamics._frame
+    t0 = state.t
+    total = t_target - t0
+    n_full = int(np.floor(total / dt + 1e-12))
+    remainder = total - n_full * dt
+    if remainder < 1e-12 * max(1.0, abs(t_target)):
+        remainder = 0.0
+
+    grid = state.grid
+    c = _Coeffs(grid, dt)
+    u_hat = np.fft.fft(state.u)
+    n_hat, v_hat = np.fft.rfft(state.n), np.fft.rfft(state.v)
+    _check_h1(u_hat, c, t0, blowup_threshold)
+    yield state.copy()
+    if n_full:
+        u_hat *= c.kin_half
+    for j in range(1, n_full + 1):
+        u_hat, n_hat, v_hat = _old_w_flow(u_hat, n_hat, v_hat, c)
+        last = j == n_full
+        t = t_target if (last and remainder == 0.0) else t0 + j * dt
+        _check_h1(u_hat, c, t, blowup_threshold)
+        sample = j % sample_stride == 0 or (last and remainder == 0.0)
+        if sample or last:
+            u_hat *= c.kin_half
+            if sample:
+                yield _frame(grid, t, u_hat, n_hat, v_hat)
+            if not last:
+                u_hat *= c.kin_half
+        else:
+            u_hat *= c.kin
+    if remainder > 0.0:
+        c = _Coeffs(grid, remainder)
+        u_hat, n_hat, v_hat = _old_w_flow(c.kin_half * u_hat, n_hat, v_hat, c)
+        _check_h1(u_hat, c, t_target, blowup_threshold)
+        yield _frame(grid, t_target, c.kin_half * u_hat, n_hat, v_hat)
+
+
+def test_in_place_step_is_bitwise_the_allocating_step(monkeypatch):
+    # 205 full steps sampled every 20 and a shortened last step, with a
+    # Nyquist mode in n and v
+    g = Grid(512, 80.0)
+    cfg = MultiSolitonConfig((SolitonParams(1.0, -0.5, -8.0, 0.0),
+                              SolitonParams(1.0, 0.5, 8.0, 1.0)))
+    s = multi_soliton_state(g, cfg, 0.0)
+    nyquist = 1e-3 * (-1.0) ** np.arange(g.n_points)
+    s = State(g, 0.0, s.u, s.n + nyquist, s.v + nyquist)
+    expected = list(_old_frames(s, 0.2055, 1e-3, 20, 1e6))
+
+    made = []
+    monkeypatch.setattr(dynamics, "_Coeffs",
+                        lambda *a, _make=dynamics._Coeffs: made.append(_make(*a)) or made[-1])
+    got, at_yield = [], []
+    for frame in evolve(s, 0.2055, 1e-3, sample_stride=20):
+        got.append(frame)
+        at_yield.append(frame.copy())
+    assert len(made) == 2  # the full steps and the shortened one
+    work = [a for c in made for a in vars(c).values() if isinstance(a, np.ndarray)]
+    assert len(got) == len(expected) == 12
+    for frame, kept, want in zip(got, at_yield, expected):
+        assert frame.t == want.t
+        for name in "unv":
+            assert np.array_equal(getattr(frame, name), getattr(want, name))
+            # yielded frames own their memory and stay as they were yielded
+            assert not any(np.shares_memory(getattr(frame, name), a) for a in work)
+            assert np.array_equal(getattr(frame, name), getattr(kept, name))
 
 
 def test_evolve_makes_at_most_four_transforms_per_step(monkeypatch):

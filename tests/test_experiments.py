@@ -9,7 +9,17 @@ import pytest
 from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams
 from zaklab.dynamics import BlowUpError, backward_construct, multi_soliton_state
-from zaklab.functionals import mass, energy, momentum
+from zaklab import experiments
+from zaklab.functionals import (
+    CutoffFamily,
+    _Frame,
+    energy,
+    functional_report,
+    localized_masses,
+    localized_momenta,
+    mass,
+    momentum,
+)
 from zaklab.experiments import (
     KINDS,
     ExperimentSpec,
@@ -59,6 +69,9 @@ def test_spec_validation():
                         ("sample_stride", 2.5), ("sample_stride", True)):
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             ExperimentSpec(kind="backward_msw", config=ONE, **{name: value})
+    for name in ("dt", "t_final"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentSpec(kind="backward_msw", config=ONE, **{name: float("inf")})
     for value in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="blowup_threshold must be positive"):
             ExperimentSpec(kind="backward_msw", config=ONE, blowup_threshold=value)
@@ -346,6 +359,34 @@ def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
         path = tmp_path / f"L{L:g}.csv"
         write_local_csv(path, local_series(frames, TWO, L))
         assert path.read_bytes() == (Path(man.run_dir) / f"local_L{L:g}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", [ONE, TWO], ids=["K1", "K2"])
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch):
+    # 51 frames: batches of 3 and 16 leave a short last batch
+    spec = ExperimentSpec(kind="weinstein_audit", config=config, **dict(CHEAP, sample_stride=1))
+    family = CutoffFamily.for_config(config, 5.0)
+    widths = [CutoffFamily.for_config(config, L) for L in (4.0, 8.0)]
+    omegas_t = config.omegas * 1.01
+    monkeypatch.setattr(experiments, "_BATCH", batch)
+    series, extras = experiments._backward_series(spec, family, lambda f: zip(
+        f.reports(spec.K0), f.reports(spec.K0, omegas_t),
+        *(experiments._local_rows(f, fam) for fam in widths)))
+    states = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
+                                sample_stride=spec.sample_stride)
+    assert len(states) == len(extras) == 51
+    for i, (st, (report, report_t, *local)) in enumerate(zip(states, extras)):
+        alone = _Frame.of([st], config)
+        assert [series[c][i] for c in series] == [
+            st.t, mass(st), energy(st), momentum(st), alone.eps.bold_H[0], alone.eps.h2_square[0]]
+        assert report == functional_report(st, config, family, spec.K0)
+        assert report_t == functional_report(st, config, family, spec.K0, omegas_t)
+        for fam, (t, M_k, P_k) in zip(widths, local):
+            assert t == st.t
+            assert np.array_equal(M_k, localized_masses(st, fam))
+            assert np.array_equal(P_k, localized_momenta(st, fam))
+    assert any(report_t.parts["G22"] != 0.0 for _, report_t, *_ in extras)
 
 
 def _traced_peak(spec, out_dir) -> int:

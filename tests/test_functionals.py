@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ def test_cutoff_profile_constants():
     assert consts["sup_psi_prime_sq_over_psi"] == pytest.approx(3.406, rel=1e-2)
     assert consts["sup_psi_second_sq_over_psi_prime"] == pytest.approx(
         9.84375, rel=1e-3)
+
+
+def test_cutoff_profile_constants_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        consts = cutoff_profile_constants()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 400 001 samples alone are 3.2 MB per array
+    assert peak <= 5e6
+    # the values of the whole-array evaluation, bit for bit
+    assert consts == {"sup_psi_prime": 1.09375,
+                      "sup_psi_prime_sq_over_psi": 3.406180217338208,
+                      "sup_psi_second_sq_over_psi_prime": 9.843749999750157}
 
 
 def test_cutoff_family_partition_of_unity():
@@ -309,8 +325,8 @@ def test_frame_pass_matches_public_functions(backward_run):
         ru, rn, rv = multi_soliton(g, cfg, st.t)
         S = State(g, st.t, ru, rn, rv)
         eps = State(g, st.t, st.u - ru, st.n - rn, st.v - rv)
-        f = _Frame(st, cfg, fam)
-        rep = f.report(K0=5.0)
+        f = _Frame.of([st], cfg, fam)
+        rep, = f.reports(K0=5.0)
         assert (rep.t, rep.M, rep.E, rep.P) == (st.t, mass(st), energy(st), momentum(st))
         assert rep.M_k == tuple(localized_masses(st, fam))
         assert rep.P_k == tuple(localized_momenta(st, fam))
@@ -318,10 +334,11 @@ def test_frame_pass_matches_public_functions(backward_run):
         assert rep.parts == weinstein_decompose(eps, S, cfg, fam)
         assert rep.modified == modified_energies(g, eps.u, eps.n, eps.v, ru)
         assert rep.tails == tail_mass(st, 5.0)
-        assert f.eps.bold_H == sobolev_norms(g, eps.u, eps.n, eps.v)["bold_H"]
+        assert f.eps.bold_H[0] == sobolev_norms(g, eps.u, eps.n, eps.v)["bold_H"]
         h2_square = (quadrature(g, np.abs(spectral_derivative(g, eps.u, 2)) ** 2)
                      + quadrature(g, spectral_derivative(g, eps.n, 1) ** 2)
                      + quadrature(g, spectral_derivative(g, eps.v, 1) ** 2))
-        assert f.eps.h2_square == h2_square
+        assert f.eps.h2_square[0] == h2_square
         omegas_t = np.array(cfg.omegas) * 1.01
-        assert f.report(5.0, omegas_t).parts == weinstein_decompose(eps, S, cfg, fam, omegas_t)
+        assert f.reports(5.0, omegas_t)[0].parts == weinstein_decompose(eps, S, cfg, fam,
+                                                                         omegas_t)

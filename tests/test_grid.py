@@ -86,3 +86,20 @@ def test_dealias_mask_two_thirds():
     assert kept <= int(np.ceil(2 * 256 / 3)) + 1
     assert g.dealias_mask[0]  # the mean mode always survives
     assert not g.dealias_mask[g.n_points // 2]
+
+
+def test_derivative_factors_are_cached_powers():
+    g = Grid(64, 10.0)
+    assert g.derivative_factors is g.derivative_factors
+    for order in range(1, 5):
+        assert np.array_equal(g.derivative_factors[order - 1], (1j * g.wavenumbers) ** order)
+
+
+def test_spectral_derivative_of_a_batch_is_row_by_row():
+    g = Grid(64, 10.0)
+    fields = np.random.default_rng(3).standard_normal((3, 64))
+    for order in (1, 2):
+        batch = spectral_derivative(g, fields, order)
+        assert batch.shape == (3, 64)
+        for row, f in zip(batch, fields):
+            assert np.array_equal(row, spectral_derivative(g, f, order))
