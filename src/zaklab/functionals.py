@@ -252,7 +252,7 @@ def smooth_step(s):
     return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
-_CHUNK = 1 << 15  # samples per chunk of cutoff_profile_constants
+_CHUNK = 1 << 14  # samples per chunk of cutoff_profile_constants
 
 
 def cutoff_profile_constants(n_samples: int = 400001) -> dict:
@@ -261,17 +261,14 @@ def cutoff_profile_constants(n_samples: int = 400001) -> dict:
     The analysis wants (psi')^2 <= psi and (psi'')^2 <= C psi'; the polynomial
     step satisfies both only up to finite constants, which are measured here
     (suprema over a fine sampling of the transition interval) and reported in
-    run manifests rather than assumed to be 1.  The samples are those of
-    np.linspace(-1, 1, n_samples), taken in chunks of _CHUNK so that the
+    run manifests rather than assumed to be 1.  The samples of
+    np.linspace(-1, 1, n_samples) are taken in chunks of _CHUNK so that the
     working memory stays small; a supremum is the maximum of the chunk maxima.
     """
-    step = 2.0 / (n_samples - 1)
+    samples = np.linspace(-1.0, 1.0, n_samples)
     sups = np.zeros(3)
     for lo in range(0, n_samples, _CHUNK):
-        # linspace's own formula: index * step + start, and the end point exact
-        s = np.arange(lo, min(lo + _CHUNK, n_samples), dtype=float) * step - 1.0
-        if lo + _CHUNK >= n_samples:
-            s[-1] = 1.0
+        s = samples[lo:lo + _CHUNK]
         t = (s + 1.0) * 0.5
         psi = t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
         dpsi = 70.0 * t**3 * (1.0 - t) ** 3
