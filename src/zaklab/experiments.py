@@ -109,11 +109,16 @@ class ExperimentSpec:
         for name in ("dt", "blowup_threshold", "t_final", "tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("dt", "t_final"):  # evolve refuses infinite times
+        # blowup_threshold may be infinite: no ceiling, the guard still
+        # refuses non-finite norms
+        for name in ("box_length", "dt", "t_final", "tolerance"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("L_values", "omegas_sweep", "speeds_sweep"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            values = tuple(float(x) for x in getattr(self, name))
+            if not all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {list(values)}")
+            object.__setattr__(self, name, values)
         if not self.L_values:
             raise ValueError("L_values must not be empty")
         if any(L <= 0 for L in self.L_values):

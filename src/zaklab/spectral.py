@@ -10,9 +10,10 @@ whose kernels are spanned by Q' and Q.  The stability machinery rests on the
 quadratic form <L_plus a, a> + <L_minus b, b> being positive definite on the
 H^1 sphere once a is orthogonal to Q and yQ and b is orthogonal to
 LambdaQ = (Q + yQ')/2.  Each operator is defined once, by its FFT action;
-this module estimates such constrained minima matrix-free, by Lanczos
-iteration on the pencil whose H^1 / L^2 norm is diagonal in Fourier space.
-Only spectrum() builds a dense matrix, column by column from that action.
+this module estimates such constrained minima matrix-free, by a three-term
+Lanczos recurrence in numpy on the pencil whose H^1 / L^2 norm is diagonal
+in Fourier space.  spectrum() alone builds a dense matrix, column by column
+from that action, and alone needs scipy, which it imports when called.
 It also evaluates one weighted quadratic form, h2_form, of the full
 (eta_u, eta_n, eta_v) linearization around a single traveling wave:
 unweighted, or with a cutoff or an exponential localization weight on its
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .grid import Grid, quadrature, spectral_derivative
 from .profiles import (
@@ -53,6 +53,14 @@ __all__ = [
     "h2_coercivity",
     "young_mu",
 ]
+
+# Largest grid a dense solve accepts: matrix() holds about four n x n float
+# arrays at once (the identity, the stacked columns and the symmetrized copy),
+# 537 MB at this size.
+_DENSE_MAX_POINTS = 4096
+# Step budget of one Lanczos solve.  The coercivity solves converge in 8-64
+# steps at n = 512 and n = 2048.
+_LANCZOS_STEPS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +92,15 @@ class LinearizedOperator:
         return -spectral_derivative(self.grid, f, 2) + self.potential * f
 
     def matrix(self):
-        """Dense symmetric matrix: apply() on each unit vector, symmetrized."""
-        mat = np.stack([self.apply(e) for e in np.eye(self.grid.n_points)], axis=1)
+        """Dense symmetric matrix: apply() on each unit vector, symmetrized.
+
+        Refuses grids above _DENSE_MAX_POINTS before allocating anything.
+        """
+        n = self.grid.n_points
+        if n > _DENSE_MAX_POINTS:
+            raise ValueError(f"a dense matrix on n = {n} points needs about "
+                             f"{4 * n * n * 8} bytes; the limit is n = {_DENSE_MAX_POINTS}")
+        mat = np.stack([self.apply(e) for e in np.eye(n)], axis=1)
         return 0.5 * (mat + mat.T)
 
 
@@ -93,17 +108,52 @@ def spectrum(op: LinearizedOperator, n_eigs: int):
     """Lowest n_eigs eigenpairs of the discretized operator.
 
     Eigenfields are returned as columns, normalized to unit L^2 quadrature.
-    Raises on eigensolver failure with the residual norms attached.
+    Raises on eigensolver failure with the residual norms attached.  This is
+    zaklab's only use of scipy, imported on call.
     """
     if not 1 <= n_eigs <= op.grid.n_points:
         raise ValueError("n_eigs must lie in 1..n_points")
     mat = op.matrix()
+    from scipy.linalg import eigh
+
     vals, vecs = eigh(mat, subset_by_index=[0, n_eigs - 1])
     resid = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     if not np.all(resid < 1e-6 * max(1.0, np.max(np.abs(vals)))):
         raise RuntimeError(f"eigensolve residuals too large: {resid}")
     vecs = vecs / np.sqrt(op.grid.spacing)
     return vals, vecs
+
+
+def _lanczos_min(matvec, v) -> float:
+    """Smallest eigenvalue of the symmetric operator matvec, by Lanczos from v.
+
+    The plain three-term recurrence, with no stored basis and no
+    reorthogonalization: lost orthogonality only repeats Ritz values that have
+    already converged (Paige 1976), so the extreme one stays accurate.  Every 8
+    steps the tridiagonal T is diagonalized; the solve stops once the lowest
+    Ritz pair's residual beta_j |s_{j,0}| is <= 1e-10 max(1, |theta|), or at
+    once on an invariant subspace (beta = 0).
+    """
+    alphas, betas = [], []
+    v = v / np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    beta = 0.0
+    for j in range(1, _LANCZOS_STEPS + 1):
+        w = matvec(v) - beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0 or j % 8 == 0 or j == _LANCZOS_STEPS:
+            t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+            theta, s = np.linalg.eigh(t)
+            resid = beta * abs(s[-1, 0])
+            if resid <= 1e-10 * max(1.0, abs(theta[0])):
+                return float(theta[0])
+        v_prev, v = v, w / beta
+    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps: "
+                       f"Ritz residual {resid:.3e} at theta = {theta[0]:.16g}")
 
 
 def _lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
@@ -113,11 +163,9 @@ def _lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
     the quadrature weight h included.  B is the Gram matrix of the norm,
     h (1 + k^2) on H^1 blocks and h on L^2 blocks, diagonal in Fourier space,
     so the pencil becomes the standard problem for B^{-1/2} A B^{-1/2}, which
-    implicitly restarted Lanczos solves from FFT matvecs alone.  constraints
-    is an (n_blocks * n, m) array of directions.
+    the three-term Lanczos of _lanczos_min solves from FFT matvecs alone.
+    constraints is an (n_blocks * n, m) array of directions.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     n = grid.n_points
     n_blocks = len(h1_blocks)
     k = np.abs(grid.wavenumbers[: n // 2 + 1])
@@ -146,9 +194,7 @@ def _lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
         p = project(y)
         return project(scale(apply(scale(p)))) + 10.0 * (y - p)
 
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    v0 = project(np.ones(size))
-    return float(eigsh(op, k=1, which="SA", tol=0, v0=v0, return_eigenvectors=False)[0])
+    return _lanczos_min(matvec, project(np.ones(size)))
 
 
 def coercivity_nls(grid: Grid) -> dict:

@@ -121,6 +121,11 @@ def test_committed_configs_validate(path, capsys):
     ("simulate", "numerics.blowup_threshold=-1", "blowup_threshold"),
     ("simulate", "numerics.dt=Infinity", "dt"),
     ("backward-msw", "knobs.t_final=Infinity", "t_final"),
+    ("modulate-track", "knobs.tolerance=Infinity", "tolerance"),
+    ("coercivity", "knobs.speeds_sweep=[NaN]", "speeds_sweep"),
+    ("coercivity", "knobs.omegas_sweep=[Infinity]", "omegas_sweep"),
+    ("simulate", "numerics.box_length=Infinity", "box_length"),
+    ("weinstein-audit", "knobs.L_values=[Infinity]", "L_values"),
 ])
 def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
     cfg = _write(tmp_path, _one_soliton_config())

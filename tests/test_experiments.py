@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -72,9 +75,17 @@ def test_spec_validation():
     for name in ("dt", "t_final"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ExperimentSpec(kind="backward_msw", config=ONE, **{name: float("inf")})
+    for name, value in (("tolerance", float("inf")), ("box_length", float("inf")),
+                        ("L_values", (5.0, float("inf"))), ("L_values", (float("nan"),)),
+                        ("omegas_sweep", (float("inf"),)), ("speeds_sweep", (float("nan"),))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentSpec(kind="backward_msw", config=ONE, **{name: value})
     for value in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="blowup_threshold must be positive"):
             ExperimentSpec(kind="backward_msw", config=ONE, blowup_threshold=value)
+    # an infinite ceiling means none: the guard still refuses non-finite norms
+    assert ExperimentSpec(kind="backward_msw", config=ONE,
+                          blowup_threshold=float("inf")).blowup_threshold == float("inf")
     with pytest.raises(ValueError, match="L_values"):
         ExperimentSpec(kind="backward_msw", config=ONE, L_values=(5.0, -1.0))
     # widths must be strictly increasing for every kind; local_quantities
@@ -336,6 +347,31 @@ def test_run_coercivity_sweep(tmp_path):
     assert len(reports) == 2
     assert all(r["lambda_min_constrained"] > 0 for r in reports)
     assert all(r["lambda_min_unconstrained"] < 0 for r in reports)
+
+
+def test_runs_never_import_scipy(tmp_path):
+    # scipy serves only the dense spectrum(); importing zaklab or running a
+    # coercivity sweep or an audit must not load it
+    script = f"""
+import sys
+from zaklab.experiments import ExperimentSpec, run
+from zaklab.profiles import MultiSolitonConfig, SolitonParams
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+assert not scipy_modules(), scipy_modules()
+one = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
+for kind, knobs in (("coercivity_sweep", dict(omegas_sweep=(1.0,), speeds_sweep=(0.0, 0.5))),
+                    ("weinstein_audit", dict(dt=1e-2, sample_stride=10, t_final=0.5))):
+    run(ExperimentSpec(kind=kind, config=one, n_points=64, box_length=40.0, **knobs),
+        output_dir={str(tmp_path)!r})
+    assert not scipy_modules(), (kind, scipy_modules())
+"""
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_local_quantities_smoke(tmp_path):

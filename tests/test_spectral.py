@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, null_space
@@ -195,6 +198,54 @@ def test_spectrum_ground_mode_is_even():
     mode = vecs[:, 0]
     flipped = np.concatenate(([mode[0]], mode[1:][::-1]))
     assert np.max(np.abs(np.abs(mode) - np.abs(flipped))) < 1e-8
+
+
+def test_spectrum_refuses_a_grid_too_large_before_allocating():
+    op = LinearizedOperator.plus(Grid(16384, 40.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n = 16384 points needs about 8589934592 bytes"):
+            spectrum(op, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# --- Lanczos ------------------------------------------------------------------------
+
+def test_lanczos_finds_the_minimum_of_a_known_spectrum():
+    rng = np.random.default_rng(SEED)
+    diag = rng.uniform(-2.0, 5.0, 400)
+    diag[137] = -3.25
+    lam = spectral._lanczos_min(lambda y: diag * y, rng.standard_normal(400))
+    assert abs(lam + 3.25) <= 1e-14 * 3.25
+
+
+def test_lanczos_stops_on_an_invariant_subspace():
+    # v spans the eigenspaces of -1.5 and 2.5 only, in exact binary
+    # arithmetic: the second step has beta = 0 and the solve must return
+    # there, without dividing by it
+    diag = np.array([-1.5, -1.5, 2.5, 2.5, -4.0, 7.0])
+    v = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    calls = []
+
+    def matvec(y):
+        calls.append(y)
+        return diag * y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = spectral._lanczos_min(matvec, v)
+    assert lam == -1.5
+    assert len(calls) == 2
+
+
+def test_lanczos_refuses_to_run_past_its_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 8)
+    diag = np.linspace(0.0, 1.0, 500)
+    with pytest.raises(RuntimeError, match="did not converge in 8 steps: Ritz residual"):
+        spectral._lanczos_min(lambda y: diag * y, np.ones(500))
 
 
 def _nls_quadratic_form(grid, eta):
