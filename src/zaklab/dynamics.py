@@ -76,6 +76,9 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.norm = norm
 
+    def __reduce__(self):  # the default would call __init__ with the message alone
+        return type(self), (self.t, self.norm)
+
 
 @dataclass
 class State:
@@ -272,9 +275,17 @@ def backward_frames(grid: Grid, config: profiles.MultiSolitonConfig, t_final: fl
     The state at t_final is the exact superposition; the equation is solved
     toward t = 0 through the reversal symmetry, and the frames are yielded
     in integration order, from t_final down to 0, as `evolve` makes them.
+    A BlowUpError carries the physical time, not the reversed clock.
     """
     start = time_reverse(multi_soliton_state(grid, config, t_final))  # at time -t_final
-    return map(time_reverse, evolve(start, 0.0, dt, sample_stride, blowup_threshold))
+    return _time_reversed(evolve(start, 0.0, dt, sample_stride, blowup_threshold))
+
+
+def _time_reversed(frames):
+    try:
+        yield from map(time_reverse, frames)
+    except BlowUpError as exc:
+        raise BlowUpError(0.0 - exc.t, exc.norm) from None
 
 
 def backward_construct(*args, **kwargs) -> list:

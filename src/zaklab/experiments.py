@@ -12,6 +12,13 @@ the bold-H error against the fixed-parameter profiles is fitted to
 C e^{-theta t} on an automatically selected window that avoids both the
 integrator noise floor (near t_final the error grows linearly in
 t_final - t) and the nonlinear regime (error above 1e-2).
+
+The streamed kinds (simulate, backward-msw, weinstein-audit,
+local-quantities) run as two processes: a child forked at the start of the
+integration steps the system and writes each batch of frames as raw bytes
+through a pipe, while the parent computes the per-frame diagnostics of the
+batch before it.  The child is forked with POSIX `fork`, so these kinds need
+a POSIX system, and it has ended by the time the runner returns or raises.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import signal
 from collections import Counter
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -281,6 +290,68 @@ def _batches(states, config: MultiSolitonConfig | None = None, family=None):
         yield _Frame.of(batch, config, family)
 
 
+def _integrated_batches(frames, grid: Grid, config: MultiSolitonConfig | None = None,
+                        family=None):
+    """_batches(frames, config, family), with frames run in a forked child.
+
+    The child iterates frames (an integration on grid) and writes each run
+    of _BATCH states as raw bytes through a one-way pipe; the parent reads
+    them into fresh (B, n) arrays and yields their _Frame while the child
+    integrates the next batch.  A blocking pipe lets the child run one batch
+    ahead, so memory stays bounded whichever side is slower.  An exception
+    of the integration (a BlowUpError) is raised here after the batches
+    before it, as _batches would raise it.  Close the generator when done
+    (contextlib.closing): that ends the child if the stream stopped early.
+    """
+    import multiprocessing  # here, not at import: only these runs pay for it
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_batches, args=(frames, recv, send), daemon=True)
+    child.start()
+    send.close()
+    n = grid.n_points
+    try:
+        while times := recv.recv_bytes():
+            t = np.frombuffer(times)[:, None].copy()
+            fields = (np.empty((t.size, n), complex), np.empty((t.size, n)), np.empty((t.size, n)))
+            for a in fields:  # a flat byte view: recv_bytes_into sizes by the first axis
+                recv.recv_bytes_into(a.reshape(-1).view(np.uint8))
+            yield _Frame(grid, t, *fields, config, family)
+        error = recv.recv()
+    except EOFError:  # the child ended without reporting, e.g. killed for memory
+        child.join()
+        error = RuntimeError(f"the integrating process ended with exit code {child.exitcode}")
+    finally:
+        child.terminate()  # a no-op once it has ended
+        child.join()
+        child.close()
+        recv.close()
+    if error is not None:
+        raise error
+
+
+def _send_batches(frames, recv, send):
+    """The child of _integrated_batches: per batch the times, then the stacked
+    u, n and v as raw bytes; an empty message, then the exception or None."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and ends the child
+    recv.close()
+    frames = iter(frames)
+    error = None
+    try:
+        while batch := list(islice(frames, _BATCH)):
+            send.send_bytes(np.array([s.t for s in batch]))
+            for name in "unv":
+                stacked = np.stack([getattr(s, name) for s in batch])
+                send.send_bytes(stacked.reshape(-1).view(np.uint8))
+    except BrokenPipeError:  # the parent is gone
+        return
+    except Exception as exc:  # noqa: BLE001 - reported to the parent, which raises it
+        error = exc
+    send.send_bytes(b"")
+    send.send(error)
+
+
 def _error_rows(f: _Frame) -> list:
     """Each snapshot's _ERROR_COLUMNS: invariants, then norms of state - R(t)."""
     return list(zip(f.times, f.M, f.E, f.P, f.eps.bold_H, f.eps.h2_square))
@@ -364,11 +435,11 @@ def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
     }
 
 
-def _backward(spec: ExperimentSpec, build=backward_frames):
+def _backward(spec: ExperimentSpec, grid: Grid, build=backward_frames):
     """build (backward_frames or backward_construct) applied to the spec's run."""
     log.info(f"backward construction to t=0 from t={spec.t_final} "
              f"(n={spec.n_points}, dt={spec.dt})")
-    return build(spec.make_grid(), spec.config, spec.t_final, spec.dt,
+    return build(grid, spec.config, spec.t_final, spec.dt,
                  sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
 
 
@@ -377,9 +448,11 @@ def _backward_series(spec: ExperimentSpec, family=None, extra=lambda f: repeat(N
     increasing time.  The frames stream in integration order (t_final -> 0)
     and each batch is dropped once its rows are made: only the small rows are
     held and reversed.  extra(f) gives one value per snapshot of a _Frame."""
+    grid = spec.make_grid()
     rows = []
-    for f in _batches(_backward(spec), spec.config, family):
-        rows += zip(_error_rows(f), extra(f))
+    with closing(_integrated_batches(_backward(spec, grid), grid, spec.config, family)) as batches:
+        for f in batches:
+            rows += zip(_error_rows(f), extra(f))
     rows.reverse()
     errors, extras = zip(*rows)
     return _series(errors, _ERROR_COLUMNS), extras
@@ -419,10 +492,12 @@ def _save_error_series(series: dict, run_dir: Path, manifest: RunManifest):
 def _run_simulate(spec, run_dir, manifest):
     """forward-evolve multi-soliton data from t=0"""
     log.info(f"forward evolution 0 -> {spec.t_final} (n={spec.n_points}, dt={spec.dt})")
-    state = multi_soliton_state(spec.make_grid(), spec.config, 0.0)
-    frames = evolve(state, spec.t_final, spec.dt, sample_stride=spec.sample_stride,
-                    blowup_threshold=spec.blowup_threshold)
-    _save_error_series(error_series(frames, spec.config), run_dir, manifest)
+    grid = spec.make_grid()
+    frames = evolve(multi_soliton_state(grid, spec.config, 0.0), spec.t_final, spec.dt,
+                    sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
+    with closing(_integrated_batches(frames, grid, spec.config)) as batches:
+        series = _series(chain.from_iterable(map(_error_rows, batches)), _ERROR_COLUMNS)
+    _save_error_series(series, run_dir, manifest)
 
 
 def _run_backward_msw(spec, run_dir, manifest):
@@ -513,7 +588,7 @@ def _run_local_quantities(spec, run_dir, manifest):
 def _run_modulation_track(spec, run_dir, manifest):
     """backward run plus per-frame parameter modulation"""
     # the warm-started fit runs in increasing time, so this kind holds every frame
-    frames = _backward(spec, backward_construct)
+    frames = _backward(spec, spec.make_grid(), backward_construct)
     log.info(f"modulating {len(frames)} frames")
     result = track(frames, spec.config, tolerance=spec.tolerance)
     path = run_dir / "modulation.csv"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -357,6 +358,25 @@ def test_blowup_guard_sees_steps_between_frames():
                     blowup_threshold=0.5 * (h1[100] + h1[101])))
     assert err.value.t == pytest.approx(0.101, abs=1e-12)
     assert h1[100] < err.value.norm < h1[102]
+
+
+def test_blowup_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(BlowUpError(1.5, 2e6)))
+    assert type(err) is BlowUpError
+    assert (err.t, err.norm, str(err)) == (1.5, 2e6, str(BlowUpError(1.5, 2e6)))
+
+
+def test_backward_blowup_reports_the_physical_time():
+    # the guard trips on the data at t_final; the run's clock there reads -t_final
+    g = Grid(256, 40.0)
+    cfg = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
+    with pytest.raises(BlowUpError) as forward:
+        list(evolve(time_reverse(multi_soliton_state(g, cfg, 2.0)), 0.0, 1e-2,
+                    blowup_threshold=1.0))
+    with pytest.raises(BlowUpError, match=r"at t = 2\.0:") as err:
+        list(backward_frames(g, cfg, 2.0, 1e-2, blowup_threshold=1.0))
+    assert forward.value.t == -2.0
+    assert (err.value.t, err.value.norm) == (2.0, forward.value.norm)
 
 
 # --- backward multi-soliton construction ------------------------------------

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from contextlib import closing
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,14 @@ import pytest
 
 from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams
-from zaklab.dynamics import BlowUpError, backward_construct, multi_soliton_state
+from zaklab.dynamics import (
+    BlowUpError,
+    State,
+    backward_construct,
+    evolve,
+    multi_soliton_state,
+    soliton_state,
+)
 from zaklab import experiments
 from zaklab.functionals import (
     CutoffFamily,
@@ -423,6 +434,81 @@ def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch
             assert np.array_equal(M_k, localized_masses(st, fam))
             assert np.array_equal(P_k, localized_momenta(st, fam))
     assert any(report_t.parts["G22"] != 0.0 for _, report_t, *_ in extras)
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # none running, none left to reap
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_consumer_ends_the_integrating_child():
+    spec = ExperimentSpec(kind="backward_msw", config=ONE, **dict(CHEAP, sample_stride=1))
+    boom = ZeroDivisionError("second batch")
+    sizes = []
+
+    def extra(f):
+        sizes.append(f.times.size)
+        if len(sizes) == 2:
+            raise boom
+        return repeat(None)
+
+    with pytest.raises(ZeroDivisionError) as err:
+        experiments._backward_series(spec, extra=extra)
+    assert err.value is boom
+    assert sizes == [experiments._BATCH] * 2
+    _assert_no_child_left()
+
+
+def test_a_blowup_in_the_child_arrives_after_the_frames_before_it():
+    # a deepened potential well focuses u, so ||u||_H1 grows step by step;
+    # the guard trips on step 101, after six full batches of 16 frames
+    g = Grid(256, 40.0)
+    s = soliton_state(g, SolitonParams(1.0, 0.0))
+    s = State(g, 0.0, s.u, 3.0 * s.n, s.v)
+    h1 = [st.norms()["H1_of_u"] for st in evolve(s, 0.2, 1e-3)]
+
+    def stream(batches):
+        seen = []
+        with pytest.raises(BlowUpError) as err, closing(batches):
+            for f in batches:
+                seen.append((f.t, f.u, f.n, f.v))
+        return seen, err.value
+
+    def frames():
+        return evolve(s, 0.2, 1e-3, blowup_threshold=0.5 * (h1[100] + h1[101]))
+
+    alone, alone_err = stream(experiments._batches(frames()))
+    forked, forked_err = stream(experiments._integrated_batches(frames(), g))
+    assert len(alone) == len(forked) == 6
+    for a, b in zip(alone, forked):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert (forked_err.t, forked_err.norm) == (alone_err.t, alone_err.norm)
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_unreported_is_an_error():
+    g = Grid(64, 40.0)
+    state = soliton_state(g, SolitonParams(1.0, 0.0))
+
+    def frames():  # runs in the child, which ends before it can report
+        yield state
+        os._exit(3)
+
+    with pytest.raises(RuntimeError, match="exit code 3"), \
+            closing(experiments._integrated_batches(frames(), g)) as batches:
+        list(batches)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["simulate", "backward_msw", "weinstein_audit",
+                                  "local_quantities"])
+def test_streamed_kinds_warn_nothing(tmp_path, kind):
+    spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP, L_values=(4.0, 8.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(spec, output_dir=tmp_path)
+    _assert_no_child_left()
 
 
 def _traced_peak(spec, out_dir) -> int:
