@@ -17,8 +17,9 @@ The streamed kinds (simulate, backward-msw, weinstein-audit,
 local-quantities) run as two processes: a child forked at the start of the
 integration steps the system and writes each batch of frames as raw bytes
 through a pipe, while the parent computes the per-frame diagnostics of the
-batch before it.  The child is forked with POSIX `fork`, so these kinds need
-a POSIX system, and it has ended by the time the runner returns or raises.
+batch before it.  The child comes from POSIX `os.fork`, so these kinds need
+a POSIX system (and run inside a daemonic process too), and it has ended by
+the time the runner returns or raises.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import signal
+import os
 from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
@@ -294,62 +295,74 @@ def _integrated_batches(frames, grid: Grid, config: MultiSolitonConfig | None = 
                         family=None):
     """_batches(frames, config, family), with frames run in a forked child.
 
-    The child iterates frames (an integration on grid) and writes each run
-    of _BATCH states as raw bytes through a one-way pipe; the parent reads
-    them into fresh (B, n) arrays and yields their _Frame while the child
-    integrates the next batch.  A blocking pipe lets the child run one batch
-    ahead, so memory stays bounded whichever side is slower.  An exception
-    of the integration (a BlowUpError) is raised here after the batches
-    before it, as _batches would raise it.  Close the generator when done
+    The child iterates _batches(frames), an integration on grid, and writes
+    each frame's t, u, n and v as raw bytes through a one-way pipe; the
+    parent reads them into fresh arrays and yields their _Frame while the
+    child integrates the next batch.  A blocking pipe lets the child run one
+    batch ahead, so memory stays bounded whichever side is slower.  An
+    exception of the integration (a BlowUpError) is raised here after the
+    batches before it, as _batches would raise it.  The child comes from
+    os.fork, not multiprocessing.Process, so a daemonic process (a Pool
+    worker) may stream too.  Close the generator when done
     (contextlib.closing): that ends the child if the stream stopped early.
     """
-    import multiprocessing  # here, not at import: only these runs pay for it
+    import signal  # these two here, not at import: only these runs pay for them
+    from multiprocessing.connection import Pipe
 
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_batches, args=(frames, recv, send), daemon=True)
-    child.start()
-    send.close()
-    n = grid.n_points
+    recv, send = Pipe(duplex=False)
+    pid = 0
+    reported = False
     try:
+        with send:
+            pid = os.fork()
+            if pid == 0:
+                _send_batches(frames, grid, recv, send)  # does not return
+        n = grid.n_points
         while times := recv.recv_bytes():
-            t = np.frombuffer(times)[:, None].copy()
+            t = np.frombuffer(times).reshape(-1, 1).copy()
             fields = (np.empty((t.size, n), complex), np.empty((t.size, n)), np.empty((t.size, n)))
             for a in fields:  # a flat byte view: recv_bytes_into sizes by the first axis
                 recv.recv_bytes_into(a.reshape(-1).view(np.uint8))
             yield _Frame(grid, t, *fields, config, family)
-        error = recv.recv()
+        error, reported = recv.recv(), True
     except EOFError:  # the child ended without reporting, e.g. killed for memory
-        child.join()
-        error = RuntimeError(f"the integrating process ended with exit code {child.exitcode}")
+        pass
     finally:
-        child.terminate()  # a no-op once it has ended
-        child.join()
-        child.close()
         recv.close()
+        if pid:
+            os.kill(pid, signal.SIGTERM)  # unreaped, so still our child; a no-op once it has ended
+            status = os.waitpid(pid, 0)[1]
+    if not reported:
+        raise RuntimeError("the integrating process ended with exit code "
+                           f"{os.waitstatus_to_exitcode(status)}")
     if error is not None:
         raise error
 
 
-def _send_batches(frames, recv, send):
-    """The child of _integrated_batches: per batch the times, then the stacked
-    u, n and v as raw bytes; an empty message, then the exception or None."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and ends the child
-    recv.close()
-    frames = iter(frames)
-    error = None
+def _send_batches(frames, grid: Grid, recv, send):
+    """The child of _integrated_batches: per batch t, u, n and v as raw bytes;
+    an empty message, then the exception or None.  Exits; never returns."""
+    import signal
+
+    code = 1
     try:
-        while batch := list(islice(frames, _BATCH)):
-            send.send_bytes(np.array([s.t for s in batch]))
-            for name in "unv":
-                stacked = np.stack([getattr(s, name) for s in batch])
-                send.send_bytes(stacked.reshape(-1).view(np.uint8))
-    except BrokenPipeError:  # the parent is gone
-        return
-    except Exception as exc:  # noqa: BLE001 - reported to the parent, which raises it
-        error = exc
-    send.send_bytes(b"")
-    send.send(error)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C and ends the child
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)  # ends it, whatever the parent's handler
+        recv.close()
+        error = None
+        try:
+            for f in _batches(frames):
+                if f.grid is not grid:  # States fix dtype and shape; the grid fixes n
+                    raise ValueError("the frames are not on the grid of the stream")
+                for a in (f.t, f.u, f.n, f.v):
+                    send.send_bytes(a.reshape(-1).view(np.uint8))
+        except Exception as exc:  # noqa: BLE001 - reported to the parent, which raises it
+            error = exc
+        send.send_bytes(b"")
+        send.send(error)
+        code = 0
+    finally:
+        os._exit(code)  # no atexit handlers, no flush of buffers copied from the parent
 
 
 def _error_rows(f: _Frame) -> list:
@@ -364,8 +377,12 @@ def _series(rows, columns) -> dict:
 
 def error_series(frames, config: MultiSolitonConfig) -> dict:
     """Per-frame invariants and profile errors over an iterable of States."""
-    return _series(chain.from_iterable(map(_error_rows, _batches(frames, config))),
-                   _ERROR_COLUMNS)
+    return _error_series(_batches(frames, config))
+
+
+def _error_series(batches) -> dict:
+    """error_series over a stream of _Frames that carry the config."""
+    return _series(chain.from_iterable(map(_error_rows, batches)), _ERROR_COLUMNS)
 
 
 def write_error_csv(path, series: dict) -> list:
@@ -496,7 +513,7 @@ def _run_simulate(spec, run_dir, manifest):
     frames = evolve(multi_soliton_state(grid, spec.config, 0.0), spec.t_final, spec.dt,
                     sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
     with closing(_integrated_batches(frames, grid, spec.config)) as batches:
-        series = _series(chain.from_iterable(map(_error_rows, batches)), _ERROR_COLUMNS)
+        series = _error_series(batches)
     _save_error_series(series, run_dir, manifest)
 
 

@@ -501,6 +501,15 @@ def test_a_child_that_dies_unreported_is_an_error():
     _assert_no_child_left()
 
 
+def test_frames_off_the_grid_of_the_stream_are_refused():
+    # the parent sizes what it reads by its grid, so another grid must not pass
+    frames = [soliton_state(Grid(64, 40.0), SolitonParams(1.0, 0.0))]
+    with pytest.raises(ValueError, match="not on the grid"), \
+            closing(experiments._integrated_batches(frames, Grid(64, 40.0))) as batches:
+        list(batches)
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("kind", ["simulate", "backward_msw", "weinstein_audit",
                                   "local_quantities"])
 def test_streamed_kinds_warn_nothing(tmp_path, kind):
@@ -509,6 +518,50 @@ def test_streamed_kinds_warn_nothing(tmp_path, kind):
         warnings.simplefilter("error")
         run(spec, output_dir=tmp_path)
     _assert_no_child_left()
+
+
+def test_an_integer_t_final_streams_as_the_in_process_series(tmp_path):
+    # 17 frames: the last batch holds only the final frame, stamped with t_final as given
+    spec = ExperimentSpec(kind="simulate", config=ONE, n_points=256, box_length=40.0,
+                          dt=0.0625, sample_stride=1, t_final=1)
+    manifest = run(spec, output_dir=tmp_path / "runs")
+    frames = evolve(multi_soliton_state(spec.make_grid(), ONE, 0.0), 1, 0.0625)
+    write_error_csv(tmp_path / "alone.csv", error_series(frames, ONE))
+    streamed = (Path(manifest.run_dir) / "errors.csv").read_bytes()
+    assert streamed == (tmp_path / "alone.csv").read_bytes()
+    assert streamed.splitlines()[-1].startswith(b"1.0,")
+
+
+def _run_in_a_pool_worker(spec, out_dir):
+    return run(spec, output_dir=out_dir).run_dir
+
+
+def test_a_pool_worker_can_run_a_streamed_kind(tmp_path):
+    # a Pool worker is daemonic, and multiprocessing.Process refuses it children
+    spec = ExperimentSpec(kind="backward_msw", config=ONE, **CHEAP)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply(_run_in_a_pool_worker, (spec, tmp_path / "pool"))
+    here = run(spec, output_dir=tmp_path / "here").run_dir
+    assert (Path(in_worker) / "errors.csv").read_bytes() == \
+        (Path(here) / "errors.csv").read_bytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_a_failed_fork_leaves_no_pipe_open(monkeypatch):
+    g = Grid(64, 40.0)
+    frames = [soliton_state(g, SolitonParams(1.0, 0.0))]
+
+    def no_fork():
+        raise OSError("no fork")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(experiments.os, "fork", no_fork)
+    with pytest.raises(OSError, match="no fork") as err:
+        list(experiments._integrated_batches(frames, g))
+    # closed at once, not when the traceback (and the generator's frame) is dropped
+    assert err.value.__traceback__ is not None
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def _traced_peak(spec, out_dir) -> int:
