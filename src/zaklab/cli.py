@@ -17,14 +17,14 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .dynamics import BlowUpError
-from .experiments import _KNOB_KEYS, _NUMERICS_KEYS, KINDS, ExperimentSpec, run
+from .experiments import CONFIG_KEYS, KINDS, ExperimentSpec, run
+from .profiles import SOLITON_KEYS
 
 __all__ = ["main"]
 
@@ -34,11 +34,9 @@ class ConfigError(ValueError):
 
 
 def _config_key_help() -> str:
-    spec_fields = {f.name: f for f in dataclass_fields(ExperimentSpec)}
-    lines = ["config keys and defaults:", "  solitons: list of {omega, c, sigma, gamma}"]
-    for block, keys in (("numerics", _NUMERICS_KEYS), ("knobs", _KNOB_KEYS)):
-        for key in keys:
-            lines.append(f"  {block}.{key}: default {spec_fields[key].default!r}")
+    lines = ["config keys: default; admissible values"]
+    for key in SOLITON_KEYS + CONFIG_KEYS:
+        lines.append(f"  {key.metadata['block']}.{key.name}: {key.metadata['help']}")
     return "\n".join(lines)
 
 

@@ -209,14 +209,9 @@ def evolve(state: State, t_target: float, dt: float, sample_stride: int = 1,
     Arguments are checked at the call; the steps run as the iterator advances
     and raise BlowUpError once ||u||_H1 > blowup_threshold.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not np.isfinite(t_target):
-        raise ValueError(f"t_target must be finite, got {t_target!r}")
-    if isinstance(sample_stride, bool) or not isinstance(sample_stride, (int, np.integer)):
-        raise ValueError(f"sample_stride must be an integer, got {sample_stride!r}")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
+    profiles.POSITIVE.parse("dt", dt)
+    profiles.FINITE.parse("t_target", t_target)
+    profiles.COUNT.parse("sample_stride", sample_stride)
     if t_target < state.t:
         raise ValueError("t_target is in the past; use time_reverse for backward runs")
     return _frames(state, t_target, dt, sample_stride, blowup_threshold)

@@ -30,7 +30,7 @@ import logging
 import os
 from collections import Counter
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -49,6 +49,7 @@ from .functionals import (
 )
 from .grid import Grid, quadrature
 from .modulation import pi_from_config, pi_norm, track, write_track_csv
+from .profiles import CEILING, COUNT, FINITE, POSITIVE, POSITIVES, SPEEDS, Admits, config_key
 from .profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from .spectral import coercivity_nls, h2_coercivity, young_mu
 
@@ -67,8 +68,6 @@ __all__ = [
     "run",
 ]
 
-_NUMERICS_KEYS = ("n_points", "box_length", "dt", "sample_stride", "blowup_threshold")
-_KNOB_KEYS = ("t_final", "L_values", "K0", "tolerance", "omegas_sweep", "speeds_sweep")
 _ERROR_COLUMNS = ("t", "M", "E", "P", "err_bold_H", "err_h2_square")
 _LOCAL_COLUMNS = ("t", "M_k", "P_k")
 # The per-frame diagnostics run on batches of frames stacked as (B, n) arrays,
@@ -92,19 +91,17 @@ class ExperimentSpec:
 
     kind: str
     config: MultiSolitonConfig
-    # numerics
-    n_points: int = 1024
-    box_length: float = 40.0
-    dt: float = 1e-3
-    sample_stride: int = 100
-    blowup_threshold: float = 1e6
-    # experiment knobs
-    t_final: float = 10.0
-    L_values: tuple = (5.0, 10.0, 20.0)
-    K0: float = 5.0
-    tolerance: float = 1e-10
-    omegas_sweep: tuple = (0.5, 1.0, 2.0)
-    speeds_sweep: tuple = (-0.9, 0.0, 0.9)
+    n_points: int = config_key("numerics", COUNT, 1024)
+    box_length: float = config_key("numerics", POSITIVE, 40.0)
+    dt: float = config_key("numerics", POSITIVE, 1e-3)
+    sample_stride: int = config_key("numerics", COUNT, 100)
+    blowup_threshold: float = config_key("numerics", CEILING, 1e6)
+    t_final: float = config_key("knobs", POSITIVE, 10.0)
+    L_values: tuple = config_key("knobs", POSITIVES, (5.0, 10.0, 20.0))
+    K0: float = config_key("knobs", Admits("finite, in (0, box_length/2)", FINITE.test), 5.0)
+    tolerance: float = config_key("knobs", POSITIVE, 1e-10)
+    omegas_sweep: tuple = config_key("knobs", POSITIVES, (0.5, 1.0, 2.0))
+    speeds_sweep: tuple = config_key("knobs", SPEEDS, (-0.9, 0.0, 0.9))
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -112,36 +109,15 @@ class ExperimentSpec:
                              f"expected one of {tuple(KINDS)}")
         if not isinstance(self.config, MultiSolitonConfig):
             raise TypeError("config must be a MultiSolitonConfig")
-        for name in ("n_points", "sample_stride"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:  # bools and floats are not counts
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("dt", "blowup_threshold", "t_final", "tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        # blowup_threshold may be infinite: no ceiling, the guard still
-        # refuses non-finite norms
-        for name in ("box_length", "dt", "t_final", "tolerance"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("L_values", "omegas_sweep", "speeds_sweep"):
-            values = tuple(float(x) for x in getattr(self, name))
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite, got {list(values)}")
-            object.__setattr__(self, name, values)
-        if not self.L_values:
-            raise ValueError("L_values must not be empty")
-        if any(L <= 0 for L in self.L_values):
-            raise ValueError("L_values must be positive")
+        for key in CONFIG_KEYS:
+            value = key.metadata["admits"].parse(key.name, getattr(self, key.name))
+            object.__setattr__(self, key.name, value)
+        # the checks that span keys
         if any(a >= b for a, b in zip(self.L_values, self.L_values[1:])):
             raise ValueError(f"L_values must be strictly increasing, got {list(self.L_values)}")
         if self.kind == "local_quantities" and len(self.L_values) < 2:
             raise ValueError("local_quantities compares drifts across L_values and needs "
                              f"at least two, got {list(self.L_values)}")
-        if any(w <= 0 for w in self.omegas_sweep):
-            raise ValueError(f"omegas_sweep must be positive, got {list(self.omegas_sweep)}")
-        if any(abs(c) >= 1 for c in self.speeds_sweep):
-            raise ValueError(f"speeds_sweep must lie in (-1, 1), got {list(self.speeds_sweep)}")
         self.make_grid()  # validates n_points / box_length early
         if not 0 < self.K0 < 0.5 * self.box_length:
             raise ValueError(f"K0 must lie in (0, box_length/2), got {self.K0:g} "
@@ -151,31 +127,29 @@ class ExperimentSpec:
         return Grid(n_points=self.n_points, box_length=self.box_length)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "solitons": json.loads(self.config.to_json())["solitons"],
-            "numerics": {k: getattr(self, k) for k in _NUMERICS_KEYS},
-            "knobs": {
-                k: list(getattr(self, k)) if isinstance(getattr(self, k), tuple)
-                else getattr(self, k)
-                for k in _KNOB_KEYS
-            },
-        }
+        data = {"kind": self.kind, "solitons": json.loads(self.config.to_json())["solitons"]}
+        for key in CONFIG_KEYS:
+            value = getattr(self, key.name)
+            block = data.setdefault(key.metadata["block"], {})
+            block[key.name] = list(value) if isinstance(value, tuple) else value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """Strict parse: unknown keys at any level are an error."""
-        allowed_top = {"kind", "solitons", "numerics", "knobs"}
-        unknown = set(data) - allowed_top
+        blocks = dict.fromkeys(key.metadata["block"] for key in CONFIG_KEYS)
+        unknown = set(data) - {"kind", "solitons", *blocks}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in data or "solitons" not in data:
             raise ValueError("config must provide 'kind' and 'solitons'")
         config = MultiSolitonConfig.from_json(json.dumps({"solitons": data["solitons"]}))
         kwargs = {"kind": data["kind"], "config": config}
-        for block, keys in (("numerics", _NUMERICS_KEYS), ("knobs", _KNOB_KEYS)):
+        for block in blocks:
             values = data.get(block, {})
-            unknown = set(values) - set(keys)
+            if not isinstance(values, dict):
+                raise ValueError(f"{block} must be a JSON object, got {values!r}")
+            unknown = set(values) - {k.name for k in CONFIG_KEYS if k.metadata["block"] == block}
             if unknown:
                 raise ValueError(f"unknown {block} keys: {sorted(unknown)}")
             kwargs.update(values)
@@ -186,6 +160,9 @@ class ExperimentSpec:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+
+
+CONFIG_KEYS = tuple(key for key in fields(ExperimentSpec) if key.metadata)
 
 
 @dataclass

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dynamics import State
 from .grid import Grid, _derivative_of_transform, quadrature, spectral_derivative
-from .profiles import MultiSolitonConfig, multi_soliton
+from .profiles import POSITIVE, MultiSolitonConfig, multi_soliton
 
 __all__ = [
     "mass",
@@ -301,8 +301,7 @@ class CutoffFamily:
     psi: callable = smooth_step
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("cutoff transition width L must be positive")
+        POSITIVE.parse("cutoff transition width L", self.L)
         speeds = tuple(float(c) for c in self.boundary_speeds)
         if list(speeds) != sorted(speeds):
             raise ValueError("cutoff boundary speeds must be sorted increasingly")

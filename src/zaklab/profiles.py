@@ -25,7 +25,8 @@ tail at distance L/2 from the soliton, not at the box edge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,25 +48,67 @@ __all__ = [
 ]
 
 
+class Admits(NamedTuple):
+    """The admissible values of a config key: those that pass `test`, stored
+    as `convert` makes them (floats, ints for counts, tuples for lists: one
+    value, one content hash).  Others are refused with "<key> must be
+    <text>", and `zaklab --help` prints `text` by the key."""
+
+    text: str
+    test: Callable
+    convert: Callable = float
+
+    def parse(self, key: str, value):
+        if not self.test(value):
+            raise ValueError(f"{key} must be {self.text}, got {value!r}")
+        return self.convert(value)
+
+    def list_of(self, text: str) -> "Admits":
+        """Non-empty lists of values this admits, stored as tuples."""
+        def test(v):
+            return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(self.test, v))
+        return Admits(text, test, lambda v: tuple(map(self.convert, v)))
+
+
+COUNT = Admits("a positive integer",
+               lambda x: (type(x) is int or isinstance(x, np.integer)) and x >= 1, int)
+FINITE = Admits("finite", lambda x: isinstance(x, (int, float, np.integer, np.floating))
+                and not isinstance(x, bool) and bool(np.isfinite(x)))
+POSITIVE = Admits("finite and > 0", lambda x: FINITE.test(x) and x > 0)
+CEILING = Admits("positive, or Infinity for no ceiling", lambda x: x == np.inf or POSITIVE.test(x))
+SUBSONIC = Admits("in (-1, 1)", lambda x: FINITE.test(x) and abs(x) < 1)
+POSITIVES = POSITIVE.list_of("finite and > 0, in a non-empty list")
+SPEEDS = SUBSONIC.list_of("finite and in (-1, 1), in a non-empty list")
+
+
+def config_key(block: str, admits: Admits, default=MISSING):
+    """A dataclass field declaring a config key: block, admissible values, default."""
+    shown = "required" if default is MISSING else f"default {json.dumps(default)}"
+    return field(default=default, metadata={"block": block, "admits": admits,
+                                            "help": f"{shown}; {admits.text}"})
+
+
 @dataclass(frozen=True)
 class SolitonParams:
     """Parameters (omega, c, sigma, gamma) of one traveling solitary wave."""
 
-    omega: float
-    c: float
-    sigma: float = 0.0
-    gamma: float = 0.0
+    omega: float = config_key("solitons.N", POSITIVE)
+    c: float = config_key("solitons.N", SUBSONIC)
+    sigma: float = config_key("solitons.N", FINITE, 0.0)
+    gamma: float = config_key("solitons.N", FINITE, 0.0)
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not abs(self.c) < 1:
-            raise ValueError(f"|c| must be < 1 (subsonic), got {self.c}")
+        for key in SOLITON_KEYS:
+            value = key.metadata["admits"].parse(key.name, getattr(self, key.name))
+            object.__setattr__(self, key.name, value)
 
     @property
     def nu(self) -> float:
         """Combined multiplier omega + c^2/4 entering the Weinstein functional."""
         return self.omega + 0.25 * self.c**2
+
+
+SOLITON_KEYS = fields(SolitonParams)
 
 
 @dataclass(frozen=True)
@@ -119,14 +162,7 @@ class MultiSolitonConfig:
         return root**2
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "solitons": [
-                    {"omega": s.omega, "c": s.c, "sigma": s.sigma, "gamma": s.gamma}
-                    for s in self.solitons
-                ]
-            }
-        )
+        return json.dumps({"solitons": [asdict(s) for s in self.solitons]})
 
     @classmethod
     def from_json(cls, text: str) -> "MultiSolitonConfig":
@@ -135,18 +171,11 @@ class MultiSolitonConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         sols = []
-        for entry in data["solitons"]:
-            bad = set(entry) - {"omega", "c", "sigma", "gamma"}
-            if bad:
-                raise ValueError(f"unknown soliton keys: {sorted(bad)}")
-            sols.append(
-                SolitonParams(
-                    omega=float(entry["omega"]),
-                    c=float(entry["c"]),
-                    sigma=float(entry.get("sigma", 0.0)),
-                    gamma=float(entry.get("gamma", 0.0)),
-                )
-            )
+        for i, entry in enumerate(data["solitons"]):
+            try:
+                sols.append(SolitonParams(**entry))
+            except (TypeError, ValueError) as exc:  # a key unknown, missing or inadmissible
+                raise ValueError(f"solitons.{i}: {exc}") from None
         return cls(solitons=tuple(sols))
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from zaklab.cli import main
+from zaklab.experiments import ExperimentSpec
 
 CHEAP_NUMERICS = {"n_points": 256, "box_length": 40.0, "dt": 0.01,
                   "sample_stride": 10}
@@ -126,6 +127,18 @@ def test_committed_configs_validate(path, capsys):
     ("coercivity", "knobs.omegas_sweep=[Infinity]", "omegas_sweep"),
     ("simulate", "numerics.box_length=Infinity", "box_length"),
     ("weinstein-audit", "knobs.L_values=[Infinity]", "L_values"),
+    ("coercivity", "knobs.omegas_sweep=[]", "omegas_sweep"),
+    ("coercivity", "knobs.speeds_sweep=[]", "speeds_sweep"),
+    ("simulate", "numerics.dt=true", "dt"),
+    ("modulate-track", "knobs.tolerance=true", "tolerance"),
+    ("weinstein-audit", "knobs.K0=true", "K0"),
+    ("simulate", 'numerics.dt="0.001"', "dt"),
+    ("weinstein-audit", 'knobs.K0="5"', "K0"),
+    ("weinstein-audit", "knobs.L_values=5.0", "L_values"),
+    ("simulate", "numerics=5", "numerics"),
+    ("backward-msw", "knobs=5", "knobs"),
+    ("simulate", "solitons.0.sigma=NaN", "sigma"),
+    ("simulate", "solitons.0.omega=Infinity", "omega"),
 ])
 def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
     cfg = _write(tmp_path, _one_soliton_config())
@@ -136,6 +149,29 @@ def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key
     assert err.startswith("config error:")
     assert key in err
     assert not out_dir.exists()  # rejected before any run directory is made
+
+
+@pytest.mark.parametrize("missing", ["omega", "c"])
+def test_soliton_without_a_required_key(tmp_path, capsys, missing):
+    data = _one_soliton_config()
+    del data["solitons"][0][missing]
+    cfg = _write(tmp_path, data)
+    assert main(["validate-config", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solitons.0:")
+    assert f"'{missing}'" in err
+
+
+def test_an_integer_value_gets_the_hash_of_its_float(capsys):
+    two = str(next(p for p in CONFIGS if p.name == "two_soliton.json"))
+    outputs = []
+    for overrides in ([], ["--set", "knobs.t_final=30"]):
+        assert main(["validate-config", "--config", two, *overrides]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    committed, integer = (ExperimentSpec.from_dict(json.loads(out)) for out in outputs)
+    assert integer.content_hash() == committed.content_hash()
+    assert '"t_final":30.0' in integer.canonical_json()
 
 
 # --- overrides --------------------------------------------------------------------

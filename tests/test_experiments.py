@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from zaklab.grid import Grid
-from zaklab.profiles import MultiSolitonConfig, SolitonParams
+from zaklab.profiles import SOLITON_KEYS, MultiSolitonConfig, SolitonParams
 from zaklab.dynamics import (
     BlowUpError,
     State,
@@ -35,6 +36,7 @@ from zaklab.functionals import (
     momentum,
 )
 from zaklab.experiments import (
+    CONFIG_KEYS,
     KINDS,
     ExperimentSpec,
     RunManifest,
@@ -108,6 +110,33 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="at least two"):
         ExperimentSpec(kind="local_quantities", config=ONE, L_values=(5.0,))
     assert ExperimentSpec(kind="weinstein_audit", config=ONE, L_values=(5.0,)).L_values == (5.0,)
+
+
+# Each config key against the values among NaN, +-inf, 0, a negative value,
+# a bool, a string and the wrong shape (a list for a scalar key, a scalar for
+# a list key) that its admissible set leaves out.
+ADMITTED = {("blowup_threshold", math.inf), ("speeds_sweep", 0), ("c", 0),
+            ("sigma", 0), ("sigma", -1), ("gamma", 0), ("gamma", -1)}
+
+
+def _inadmissible():
+    for key in SOLITON_KEYS + CONFIG_KEYS:
+        many = isinstance(key.default, tuple)
+        for value in (math.nan, math.inf, -math.inf, 0, -1, True, "1.0"):
+            if (key.name, value) not in ADMITTED:
+                yield key.metadata["block"], key.name, [value] if many else value
+        yield key.metadata["block"], key.name, 1.0 if many else [1.0]
+
+
+@pytest.mark.parametrize("block, name, value", _inadmissible())
+def test_every_key_refuses_each_inadmissible_value(block, name, value):
+    data = ExperimentSpec(kind="backward_msw", config=ONE).to_dict()
+    if block == "solitons.N":
+        data["solitons"][0][name] = value
+    else:
+        data[block][name] = value
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        ExperimentSpec.from_dict(data)
 
 
 def test_spec_dict_round_trip():
