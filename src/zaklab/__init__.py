@@ -41,7 +41,6 @@ from .functionals import (
 from .modulation import ModulationResult, TrackResult, modulate, track
 from .spectral import (
     LinearizedOperator,
-    WeightPhiB,
     coercivity_nls,
     h2_coercivity,
     h2_form,
@@ -61,7 +60,7 @@ __all__ = [
     "weinstein", "weinstein_decompose", "modified_energies", "tail_mass",
     "FunctionalReport", "functional_report",
     "ModulationResult", "TrackResult", "modulate", "track",
-    "LinearizedOperator", "WeightPhiB", "spectrum", "coercivity_nls",
+    "LinearizedOperator", "spectrum", "coercivity_nls",
     "h2_form", "h2_coercivity", "young_mu",
     "ExperimentSpec", "RunManifest", "fit_exponential", "run",
 ]

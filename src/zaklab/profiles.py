@@ -167,11 +167,17 @@ class MultiSolitonConfig:
     @classmethod
     def from_json(cls, text: str) -> "MultiSolitonConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a soliton config must be a JSON object, got {data!r}")
         extra = set(data) - {"solitons"}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
+        entries = data.get("solitons")
+        if not (isinstance(entries, list) and entries
+                and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"solitons must be a non-empty list of objects, got {entries!r}")
         sols = []
-        for i, entry in enumerate(data["solitons"]):
+        for i, entry in enumerate(entries):
             try:
                 sols.append(SolitonParams(**entry))
             except (TypeError, ValueError) as exc:  # a key unknown, missing or inadmissible

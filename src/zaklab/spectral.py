@@ -13,15 +13,9 @@ LambdaQ = (Q + yQ')/2.  Each operator is defined once, by its FFT action;
 this module estimates such constrained minima matrix-free, by a three-term
 Lanczos recurrence in numpy on the pencil whose H^1 / L^2 norm is diagonal
 in Fourier space.  spectrum() alone builds a dense matrix, column by column
-from that action, and alone needs scipy, which it imports when called.
-It also evaluates one weighted quadratic form, h2_form, of the full
-(eta_u, eta_n, eta_v) linearization around a single traveling wave:
-unweighted, or with a cutoff or an exponential localization weight on its
-quadratic part; h2_coercivity minimizes the unweighted one.
-
-The localization weight Phi_B interpolates between 1 on [0, B] and
-e^{-|x|/B} beyond 2B through a C^2 monotone transition built in log space,
-keeping e^{-|x|/B} <= Phi_B <= 3 e^{-|x|/B} everywhere.
+from that action.  It also evaluates the quadratic form, h2_form, of the full
+(eta_u, eta_n, eta_v) linearization around a single traveling wave, which
+h2_coercivity minimizes.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ __all__ = [
     "LinearizedOperator",
     "spectrum",
     "coercivity_nls",
-    "WeightPhiB",
     "q_density",
     "coupling_density",
     "h2_form",
@@ -56,7 +49,9 @@ __all__ = [
 
 # Largest grid a dense solve accepts: matrix() holds about four n x n float
 # arrays at once (the identity, the stacked columns and the symmetrized copy),
-# 537 MB at this size.
+# 537 MB at this size.  spectrum()'s full eigh peaks higher, at about six
+# (the matrix, LAPACK's copy of it, all n eigenvectors and the workspace):
+# one call at n = 2048 raises peak RSS by about 195 MB.
 _DENSE_MAX_POINTS = 4096
 # Step budget of one Lanczos solve.  The coercivity solves converge in 8-64
 # steps at n = 512 and n = 2048.
@@ -108,15 +103,13 @@ def spectrum(op: LinearizedOperator, n_eigs: int):
     """Lowest n_eigs eigenpairs of the discretized operator.
 
     Eigenfields are returned as columns, normalized to unit L^2 quadrature.
-    Raises on eigensolver failure with the residual norms attached.  This is
-    zaklab's only use of scipy, imported on call.
+    Raises on eigensolver failure with the residual norms attached.
     """
     if not 1 <= n_eigs <= op.grid.n_points:
         raise ValueError("n_eigs must lie in 1..n_points")
     mat = op.matrix()
-    from scipy.linalg import eigh
-
-    vals, vecs = eigh(mat, subset_by_index=[0, n_eigs - 1])
+    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = vals[:n_eigs], vecs[:, :n_eigs]
     resid = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     if not np.all(resid < 1e-6 * max(1.0, np.max(np.abs(vals)))):
         raise RuntimeError(f"eigensolve residuals too large: {resid}")
@@ -225,58 +218,6 @@ def coercivity_nls(grid: Grid) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class WeightPhiB:
-    """Even decreasing weight: 1 on [0, B], e^{-|x|/B} beyond 2B.
-
-    On [B, 2B] the weight is e^{m(s) - |x|/B} with s = |x|/B - 1 and m a C^2
-    log-margin: a quartic with m(0) = m'(0) = 1 rising to its flat maximum
-    1 + s_star/2 at s_star, then a quintic smoothstep descent to m(1) = 0.
-    m stays in [0, 1 + s_star/2] and m' <= 1, which gives monotonicity and
-    the two-sided bound e^{-|x|/B} <= Phi_B <= 3 e^{-|x|/B} (the realized
-    upper constant is e^{1 + s_star/2} ~ 2.93 < 3).
-    """
-
-    B: float
-    s_star: float = 0.15
-
-    def __post_init__(self):
-        if not self.B > 0:
-            raise ValueError("weight scale B must be positive")
-        if not 0.0 < self.s_star < 1.0:
-            raise ValueError("transition knee s_star must lie in (0, 1)")
-
-    @property
-    def max_ratio(self) -> float:
-        return float(np.exp(1.0 + 0.5 * self.s_star))
-
-    def _log_margin(self, s):
-        sst = self.s_star
-        peak = 1.0 + 0.5 * sst
-        m = np.empty_like(s)
-        lo = s <= sst
-        m[lo] = 1.0 + s[lo] - s[lo] ** 3 / sst**2 + s[lo] ** 4 / (2.0 * sst**3)
-        tau = (s[~lo] - sst) / (1.0 - sst)
-        m[~lo] = peak * (1.0 - tau**3 * (10.0 + tau * (-15.0 + 6.0 * tau)))
-        return m
-
-    def profile(self, r):
-        """The unscaled shape Phi(r) (vectorized; depends on |r| only)."""
-        r = np.abs(np.asarray(r, dtype=float))
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.exp(-r)
-        near = r <= 1.0
-        mid = (r > 1.0) & (r < 2.0)
-        out[near] = 1.0
-        out[mid] = np.exp(self._log_margin(r[mid] - 1.0) - r[mid])
-        return out[0] if scalar else out
-
-    def values(self, grid: Grid, center: float = 0.0):
-        """Phi_B(x - center) on the grid (periodically wrapped argument)."""
-        return self.profile(grid.wrap(grid.x - center) / self.B)
-
-
 def q_density(grid: Grid, eta_u, eta_n, eta_v, nu: float, c: float):
     """Pointwise localized quadratic density of the traveling-wave form."""
     ux = spectral_derivative(grid, eta_u, 1)
@@ -301,22 +242,9 @@ def coupling_density(grid: Grid, eta_u, eta_n, params: SolitonParams, t: float =
     )
 
 
-def h2_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t: float = 0.0,
-            weight=None) -> float:
-    """Quadratic form of the linearization around one traveling wave.
-
-    weight, if given, localizes the quadratic part; the coupling part stays
-    unweighted (the profile already localizes it).  It is an array of grid
-    values (a cutoff chi, say) or a WeightPhiB, which is centered on the wave
-    and needs 2B < box_length/2 to fit in the box.
-    """
+def h2_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t: float = 0.0) -> float:
+    """Quadratic form of the linearization around one traveling wave."""
     dens = q_density(grid, eta_u, eta_n, eta_v, params.nu, params.c)
-    if isinstance(weight, WeightPhiB):
-        if not 2.0 * weight.B < 0.5 * grid.box_length:
-            raise ValueError("weight needs 2B < box_length/2 to fit in the box")
-        weight = weight.values(grid, center=params.c * t + params.sigma)
-    if weight is not None:
-        dens = np.asarray(weight) * dens
     return quadrature(grid, dens + coupling_density(grid, eta_u, eta_n, params, t))
 
 

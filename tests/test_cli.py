@@ -139,6 +139,9 @@ def test_committed_configs_validate(path, capsys):
     ("backward-msw", "knobs=5", "knobs"),
     ("simulate", "solitons.0.sigma=NaN", "sigma"),
     ("simulate", "solitons.0.omega=Infinity", "omega"),
+    ("validate-config", "solitons=5", "solitons"),
+    ("validate-config", "solitons={}", "solitons"),
+    ("validate-config", 'solitons="ab"', "solitons"),
 ])
 def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
     cfg = _write(tmp_path, _one_soliton_config())

@@ -274,3 +274,7 @@ def test_config_json_roundtrip():
     with pytest.raises(ValueError, match="unknown"):
         MultiSolitonConfig.from_json(json.dumps(
             {"solitons": [{"omega": 1.0, "c": 0.0}], "extra": 1}))
+    with pytest.raises(ValueError, match="solitons must be a non-empty list"):
+        MultiSolitonConfig.from_json("{}")
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        MultiSolitonConfig.from_json("5")

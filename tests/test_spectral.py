@@ -20,7 +20,6 @@ from zaklab.profiles import (
 )
 from zaklab.spectral import (
     LinearizedOperator,
-    WeightPhiB,
     coercivity_nls,
     coupling_density,
     h2_coercivity,
@@ -300,53 +299,6 @@ def test_coercivity_nls_stable_under_grid_doubling():
     assert abs(fine - coarse) / coarse < 0.02
 
 
-# --- exponential weight ---------------------------------------------------------
-
-def test_weight_ratio_sandwich():
-    w = WeightPhiB(B=4.0)
-    g = Grid(4096, 80.0)
-    vals = w.values(g, 0.0)
-    r = np.abs(g.x) / 4.0
-    ratio = vals / np.exp(-r)
-    assert np.min(ratio) >= 1.0 - 1e-12
-    assert np.max(ratio) <= 3.0
-    assert np.max(ratio) == pytest.approx(w.max_ratio, abs=1e-6)
-
-
-def test_weight_plateau_tail_and_monotonicity():
-    w = WeightPhiB(B=2.0)
-    r = np.linspace(0.0, 10.0, 20001)
-    vals = w.profile(r)
-    assert np.all(vals[r <= 1.0] == 1.0)
-    far = r >= 2.0
-    assert np.allclose(vals[far], np.exp(-r[far]), rtol=1e-12)
-    assert np.all(np.diff(vals) <= 1e-15)
-
-
-def test_weight_is_c2_at_the_joins():
-    # one-sided second derivatives agree in the limit (only the third
-    # derivative jumps); the mismatch at finite h must shrink linearly
-    w = WeightPhiB(B=1.0)
-    for joint in (1.0, 2.0):
-        gaps = []
-        for h in (1e-4, 1e-5):
-            r = np.array([joint - 2 * h, joint - h, joint,
-                          joint + h, joint + 2 * h])
-            d2 = np.diff(w.profile(r), 2) / h**2
-            gaps.append(abs(d2[0] - d2[-1]))
-        assert gaps[0] < 0.05
-        assert gaps[1] < 0.2 * gaps[0]
-
-
-def test_weight_centering_and_scalar_input():
-    w = WeightPhiB(B=3.0)
-    g = Grid(1024, 40.0)
-    vals = w.values(g, center=5.0)
-    assert vals[np.argmin(np.abs(g.x - 5.0))] == 1.0
-    assert w.profile(0.5) == 1.0
-    assert w.profile(4.0) == pytest.approx(np.exp(-4.0))
-
-
 # --- quadratic forms around one soliton -----------------------------------------
 
 def _random_direction(grid, rng, scale=1e-2):
@@ -372,54 +324,16 @@ def test_h2_form_equals_single_soliton_quadratic_part():
     assert val == pytest.approx(parts["G21"], rel=1e-12)
 
 
-def test_chi_weighted_form_with_unit_weight():
-    rng = np.random.default_rng(SEED + 1)
-    g = GRID
-    p = SolitonParams(omega=2.0, c=-0.4)
-    eta = _random_direction(g, rng)
-    full = h2_form(g, *eta, p, t=0.2)
-    chi = h2_form(g, *eta, p, 0.2, weight=np.ones(g.n_points))
-    assert chi == pytest.approx(full, rel=1e-12)
-
-
-def test_h2b_form_needs_room_for_the_weight():
-    rng = np.random.default_rng(SEED + 2)
-    g = Grid(512, 40.0)
-    p = SolitonParams(1.0, 0.0)
-    eta = _random_direction(g, rng)
-    val = h2_form(g, *eta, p, 0.0, weight=WeightPhiB(4.0))
-    assert np.isfinite(val)
-    with pytest.raises(ValueError):
-        h2_form(g, *eta, p, 0.0, weight=WeightPhiB(15.0))  # 2B must fit inside half the box
-
-
-def test_h2b_form_accepts_weight_object():
-    # a WeightPhiB is its values centered on the wave
-    rng = np.random.default_rng(SEED + 3)
-    g = Grid(512, 40.0)
-    p = SolitonParams(1.0, 0.3, sigma=2.0)
-    eta = _random_direction(g, rng)
-    weight = WeightPhiB(B=4.0)
-    assert h2_form(g, *eta, p, 0.5, weight=weight) == h2_form(
-        g, *eta, p, 0.5, weight=weight.values(g, center=0.3 * 0.5 + 2.0))
-
-
 @pytest.mark.parametrize("p, t", [(SolitonParams(1.0, 0.0), 0.0),
                                   (SolitonParams(2.0, -0.4, 1.5, 0.7), 0.3)])
 def test_weighted_h2_form_matches_the_three_old_forms(p, t):
-    # oracles: the unweighted, chi-weighted and Phi_B-weighted forms as they
-    # were written before the merge into one weighted h2_form
+    # oracle: the quadrature of the quadratic and coupling densities
     rng = np.random.default_rng(SEED + 5)
     g = Grid(512, 40.0)
     eta_u, eta_n, eta_v = _random_direction(g, rng)
     q = q_density(g, eta_u, eta_n, eta_v, p.nu, p.c)
     cpl = coupling_density(g, eta_u, eta_n, p, t)
-    chi = np.ones(g.n_points)
-    phi_b = WeightPhiB(4.0).values(g, center=p.c * t + p.sigma)
     assert h2_form(g, eta_u, eta_n, eta_v, p, t) == quadrature(g, q + cpl)
-    assert h2_form(g, eta_u, eta_n, eta_v, p, t, weight=chi) == quadrature(g, chi * q + cpl)
-    assert h2_form(g, eta_u, eta_n, eta_v, p, t, weight=WeightPhiB(4.0)) == \
-        quadrature(g, phi_b * q + cpl)
 
 
 def test_coupling_density_integrates_into_h2(tmp_path):
