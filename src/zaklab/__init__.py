@@ -28,13 +28,9 @@ from .dynamics import (
 )
 from .functionals import (
     CutoffFamily,
-    FunctionalReport,
     energy,
-    functional_report,
     mass,
-    modified_energies,
     momentum,
-    tail_mass,
     weinstein,
     weinstein_decompose,
 )
@@ -57,8 +53,7 @@ __all__ = [
     "State", "BlowUpError", "soliton_state", "multi_soliton_state",
     "evolve", "time_reverse", "backward_frames", "backward_construct",
     "mass", "energy", "momentum", "CutoffFamily",
-    "weinstein", "weinstein_decompose", "modified_energies", "tail_mass",
-    "FunctionalReport", "functional_report",
+    "weinstein", "weinstein_decompose",
     "ModulationResult", "TrackResult", "modulate", "track",
     "LinearizedOperator", "spectrum", "coercivity_nls",
     "h2_form", "h2_coercivity", "young_mu",

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, sobolev_norms
+from .grid import Grid
 from . import profiles
 
 __all__ = [
@@ -100,9 +100,6 @@ class State:
 
     def copy(self) -> "State":
         return State(self.grid, self.t, self.u.copy(), self.n.copy(), self.v.copy())
-
-    def norms(self) -> dict:
-        return sobolev_norms(self.grid, self.u, self.n, self.v)
 
 
 def soliton_state(grid: Grid, params: profiles.SolitonParams, t: float = 0.0) -> State:

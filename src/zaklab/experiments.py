@@ -45,7 +45,6 @@ from .functionals import (
     _Frame,
     _write_csv,
     cutoff_profile_constants,
-    write_report_csv,
 )
 from .grid import Grid, quadrature
 from .modulation import pi_from_config, pi_norm, track, write_track_csv
@@ -222,16 +221,15 @@ def fit_exponential(times, values, window=None) -> dict:
     }
 
 
-def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2,
-                noise_factor: float = 10.0) -> tuple | None:
+def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2) -> tuple | None:
     """Select the clean exponential-decay window of a backward error series.
 
     Keeps samples with value in [floor, ceiling] that also sit clearly above
     the integrator noise floor: near the final time the error of a backward
     run grows linearly in (t_final - t), so its per-unit-time level C_n is
     estimated from the last tenth of the series and samples below
-    noise_factor * C_n * (t_final - t) are dropped.  Returns the (t_lo, t_hi)
-    of the longest contiguous surviving span with at least 8 points, or None.
+    10 C_n (t_final - t) are dropped.  Returns the (t_lo, t_hi) of the
+    longest contiguous surviving span with at least 8 points, or None.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -245,7 +243,7 @@ def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2,
         c_noise = float(np.median(y[near] / tail[near]))
     else:
         c_noise = 0.0
-    keep = (y >= floor) & (y <= ceiling) & (y > noise_factor * c_noise * tail)
+    keep = (y >= floor) & (y <= ceiling) & (y > 10.0 * c_noise * tail)
 
     best = None
     start = None
@@ -506,18 +504,26 @@ def _run_weinstein_audit(spec, run_dir, manifest):
     L = spec.L_values[0]
     family = CutoffFamily.for_config(spec.config, L)
     log.info(f"functional audit of every frame (L={L})")
-    series, reports = _backward_series(spec, family, lambda f: f.reports(spec.K0))
+    columns = []  # the names, in file order, of the columns every batch gives
+
+    def report_rows(f):
+        reports = f.reports(spec.K0)
+        columns[:] = reports
+        return zip(*reports.values())
+
+    series, rows = _backward_series(spec, family, report_rows)
     _save_error_series(series, run_dir, manifest)
     fit = _fit_error_rates(series, manifest, spec.config.K)
 
     rep_path = run_dir / "functionals.csv"
-    write_report_csv(rep_path, reports)
+    _write_csv(rep_path, columns, rows)
     manifest.add_file(rep_path, "functional_reports")
     manifest.notes["psi_constants"] = cutoff_profile_constants()
     manifest.notes["young_mu"] = young_mu(spec.config)
     manifest.notes["cutoff_L"] = L
 
-    g_vals = np.array([r.G for r in reports])
+    reports = _series(rows, columns)
+    g_vals = reports["G"]
     t = series["t"]
     drift = np.abs(g_vals - g_vals[-1])
     if fit is not None:
@@ -525,9 +531,8 @@ def _run_weinstein_audit(spec, run_dir, manifest):
         keep = (t >= window[0]) & (t <= window[1]) & (drift > 0)
         if np.count_nonzero(keep) >= 8:
             manifest.fits["weinstein_drift"] = fit_exponential(t[keep], drift[keep])
-        gmod = np.array([r.modified["G_mod"] for r in reports])
         theta_hat = manifest.fits["theta_hat"]["rate"]
-        manifest.fits["edo_constant"] = edo_constant_fit(t, gmod, theta_hat, window)
+        manifest.fits["edo_constant"] = edo_constant_fit(t, reports["G_mod"], theta_hat, window)
 
 
 def _run_coercivity_sweep(spec, run_dir, manifest):

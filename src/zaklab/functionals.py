@@ -28,6 +28,10 @@ against a reference u-profile R_u:
               + 2 Re int R_u (N_x conj(U_x)) - 2 Re int conj(U) (R_u_x N_x)
 
 whose controlled growth yields the higher-regularity decay diagnostics.
+
+The diagnostics of many snapshots are computed together by _Frame, on a
+batch stacked as (B, n_points) arrays; _Frame.reports gives the columns of
+the audit's functionals.csv, one (B,) array each.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import State
 from .grid import Grid, _derivative_of_transform, quadrature, spectral_derivative
 from .profiles import POSITIVE, MultiSolitonConfig, multi_soliton
 
@@ -50,16 +53,8 @@ __all__ = [
     "smooth_step",
     "cutoff_profile_constants",
     "CutoffFamily",
-    "localized_masses",
-    "localized_momenta",
     "weinstein",
     "weinstein_decompose",
-    "modified_energies",
-    "tail_mass",
-    "FunctionalReport",
-    "functional_report",
-    "report_columns",
-    "write_report_csv",
 ]
 
 
@@ -183,8 +178,13 @@ class _Frame:
         return quadrature(self.grid, dens)
 
     def modified(self, r_u, rux) -> dict:
-        """modified_energies of the fields as an error triple against r_u
-        (rux its derivative)."""
+        """Second-derivative energies of the fields as an error triple against
+        the profile r_u (rux its derivative).
+
+        H is the flat H^2 x H^1 x H^1 leading part; G_mod adds the cubic
+        self-interaction and the two r_u-coupling corrections that make its
+        time derivative integrable along decaying trajectories.
+        """
         g = self.grid
         U, N = self.u, self.n
         Ux, Nx = self.ux, self.nx
@@ -199,6 +199,12 @@ class _Frame:
         return {"H": h_val, "G_mod": g_val}
 
     def tails(self, K0: float) -> dict:
+        """Mass and energy content of the region |x| > K0.
+
+        The cut indicator gets a one-cell linear ramp at |x| = K0 (the
+        trapezoid treatment of a domain boundary), which keeps the quadrature
+        second-order instead of O(spacing) from a sharp step.
+        """
         g = self.grid
         if not 0 < K0 < 0.5 * g.box_length:
             raise ValueError("K0 must lie inside (0, box_length/2)")
@@ -208,26 +214,24 @@ class _Frame:
             "energy_tail": quadrature(g, self.energy_density * outside),
         }
 
-    def reports(self, K0: float, omegas_t=None) -> list:
-        """functional_report of each snapshot (needs config and family)."""
+    def reports(self, K0: float) -> dict:
+        """The functionals.csv columns, in file order, as (B,) arrays (needs
+        config and family).  The decomposition uses S = R(t), the
+        fixed-parameter profiles, at the reference pulsations, so G22 is zero
+        and g22_active False."""
         e, r = self.eps, self.ref
-        parts = _decompose(e, r, self.config, self.chis, omegas_t)
-        modified = e.modified(r.u, r.ux)
-        tails = self.tails(K0)
-        columns = zip(self.times, self.M, self.E, self.P, self.localized(self.mass_density),
-                      self.localized(self.momentum_density),
-                      self.weinstein(self.config, self.chis))
-        return [
-            FunctionalReport(t=t, M=M, E=E, P=P, M_k=tuple(M_k), P_k=tuple(P_k), G=G,
-                             parts=_row(parts, b), modified=_row(modified, b),
-                             tails=_row(tails, b), g22_active=omegas_t is not None)
-            for b, (t, M, E, P, M_k, P_k, G) in enumerate(columns)
-        ]
-
-
-def _row(values: dict, b: int) -> dict:
-    """Snapshot b's entry of each (B,) array of a dict."""
-    return {key: val[b] for key, val in values.items()}
+        M_k = self.localized(self.mass_density)
+        P_k = self.localized(self.momentum_density)
+        return {
+            "t": self.times, "M": self.M, "E": self.E, "P": self.P,
+            **{f"M_{k + 1}": m for k, m in enumerate(M_k.T)},
+            **{f"P_{k + 1}": p for k, p in enumerate(P_k.T)},
+            "G": self.weinstein(self.config, self.chis),
+            **_decompose(e, r, self.config, self.chis, None),
+            **e.modified(r.u, r.ux),
+            **self.tails(K0),
+            "g22_active": np.zeros(self.times.shape, dtype=bool),
+        }
 
 
 def mass(state) -> float:
@@ -252,25 +256,26 @@ def smooth_step(s):
     return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
-_CHUNK = 1 << 14  # samples per chunk of cutoff_profile_constants
+# samples of cutoff_profile_constants, in all and per chunk
+_SAMPLES, _CHUNK = 400_001, 1 << 14
 
 
-def cutoff_profile_constants(n_samples: int = 400001) -> dict:
+def cutoff_profile_constants() -> dict:
     """Measured regularity constants of the base step profile.
 
     The analysis wants (psi')^2 <= psi and (psi'')^2 <= C psi'; the polynomial
     step satisfies both only up to finite constants, which are measured here
     (suprema over a fine sampling of the transition interval) and reported in
     run manifests rather than assumed to be 1.  The samples of
-    np.linspace(-1, 1, n_samples) are taken in chunks of _CHUNK so that the
+    np.linspace(-1, 1, _SAMPLES) are taken in chunks of _CHUNK so that the
     working memory stays small; a supremum is the maximum of the chunk maxima.
     """
-    samples = np.linspace(-1.0, 1.0, n_samples)
+    samples = np.linspace(-1.0, 1.0, _SAMPLES)
     sups = np.zeros(3)
-    for lo in range(0, n_samples, _CHUNK):
+    for lo in range(0, _SAMPLES, _CHUNK):
         s = samples[lo:lo + _CHUNK]
         t = (s + 1.0) * 0.5
-        psi = t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
+        psi = smooth_step(s)
         dpsi = 70.0 * t**3 * (1.0 - t) ** 3
         d2psi = 105.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
         inner = (psi > 0) & (dpsi > 0)
@@ -298,7 +303,6 @@ class CutoffFamily:
 
     L: float
     boundary_speeds: tuple = ()
-    psi: callable = smooth_step
 
     def __post_init__(self):
         POSITIVE.parse("cutoff transition width L", self.L)
@@ -322,7 +326,7 @@ class CutoffFamily:
         if self.K == 1:
             return np.ones((1,) + np.broadcast_shapes(np.shape(t), grid.x.shape))
         steps = [
-            self.psi(grid.wrap(grid.x - cbar * t) / self.L)
+            smooth_step(grid.wrap(grid.x - cbar * t) / self.L)
             for cbar in self.boundary_speeds
         ]
         rows = [1.0 - steps[0]]
@@ -330,17 +334,6 @@ class CutoffFamily:
             rows.append(a - b)
         rows.append(steps[-1])
         return np.stack(rows)
-
-
-def localized_masses(state, family: CutoffFamily):
-    """All K localized masses at once (single cutoff evaluation)."""
-    f = _Frame.of([state], family=family)
-    return f.localized(f.mass_density)[0]
-
-
-def localized_momenta(state, family: CutoffFamily):
-    f = _Frame.of([state], family=family)
-    return f.localized(f.momentum_density)[0]
 
 
 def weinstein(state, config: MultiSolitonConfig, family: CutoffFamily) -> float:
@@ -363,7 +356,8 @@ def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFa
     if epsilon.grid is not S.grid:
         raise ValueError("epsilon and S must share one grid")
     ref = _Frame.of([S], config, family)
-    return _row(_decompose(_Frame.of([epsilon]), ref, config, ref.chis, omegas_t), 0)
+    parts = _decompose(_Frame.of([epsilon]), ref, config, ref.chis, omegas_t)
+    return {key: val[0] for key, val in parts.items()}
 
 
 def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t) -> dict:
@@ -411,79 +405,6 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
     return {"G0": g0, "G1": g1, "G21": g21, "G22": g22, "G3": g3}
 
 
-def modified_energies(grid: Grid, U, N, V, r_u) -> dict:
-    """Second-derivative energies of an error triple against the profile R_u.
-
-    H is the flat H^2 x H^1 x H^1 leading part; G_mod adds the cubic
-    self-interaction and the two R_u-coupling corrections that make its time
-    derivative integrable along decaying trajectories.
-    """
-    f = _Frame.of([State(grid, 0.0, U, N, V)])
-    return _row(f.modified(r_u, spectral_derivative(grid, r_u, 1)), 0)
-
-
-def tail_mass(state, K0: float) -> dict:
-    """Mass and energy content of the region |x| > K0.
-
-    The cut indicator gets a one-cell linear ramp at |x| = K0 (the trapezoid
-    treatment of a domain boundary), which keeps the quadrature second-order
-    instead of O(spacing) from a sharp step.
-    """
-    return _row(_Frame.of([state]).tails(K0), 0)
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    """All scalar diagnostics of one snapshot (wide-format CSV row / JSON)."""
-
-    t: float
-    M: float
-    E: float
-    P: float
-    M_k: tuple
-    P_k: tuple
-    G: float
-    parts: dict          # G0, G1, G21, G22, G3
-    modified: dict       # H, G_mod
-    tails: dict          # mass_tail, energy_tail
-    g22_active: bool
-
-    def to_dict(self) -> dict:
-        out = {"t": self.t, "M": self.M, "E": self.E, "P": self.P}
-        for k, val in enumerate(self.M_k):
-            out[f"M_{k+1}"] = val
-        for k, val in enumerate(self.P_k):
-            out[f"P_{k+1}"] = val
-        out["G"] = self.G
-        out.update(self.parts)
-        out.update(self.modified)
-        out.update(self.tails)
-        out["g22_active"] = self.g22_active
-        return out
-
-
-def report_columns(K: int) -> list:
-    """Stable wide-format column order for FunctionalReport CSV files."""
-    cols = ["t", "M", "E", "P"]
-    cols += [f"M_{k+1}" for k in range(K)]
-    cols += [f"P_{k+1}" for k in range(K)]
-    cols += ["G", "G0", "G1", "G21", "G22", "G3", "H", "G_mod",
-             "mass_tail", "energy_tail", "g22_active"]
-    return cols
-
-
-def functional_report(state, config: MultiSolitonConfig, family: CutoffFamily,
-                      K0: float = 5.0, omegas_t=None) -> FunctionalReport:
-    """Evaluate every functional of one state against the reference profiles.
-
-    The decomposition uses S = R(t) (fixed reference parameters) so it is
-    meaningful along trajectories without running the modulation solver;
-    callers with modulated parameters pass omegas_t and their own S via
-    weinstein_decompose directly.
-    """
-    return _Frame.of([state], config, family).reports(K0, omegas_t)[0]
-
-
 def _write_csv(path, columns, rows) -> None:
     """The package's one CSV format: a header row, then floats written by
     repr (so they read back bit for bit) and strings, bools and ints by str."""
@@ -498,14 +419,3 @@ def _write_csv(path, columns, rows) -> None:
                 else repr(float(x))
                 for x in row
             ])
-
-
-def write_report_csv(path, reports) -> list:
-    """One wide CSV row per report, in the documented column order."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to write")
-    columns = report_columns(len(reports[0].M_k))
-    rows = ([d[c] for c in columns] for d in map(FunctionalReport.to_dict, reports))
-    _write_csv(path, columns, rows)
-    return columns

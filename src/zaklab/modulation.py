@@ -51,6 +51,7 @@ from .profiles import (
     lambda_omega,
     modulated_profile,
     phi,
+    pi_from_config,
     soliton_phase,
 )
 
@@ -79,15 +80,6 @@ STAGNATION_ITERS = 5
 REASONS = ("converged", "stagnation", "singular", "damping", "max_iter")
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def pi_from_config(config: MultiSolitonConfig) -> np.ndarray:
-    """Reference parameter vector Pi^0 in the fixed (omega, sigma, gamma) order."""
-    return np.array(
-        [p.omega for p in config.solitons]
-        + [p.sigma for p in config.solitons]
-        + [p.gamma for p in config.solitons]
-    )
 
 
 def pi_norm(pi, pi0) -> float:

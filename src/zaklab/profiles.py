@@ -43,6 +43,7 @@ __all__ = [
     "lambda_omega",
     "traveling_wave",
     "multi_soliton",
+    "pi_from_config",
     "modulated_profile",
     "soliton_phase",
 ]
@@ -297,31 +298,33 @@ def multi_soliton(grid: Grid, config: MultiSolitonConfig, t):
 
     t broadcasts against the grid: a (B, 1) column of times gives the B
     superpositions stacked as (B, n_points) fields."""
-    shape = np.broadcast_shapes(np.shape(t), grid.x.shape)
-    u = np.zeros(shape, dtype=complex)
-    n = np.zeros(shape)
-    v = np.zeros(shape)
-    for p in config.solitons:
-        uk, nk, vk = traveling_wave(grid, p, t)
-        u += uk
-        n += nk
-        v += vk
-    return u, n, v
+    return modulated_profile(grid, config, pi_from_config(config), t)
 
 
-def modulated_profile(grid: Grid, config: MultiSolitonConfig, pi, t: float):
+def pi_from_config(config: MultiSolitonConfig) -> np.ndarray:
+    """Reference parameter vector Pi^0 in the fixed (omega, sigma, gamma) order."""
+    return np.array(
+        [p.omega for p in config.solitons]
+        + [p.sigma for p in config.solitons]
+        + [p.gamma for p in config.solitons]
+    )
+
+
+def modulated_profile(grid: Grid, config: MultiSolitonConfig, pi, t):
     """Sum of modulated soliton profiles S(pi) at time t.
 
     pi is the flat parameter vector of length 3K ordered as
-    (omega_1..omega_K, sigma_1..sigma_K, gamma_1..gamma_K).
+    (omega_1..omega_K, sigma_1..sigma_K, gamma_1..gamma_K).  t broadcasts as
+    in multi_soliton.
     """
     pi = np.asarray(pi, dtype=float)
     K = config.K
     if pi.shape != (3 * K,):
         raise ValueError(f"pi must have shape ({3*K},), got {pi.shape}")
-    u = np.zeros(grid.n_points, dtype=complex)
-    n = np.zeros(grid.n_points)
-    v = np.zeros(grid.n_points)
+    shape = np.broadcast_shapes(np.shape(t), grid.x.shape)
+    u = np.zeros(shape, dtype=complex)
+    n = np.zeros(shape)
+    v = np.zeros(shape)
     for k, p in enumerate(config.solitons):
         uk, nk, vk = _wave(grid, p, pi[k], pi[K + k], pi[2 * K + k], t)
         u += uk

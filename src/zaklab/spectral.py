@@ -47,12 +47,12 @@ __all__ = [
     "young_mu",
 ]
 
-# Largest grid a dense solve accepts: matrix() holds about four n x n float
-# arrays at once (the identity, the stacked columns and the symmetrized copy),
-# 537 MB at this size.  spectrum()'s full eigh peaks higher, at about six
-# (the matrix, LAPACK's copy of it, all n eigenvectors and the workspace):
-# one call at n = 2048 raises peak RSS by about 195 MB.
+# Largest grid a dense solve accepts, and the n x n float arrays at the peak
+# of one: spectrum()'s full eigh holds about six (the matrix, LAPACK's copy of
+# it, all n eigenvectors and the workspace), 805 MB at this size; one call at
+# n = 2048 raises peak RSS by about 195 MB.  matrix() alone holds four.
 _DENSE_MAX_POINTS = 4096
+_DENSE_PEAK_ARRAYS = 6
 # Step budget of one Lanczos solve.  The coercivity solves converge in 8-64
 # steps at n = 512 and n = 2048.
 _LANCZOS_STEPS = 512
@@ -93,8 +93,9 @@ class LinearizedOperator:
         """
         n = self.grid.n_points
         if n > _DENSE_MAX_POINTS:
-            raise ValueError(f"a dense matrix on n = {n} points needs about "
-                             f"{4 * n * n * 8} bytes; the limit is n = {_DENSE_MAX_POINTS}")
+            raise ValueError(f"a dense eigensolve on n = {n} points needs about "
+                             f"{_DENSE_PEAK_ARRAYS * n * n * 8} bytes; "
+                             f"the limit is n = {_DENSE_MAX_POINTS}")
         mat = np.stack([self.apply(e) for e in np.eye(n)], axis=1)
         return 0.5 * (mat + mat.T)
 

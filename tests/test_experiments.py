@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zaklab.grid import Grid
+from zaklab.grid import Grid, sobolev_norms
 from zaklab.profiles import SOLITON_KEYS, MultiSolitonConfig, SolitonParams
 from zaklab.dynamics import (
     BlowUpError,
@@ -29,9 +30,6 @@ from zaklab.functionals import (
     CutoffFamily,
     _Frame,
     energy,
-    functional_report,
-    localized_masses,
-    localized_momenta,
     mass,
     momentum,
 )
@@ -322,24 +320,26 @@ def _read_manifest(manifest):
 
 
 def test_run_backward_msw_is_deterministic(tmp_path):
-    spec = ExperimentSpec(kind="backward_msw", config=ONE, **CHEAP)
-    digests = []
-    for sub in ("a", "b"):
-        man = run(spec, output_dir=tmp_path / sub)
-        csv_path = Path(man.run_dir) / "errors.csv"
-        assert csv_path.exists()
-        digests.append(hashlib.sha256(csv_path.read_bytes()).hexdigest())
-        data = _read_manifest(man)
-        # single-soliton data is exact: noted as such instead of fitted
-        assert "exact_solution" in data["notes"]
-        assert data["notes"]["max_err_bold_H"] < 1e-3
-        assert Path(man.run_dir).name == f"backward_msw_{spec.content_hash()}"
-    assert digests[0] == digests[1]
-    # a rerun into the same directory rewrites the manifest with the same bytes
-    manifest_path = tmp_path / "a" / f"backward_msw_{spec.content_hash()}" / "manifest.json"
-    first = manifest_path.read_bytes()
-    run(spec, output_dir=tmp_path / "a")
-    assert manifest_path.read_bytes() == first
+    msw = ExperimentSpec(kind="backward_msw", config=ONE, **CHEAP)
+    audit = ExperimentSpec(kind="weinstein_audit", config=TWO, **CHEAP)
+    for spec, csvs in ((msw, ["errors.csv"]), (audit, ["errors.csv", "functionals.csv"])):
+        digests = []
+        for sub in ("a", "b"):
+            man = run(spec, output_dir=tmp_path / sub)
+            assert Path(man.run_dir).name == f"{spec.kind}_{spec.content_hash()}"
+            if spec is msw:  # single-soliton data is exact: noted as such instead of fitted
+                notes = _read_manifest(man)["notes"]
+                assert "exact_solution" in notes
+                assert notes["max_err_bold_H"] < 1e-3
+            digests.append([hashlib.sha256((Path(man.run_dir) / name).read_bytes()).hexdigest()
+                            for name in csvs])
+        assert digests[0] == digests[1]
+        # a rerun into the same directory rewrites every file with the same bytes
+        run_dir = tmp_path / "a" / f"{spec.kind}_{spec.content_hash()}"
+        first = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        assert set(first) == {*csvs, "manifest.json"}
+        run(spec, output_dir=tmp_path / "a")
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == first
 
 
 def test_run_marks_incomplete_when_no_window_exists(tmp_path):
@@ -441,28 +441,44 @@ def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
 @pytest.mark.parametrize("batch", [1, 3, 16])
 def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch):
     # 51 frames: batches of 3 and 16 leave a short last batch
-    spec = ExperimentSpec(kind="weinstein_audit", config=config, **dict(CHEAP, sample_stride=1))
-    family = CutoffFamily.for_config(config, 5.0)
+    spec = ExperimentSpec(kind="local_quantities", config=config, **dict(CHEAP, sample_stride=1))
     widths = [CutoffFamily.for_config(config, L) for L in (4.0, 8.0)]
-    omegas_t = config.omegas * 1.01
     monkeypatch.setattr(experiments, "_BATCH", batch)
-    series, extras = experiments._backward_series(spec, family, lambda f: zip(
-        f.reports(spec.K0), f.reports(spec.K0, omegas_t),
+    series, extras = experiments._backward_series(spec, extra=lambda f: zip(
         *(experiments._local_rows(f, fam) for fam in widths)))
     states = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
                                 sample_stride=spec.sample_stride)
     assert len(states) == len(extras) == 51
-    for i, (st, (report, report_t, *local)) in enumerate(zip(states, extras)):
+    for i, (st, local) in enumerate(zip(states, extras)):
         alone = _Frame.of([st], config)
         assert [series[c][i] for c in series] == [
             st.t, mass(st), energy(st), momentum(st), alone.eps.bold_H[0], alone.eps.h2_square[0]]
-        assert report == functional_report(st, config, family, spec.K0)
-        assert report_t == functional_report(st, config, family, spec.K0, omegas_t)
         for fam, (t, M_k, P_k) in zip(widths, local):
+            one = _Frame.of([st], family=fam)
             assert t == st.t
-            assert np.array_equal(M_k, localized_masses(st, fam))
-            assert np.array_equal(P_k, localized_momenta(st, fam))
-    assert any(report_t.parts["G22"] != 0.0 for _, report_t, *_ in extras)
+            assert np.array_equal(M_k, one.localized(one.mass_density)[0])
+            assert np.array_equal(P_k, one.localized(one.momentum_density)[0])
+
+
+@pytest.mark.parametrize("config", [ONE, TWO], ids=["K1", "K2"])
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_functionals_csv_equals_the_one_state_frame(tmp_path, monkeypatch, config, batch):
+    """Each functionals.csv cell of an audit, read back through repr, is bit
+    for bit the B = 1 _Frame value of its snapshot, in every batching."""
+    spec = ExperimentSpec(kind="weinstein_audit", config=config, **dict(CHEAP, sample_stride=1))
+    family = CutoffFamily.for_config(config, spec.L_values[0])
+    monkeypatch.setattr(experiments, "_BATCH", batch)
+    man = run(spec, output_dir=tmp_path)
+    with open(Path(man.run_dir) / "functionals.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    states = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
+                                sample_stride=spec.sample_stride)
+    assert len(rows) == len(states) == 51
+    for st, row in zip(states, rows):
+        alone = _Frame.of([st], config, family).reports(spec.K0)
+        assert header == list(alone)
+        for cell, value in zip(row, alone.values()):
+            assert cell == (str(value[0]) if value.dtype == bool else repr(float(value[0])))
 
 
 def _assert_no_child_left():
@@ -495,7 +511,7 @@ def test_a_blowup_in_the_child_arrives_after_the_frames_before_it():
     g = Grid(256, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.0))
     s = State(g, 0.0, s.u, 3.0 * s.n, s.v)
-    h1 = [st.norms()["H1_of_u"] for st in evolve(s, 0.2, 1e-3)]
+    h1 = [sobolev_norms(g, st.u, st.n, st.v)["H1_of_u"] for st in evolve(s, 0.2, 1e-3)]
 
     def stream(batches):
         seen = []

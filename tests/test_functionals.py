@@ -11,20 +11,14 @@ from zaklab.experiments import error_series, gmod_series
 from zaklab.functionals import (
     CutoffFamily,
     _Frame,
+    _write_csv,
     cutoff_profile_constants,
     energy,
-    functional_report,
-    localized_masses,
-    localized_momenta,
     mass,
-    modified_energies,
     momentum,
-    report_columns,
     smooth_step,
-    tail_mass,
     weinstein,
     weinstein_decompose,
-    write_report_csv,
 )
 from zaklab.modulation import pi_from_config
 
@@ -32,6 +26,9 @@ SEED = 42
 
 TWO = MultiSolitonConfig((SolitonParams(1.0, -0.5, -8.0, 0.0),
                           SolitonParams(1.0, 0.5, 8.0, 1.0)))
+# the documented functionals.csv columns of a two-soliton config
+COLUMNS_TWO = ["t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G22",
+               "G3", "H", "G_mod", "mass_tail", "energy_tail", "g22_active"]
 
 
 def _random_state(grid, rng, scale=1e-3, t=0.0):
@@ -127,9 +124,9 @@ def test_cutoff_boundary_tracks_mean_speed():
 def test_local_quantities_sum_to_global():
     g = Grid(2048, 80.0)
     st = multi_soliton_state(g, TWO, 0.0)
-    fam = CutoffFamily.for_config(TWO, L=5.0)
-    masses = localized_masses(st, fam)
-    momenta = localized_momenta(st, fam)
+    f = _Frame.of([st], family=CutoffFamily.for_config(TWO, L=5.0))
+    masses = f.localized(f.mass_density)[0]
+    momenta = f.localized(f.momentum_density)[0]
     assert abs(sum(masses) - mass(st)) < 1e-10
     assert abs(sum(momenta) - momentum(st)) < 1e-10
     # separated equal-mass pair: each window holds about half the mass
@@ -151,11 +148,12 @@ def test_weinstein_identity_report_consistency():
     st = multi_soliton_state(g, TWO, 0.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
     value = weinstein(st, TWO, fam)
+    f = _Frame.of([st], family=fam)
     rebuilt = energy(st) + sum(
         p.nu * mk - p.c * pk
         for p, mk, pk in zip(TWO.solitons,
-                             localized_masses(st, fam),
-                             localized_momenta(st, fam)))
+                             f.localized(f.mass_density)[0],
+                             f.localized(f.momentum_density)[0]))
     assert abs(value - rebuilt) < 1e-10
 
 
@@ -243,31 +241,28 @@ def test_modified_energy_quadratic_scaling():
     U = rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points)
     N = rng.standard_normal(g.n_points)
     V = rng.standard_normal(g.n_points)
-    base = modified_energies(g, U, N, V, zeros.astype(complex))
-    half = modified_energies(g, 0.5 * U, 0.5 * N, 0.5 * V, zeros.astype(complex))
+    base, half = (_Frame.of([State(g, 0.0, s * U, s * N, s * V)]).modified(zeros, zeros)["H"][0]
+                  for s in (1.0, 0.5))
     # H is purely quadratic; G_mod has cubic corrections so no exact scaling
-    assert half["H"] == pytest.approx(0.25 * base["H"], rel=1e-12)
-    assert base["H"] > 0.0
+    assert half == pytest.approx(0.25 * base, rel=1e-12)
+    assert base > 0.0
 
 
 def test_tail_mass_closed_form():
     g = Grid(1024, 40.0)
-    s = soliton_state(g, SolitonParams(1.0, 0.0))
-    tails = tail_mass(s, 5.0)
-    assert tails["mass_tail"] == pytest.approx(4.0 * (1.0 - np.tanh(5.0)),
-                                               abs=1e-6)
+    f = _Frame.of([soliton_state(g, SolitonParams(1.0, 0.0))])
+    assert f.tails(5.0)["mass_tail"][0] == pytest.approx(4.0 * (1.0 - np.tanh(5.0)),
+                                                         abs=1e-6)
     with pytest.raises(ValueError):
-        tail_mass(s, 0.0)
+        f.tails(0.0)
     with pytest.raises(ValueError):
-        tail_mass(s, 25.0)
+        f.tails(25.0)
 
 
 def test_tail_mass_shrinks_with_window():
     g = Grid(1024, 40.0)
-    s = soliton_state(g, SolitonParams(1.0, 0.0))
-    t3 = tail_mass(s, 3.0)["mass_tail"]
-    t5 = tail_mass(s, 5.0)["mass_tail"]
-    t8 = tail_mass(s, 8.0)["mass_tail"]
+    f = _Frame.of([soliton_state(g, SolitonParams(1.0, 0.0))])
+    t3, t5, t8 = (f.tails(K0)["mass_tail"][0] for K0 in (3.0, 5.0, 8.0))
     assert t3 > t5 > t8 > 0.0
 
 
@@ -277,40 +272,40 @@ def test_functional_report_invariants():
     g = Grid(2048, 80.0)
     st = multi_soliton_state(g, TWO, 0.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
-    rep = functional_report(st, TWO, fam)
-    assert rep.t == 0.0
-    assert abs(rep.M - sum(rep.M_k)) < 1e-10
-    assert abs(rep.P - sum(rep.P_k)) < 1e-10
-    identity = rep.E + sum(p.nu * mk - p.c * pk for p, mk, pk
-                           in zip(TWO.solitons, rep.M_k, rep.P_k))
-    assert abs(rep.G - identity) < 1e-10
-    assert not rep.g22_active
-    assert rep.parts["G22"] == 0.0
-    d = rep.to_dict()
-    assert d["M_1"] == rep.M_k[0]
-    assert d["G21"] == rep.parts["G21"]
+    rep = _Frame.of([st], TWO, fam).reports(5.0)
+    assert list(rep) == COLUMNS_TWO
+    assert all(np.shape(col) == (1,) for col in rep.values())
+    rep = {key: col[0] for key, col in rep.items()}
+    assert rep["t"] == 0.0
+    assert abs(rep["M"] - rep["M_1"] - rep["M_2"]) < 1e-10
+    assert abs(rep["P"] - rep["P_1"] - rep["P_2"]) < 1e-10
+    identity = rep["E"] + sum(p.nu * rep[f"M_{k + 1}"] - p.c * rep[f"P_{k + 1}"]
+                              for k, p in enumerate(TWO.solitons))
+    assert abs(rep["G"] - identity) < 1e-10
+    assert not rep["g22_active"]
+    assert rep["G22"] == 0.0
 
 
 def test_report_csv_round_trip(tmp_path):
     g = Grid(1024, 80.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
-    reports = [functional_report(multi_soliton_state(g, TWO, t), TWO, fam)
-               for t in (0.0, 0.5)]
+    reports = _Frame.of([multi_soliton_state(g, TWO, t) for t in (0.0, 0.5)],
+                        TWO, fam).reports(5.0)
     path = tmp_path / "reports.csv"
-    write_report_csv(path, reports)
+    _write_csv(path, list(reports), zip(*reports.values()))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == report_columns(2)
+    assert rows[0] == COLUMNS_TWO
     assert len(rows) == 3
     # repr round trip is exact
-    assert float(rows[1][rows[0].index("M")]) == reports[0].M
+    assert float(rows[1][rows[0].index("M")]) == reports["M"][0]
 
 
 # --- the shared per-frame pass -------------------------------------------------------
 
 def test_frame_pass_matches_public_functions(backward_run):
     """Every value the per-frame pass feeds the CSVs equals, bit for bit,
-    the public function (or the old formula) it replaces."""
+    the public function (or the formula, on one snapshot) it stands for."""
     grid, config, traj = backward_run
     cases = [(min(traj, key=lambda s: abs(s.t - t)), config) for t in (0.0, 5.0, 30.0)]
     one = MultiSolitonConfig((SolitonParams(1.0, 0.3),))
@@ -321,24 +316,39 @@ def test_frame_pass_matches_public_functions(backward_run):
 
     for st, cfg in cases:
         g = st.grid
+
+        def d(f, order=1):
+            return spectral_derivative(g, f, order)
+
         fam = CutoffFamily.for_config(cfg, L=5.0)
         ru, rn, rv = multi_soliton(g, cfg, st.t)
         S = State(g, st.t, ru, rn, rv)
         eps = State(g, st.t, st.u - ru, st.n - rn, st.v - rv)
         f = _Frame.of([st], cfg, fam)
-        rep, = f.reports(K0=5.0)
-        assert (rep.t, rep.M, rep.E, rep.P) == (st.t, mass(st), energy(st), momentum(st))
-        assert rep.M_k == tuple(localized_masses(st, fam))
-        assert rep.P_k == tuple(localized_momenta(st, fam))
-        assert rep.G == weinstein(st, cfg, fam)
-        assert rep.parts == weinstein_decompose(eps, S, cfg, fam)
-        assert rep.modified == modified_energies(g, eps.u, eps.n, eps.v, ru)
-        assert rep.tails == tail_mass(st, 5.0)
+        rep = {key: col[0] for key, col in f.reports(K0=5.0).items()}
+        assert (rep["t"], rep["M"], rep["E"], rep["P"]) == (
+            st.t, mass(st), energy(st), momentum(st))
+        mass_dens = np.abs(st.u) ** 2
+        energy_dens = np.abs(d(st.u)) ** 2 + st.n * mass_dens + 0.5 * (st.n**2 + st.v**2)
+        mom_dens = np.imag(np.conj(st.u) * d(st.u)) + st.n * st.v
+        for k, chi in enumerate(fam.chis(g, st.t)):
+            assert rep[f"M_{k + 1}"] == quadrature(g, mass_dens * chi)
+            assert rep[f"P_{k + 1}"] == quadrature(g, mom_dens * chi)
+        assert rep["G"] == weinstein(st, cfg, fam)
+        parts = weinstein_decompose(eps, S, cfg, fam)
+        assert {key: rep[key] for key in parts} == parts
+        Ux, Nx = d(eps.u), d(eps.n)
+        H = quadrature(g, np.abs(d(eps.u, 2)) ** 2 + 0.5 * Nx**2 + 0.5 * d(eps.v) ** 2)
+        G_mod = (H + 2.0 * quadrature(g, eps.n * np.abs(Ux) ** 2)
+                 + 2.0 * quadrature(g, np.real(eps.u * Nx * np.conj(Ux)))
+                 + 2.0 * quadrature(g, np.real(ru * Nx * np.conj(Ux)))
+                 - 2.0 * quadrature(g, np.real(np.conj(eps.u) * d(ru) * Nx)))
+        assert (rep["H"], rep["G_mod"]) == (H, G_mod)
+        outside = np.clip((np.abs(g.x) - 5.0) / g.spacing + 0.5, 0.0, 1.0)
+        assert (rep["mass_tail"], rep["energy_tail"]) == (
+            quadrature(g, mass_dens * outside), quadrature(g, energy_dens * outside))
         assert f.eps.bold_H[0] == sobolev_norms(g, eps.u, eps.n, eps.v)["bold_H"]
         h2_square = (quadrature(g, np.abs(spectral_derivative(g, eps.u, 2)) ** 2)
                      + quadrature(g, spectral_derivative(g, eps.n, 1) ** 2)
                      + quadrature(g, spectral_derivative(g, eps.v, 1) ** 2))
         assert f.eps.h2_square[0] == h2_square
-        omegas_t = np.array(cfg.omegas) * 1.01
-        assert f.reports(5.0, omegas_t)[0].parts == weinstein_decompose(eps, S, cfg, fam,
-                                                                         omegas_t)
