@@ -31,7 +31,7 @@ import os
 from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -47,7 +47,7 @@ from .functionals import (
     cutoff_profile_constants,
 )
 from .grid import Grid, quadrature
-from .modulation import pi_from_config, pi_norm, track, write_track_csv
+from .modulation import pi_from_config, pi_norm, track
 from .profiles import CEILING, COUNT, FINITE, POSITIVE, POSITIVES, SPEEDS, Admits, config_key
 from .profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from .spectral import coercivity_nls, h2_coercivity, young_mu
@@ -59,16 +59,12 @@ __all__ = [
     "fit_exponential",
     "auto_window",
     "error_series",
-    "write_error_csv",
     "local_series",
-    "write_local_csv",
     "gmod_series",
     "edo_constant_fit",
     "run",
 ]
 
-_ERROR_COLUMNS = ("t", "M", "E", "P", "err_bold_H", "err_h2_square")
-_LOCAL_COLUMNS = ("t", "M_k", "P_k")
 # The per-frame diagnostics run on batches of frames stacked as (B, n) arrays,
 # which pays numpy's per-call overhead once per batch.  audit-dense on 2-vCPU
 # hosts, batch size against wall time and peak RSS (the frames' caches grow
@@ -340,60 +336,48 @@ def _send_batches(frames, grid: Grid, recv, send):
         os._exit(code)  # no atexit handlers, no flush of buffers copied from the parent
 
 
-def _error_rows(f: _Frame) -> list:
-    """Each snapshot's _ERROR_COLUMNS: invariants, then norms of state - R(t)."""
-    return list(zip(f.times, f.M, f.E, f.P, f.eps.bold_H, f.eps.h2_square))
+def _tables(batches, tables) -> list:
+    """Each table function's columns over a stream of _Frames, in stream order.
+
+    A table function maps a _Frame to its {name: (B,) column} dict; each
+    batch is dropped once its tables are made, and each table's per-batch
+    columns are concatenated once at the end.  The stream is closed on the
+    way out (which ends an integrating child if a table function raises).
+    """
+    parts = [[] for _ in tables]
+    with closing(batches):
+        for f in batches:
+            for part, table in zip(parts, tables):
+                part.append(table(f))
+    if not parts[0]:
+        raise ValueError("the stream gave no frames")
+    return [{c: np.concatenate([p[c] for p in part]) for c in part[0]} for part in parts]
 
 
-def _series(rows, columns) -> dict:
-    """Per-frame rows as one array per column."""
-    return {c: np.array(v) for c, v in zip(columns, zip(*rows))}
+def _local_table(family: CutoffFamily):
+    """The table function of local_L<L>.csv: t, then family's M_k and P_k."""
+    return lambda f: {"t": f.times, **f.local(family.chis(f.grid, f.t))}
 
 
 def error_series(frames, config: MultiSolitonConfig) -> dict:
     """Per-frame invariants and profile errors over an iterable of States."""
-    return _error_series(_batches(frames, config))
-
-
-def _error_series(batches) -> dict:
-    """error_series over a stream of _Frames that carry the config."""
-    return _series(chain.from_iterable(map(_error_rows, batches)), _ERROR_COLUMNS)
-
-
-def write_error_csv(path, series: dict) -> list:
-    columns = list(_ERROR_COLUMNS)
-    _write_csv(path, columns, zip(*(series[c] for c in columns)))
-    return columns
-
-
-def _local_rows(f: _Frame, family: CutoffFamily) -> list:
-    """Each snapshot's t, K localized masses and K localized momenta under family."""
-    chis = family.chis(f.grid, f.t)
-    return list(zip(f.times, f.localized(f.mass_density, chis),
-                    f.localized(f.momentum_density, chis)))
+    return _tables(_batches(frames, config), [_Frame.errors])[0]
 
 
 def local_series(frames, config: MultiSolitonConfig, L: float) -> dict:
     """Localized masses and momenta over an iterable of States for one cutoff width."""
-    family = CutoffFamily.for_config(config, L)
-    rows = chain.from_iterable(_local_rows(f, family) for f in _batches(frames))
-    return {**_series(rows, _LOCAL_COLUMNS), "L": L}
-
-
-def write_local_csv(path, series: dict) -> list:
-    K = series["M_k"].shape[1]
-    columns = ["t"] + [f"M_{k+1}" for k in range(K)] + [f"P_{k+1}" for k in range(K)]
-    _write_csv(path, columns, ([t, *m, *p] for t, m, p in zip(*map(series.get, _LOCAL_COLUMNS))))
-    return columns
+    cols = _tables(_batches(frames), [_local_table(CutoffFamily.for_config(config, L))])[0]
+    ks = range(1, config.K + 1)
+    return {"t": cols["t"], "M_k": np.stack([cols[f"M_{k}"] for k in ks], axis=-1),
+            "P_k": np.stack([cols[f"P_{k}"] for k in ks], axis=-1), "L": L}
 
 
 def gmod_series(frames, config: MultiSolitonConfig) -> dict:
     """Modified energies H and G_mod of state - R(t) over an iterable of States."""
-    def rows(f):
-        vals = f.eps.modified(f.ref.u, f.ref.ux)
-        return zip(f.times, vals["H"], vals["G_mod"])
+    def table(f):
+        return {"t": f.times, **f.eps.modified(f.ref.u, f.ref.ux)}
 
-    return _series(chain.from_iterable(map(rows, _batches(frames, config))), ("t", "H", "G_mod"))
+    return _tables(_batches(frames, config), [table])[0]
 
 
 def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
@@ -435,19 +419,13 @@ def _backward(spec: ExperimentSpec, grid: Grid, build=backward_frames):
                  sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
 
 
-def _backward_series(spec: ExperimentSpec, family=None, extra=lambda f: repeat(None)):
-    """The backward run's error series and extra's per-snapshot values, in
-    increasing time.  The frames stream in integration order (t_final -> 0)
-    and each batch is dropped once its rows are made: only the small rows are
-    held and reversed.  extra(f) gives one value per snapshot of a _Frame."""
+def _backward_tables(spec: ExperimentSpec, tables, family=None) -> list:
+    """_tables of the backward run's streamed batches, in increasing time.
+    The frames stream in integration order (t_final -> 0), so each column is
+    reversed once at the end."""
     grid = spec.make_grid()
-    rows = []
-    with closing(_integrated_batches(_backward(spec, grid), grid, spec.config, family)) as batches:
-        for f in batches:
-            rows += zip(_error_rows(f), extra(f))
-    rows.reverse()
-    errors, extras = zip(*rows)
-    return _series(errors, _ERROR_COLUMNS), extras
+    batches = _integrated_batches(_backward(spec, grid), grid, spec.config, family)
+    return [{c: v[::-1].copy() for c, v in cols.items()} for cols in _tables(batches, tables)]
 
 
 def _fit_error_rates(series: dict, manifest: RunManifest, K: int):
@@ -475,10 +453,10 @@ def _fit_error_rates(series: dict, manifest: RunManifest, K: int):
     return fit
 
 
-def _save_error_series(series: dict, run_dir: Path, manifest: RunManifest):
-    path = run_dir / "errors.csv"
-    write_error_csv(path, series)
-    manifest.add_file(path, "error_series")
+def _save(run_dir: Path, manifest: RunManifest, name: str, role: str, columns: dict):
+    path = run_dir / name
+    _write_csv(path, columns)
+    manifest.add_file(path, role)
 
 
 def _run_simulate(spec, run_dir, manifest):
@@ -487,16 +465,15 @@ def _run_simulate(spec, run_dir, manifest):
     grid = spec.make_grid()
     frames = evolve(multi_soliton_state(grid, spec.config, 0.0), spec.t_final, spec.dt,
                     sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
-    with closing(_integrated_batches(frames, grid, spec.config)) as batches:
-        series = _error_series(batches)
-    _save_error_series(series, run_dir, manifest)
+    errors, = _tables(_integrated_batches(frames, grid, spec.config), [_Frame.errors])
+    _save(run_dir, manifest, "errors.csv", "error_series", errors)
 
 
 def _run_backward_msw(spec, run_dir, manifest):
     """backward multi-soliton construction with error-decay fit"""
-    series, _ = _backward_series(spec)
-    _save_error_series(series, run_dir, manifest)
-    _fit_error_rates(series, manifest, spec.config.K)
+    errors, = _backward_tables(spec, [_Frame.errors])
+    _save(run_dir, manifest, "errors.csv", "error_series", errors)
+    _fit_error_rates(errors, manifest, spec.config.K)
 
 
 def _run_weinstein_audit(spec, run_dir, manifest):
@@ -504,27 +481,18 @@ def _run_weinstein_audit(spec, run_dir, manifest):
     L = spec.L_values[0]
     family = CutoffFamily.for_config(spec.config, L)
     log.info(f"functional audit of every frame (L={L})")
-    columns = []  # the names, in file order, of the columns every batch gives
+    errors, reports = _backward_tables(
+        spec, [_Frame.errors, lambda f: f.reports(spec.K0)], family)
+    _save(run_dir, manifest, "errors.csv", "error_series", errors)
+    fit = _fit_error_rates(errors, manifest, spec.config.K)
 
-    def report_rows(f):
-        reports = f.reports(spec.K0)
-        columns[:] = reports
-        return zip(*reports.values())
-
-    series, rows = _backward_series(spec, family, report_rows)
-    _save_error_series(series, run_dir, manifest)
-    fit = _fit_error_rates(series, manifest, spec.config.K)
-
-    rep_path = run_dir / "functionals.csv"
-    _write_csv(rep_path, columns, rows)
-    manifest.add_file(rep_path, "functional_reports")
+    _save(run_dir, manifest, "functionals.csv", "functional_reports", reports)
     manifest.notes["psi_constants"] = cutoff_profile_constants()
     manifest.notes["young_mu"] = young_mu(spec.config)
     manifest.notes["cutoff_L"] = L
 
-    reports = _series(rows, columns)
     g_vals = reports["G"]
-    t = series["t"]
+    t = errors["t"]
     drift = np.abs(g_vals - g_vals[-1])
     if fit is not None:
         window = tuple(manifest.fits["theta_hat"]["window"])
@@ -559,21 +527,16 @@ def _run_coercivity_sweep(spec, run_dir, manifest):
 def _run_local_quantities(spec, run_dir, manifest):
     """localized mass/momentum drift across cutoff widths"""
     families = [CutoffFamily.for_config(spec.config, L) for L in spec.L_values]
-    series, local_rows = _backward_series(
-        spec, extra=lambda f: zip(*(_local_rows(f, family) for family in families)))
-    fit = _fit_error_rates(series, manifest, spec.config.K)
+    errors, *tables = _backward_tables(spec, [_Frame.errors, *map(_local_table, families)])
+    fit = _fit_error_rates(errors, manifest, spec.config.K)
     window = tuple(manifest.fits["theta_hat"]["window"]) if fit else (0.0, spec.t_final)
     drifts = {}
-    for L, width_rows in zip(spec.L_values, zip(*local_rows)):
-        loc = _series(width_rows, _LOCAL_COLUMNS)
+    for L, loc in zip(spec.L_values, tables):
+        _save(run_dir, manifest, f"local_L{L:g}.csv", f"local_series_L{L:g}", loc)
         t = loc["t"]
-        path = run_dir / f"local_L{L:g}.csv"
-        write_local_csv(path, loc)
-        manifest.add_file(path, f"local_series_L{L:g}")
         keep = (t >= window[0]) & (t <= window[1])
-        final = loc["M_k"][-1]
-        dev = np.max(np.abs(loc["M_k"][keep] - final), axis=0)
-        drifts[f"{L:g}"] = [float(d) for d in dev]
+        M_k = (loc[f"M_{k + 1}"] for k in range(spec.config.K))
+        drifts[f"{L:g}"] = [float(np.max(np.abs(m[keep] - m[-1]))) for m in M_k]
     manifest.notes["mass_drift_by_L"] = drifts
     manifest.notes["drift_window"] = list(window)
     Ls = [f"{L:g}" for L in spec.L_values]
@@ -590,9 +553,7 @@ def _run_modulation_track(spec, run_dir, manifest):
     frames = _backward(spec, spec.make_grid(), backward_construct)
     log.info(f"modulating {len(frames)} frames")
     result = track(frames, spec.config, tolerance=spec.tolerance)
-    path = run_dir / "modulation.csv"
-    write_track_csv(path, result, spec.config)
-    manifest.add_file(path, "modulation_series")
+    _save(run_dir, manifest, "modulation.csv", "modulation_series", result.columns())
     manifest.notes["frames_converged"] = int(np.count_nonzero(result.converged))
     manifest.notes["frames_total"] = int(result.converged.size)
     manifest.notes["frames_failed_by_reason"] = dict(Counter(

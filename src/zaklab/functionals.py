@@ -30,8 +30,9 @@ against a reference u-profile R_u:
 whose controlled growth yields the higher-regularity decay diagnostics.
 
 The diagnostics of many snapshots are computed together by _Frame, on a
-batch stacked as (B, n_points) arrays; _Frame.reports gives the columns of
-the audit's functionals.csv, one (B,) array each.
+batch stacked as (B, n_points) arrays; _Frame.errors, _Frame.local and
+_Frame.reports give the columns of the run tables errors.csv, local_L<L>.csv
+and functionals.csv, one (B,) array each.
 """
 
 from __future__ import annotations
@@ -151,11 +152,22 @@ class _Frame:
     def P(self):
         return quadrature(self.grid, self.momentum_density)
 
-    def localized(self, density, chis=None):
-        """The K cutoff-weighted integrals of a density (own chis by default),
-        as a (B, K) array."""
-        return np.stack([quadrature(self.grid, density * c)
-                         for c in (self.chis if chis is None else chis)], axis=-1)
+    def invariants(self) -> dict:
+        """The columns t, M, E, P, one (B,) array each."""
+        return {"t": self.times, "M": self.M, "E": self.E, "P": self.P}
+
+    def errors(self) -> dict:
+        """The errors.csv columns: invariants, then norms of state - R(t)
+        (needs config)."""
+        e = self.eps
+        return {**self.invariants(), "err_bold_H": e.bold_H, "err_h2_square": e.h2_square}
+
+    def local(self, chis) -> dict:
+        """The K cutoff-weighted masses M_1..M_K, then momenta P_1..P_K, under
+        the (K, B, n_points) cutoffs chis, one (B,) array each."""
+        return {f"{name}_{k + 1}": quadrature(self.grid, density * c)
+                for name, density in (("M", self.mass_density), ("P", self.momentum_density))
+                for k, c in enumerate(chis)}
 
     @property
     def bold_H(self):
@@ -220,12 +232,9 @@ class _Frame:
         fixed-parameter profiles, at the reference pulsations, so G22 is zero
         and g22_active False."""
         e, r = self.eps, self.ref
-        M_k = self.localized(self.mass_density)
-        P_k = self.localized(self.momentum_density)
         return {
-            "t": self.times, "M": self.M, "E": self.E, "P": self.P,
-            **{f"M_{k + 1}": m for k, m in enumerate(M_k.T)},
-            **{f"P_{k + 1}": p for k, p in enumerate(P_k.T)},
+            **self.invariants(),
+            **self.local(self.chis),
             "G": self.weinstein(self.config, self.chis),
             **_decompose(e, r, self.config, self.chis, None),
             **e.modified(r.u, r.ux),
@@ -405,15 +414,17 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
     return {"G0": g0, "G1": g1, "G21": g21, "G22": g22, "G3": g3}
 
 
-def _write_csv(path, columns, rows) -> None:
-    """The package's one CSV format: a header row, then floats written by
-    repr (so they read back bit for bit) and strings, bools and ints by str."""
+def _write_csv(path, columns: dict) -> None:
+    """The package's one CSV format, for a table given as {name: column}
+    (arrays or lists of one length): a header of the names, then one row per
+    index, floats written by repr (so they read back bit for bit) and
+    strings, bools and ints by str."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
+        for row in zip(*columns.values()):
             writer.writerow([
                 str(x) if isinstance(x, (str, bool, int, np.bool_, np.integer))
                 else repr(float(x))

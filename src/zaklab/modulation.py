@@ -44,7 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import State
-from .functionals import _write_csv
 from .grid import quadrature
 from .profiles import (
     MultiSolitonConfig,
@@ -68,8 +67,6 @@ __all__ = [
     "leading_diagonal_constants",
     "TrackResult",
     "track",
-    "track_columns",
-    "write_track_csv",
 ]
 
 # Newton gives up once the best residual has not improved for this many
@@ -365,6 +362,19 @@ class TrackResult:
     epsilon_H: np.ndarray
     converged: np.ndarray
 
+    def columns(self) -> dict:
+        """The modulation.csv columns: t, then per soliton pi, its rates and
+        the gamma rate mismatch, then each fit's exit."""
+        K = self.gamma_rate_mismatch.shape[1]
+        names = [f"{name}_{k + 1}" for name in ("omega", "sigma", "gamma", "domega_dt",
+                                                "dsigma_dt", "dgamma_dt", "gamma_rate_mismatch")
+                 for k in range(K)]
+        values = np.hstack([self.pis, self.rates, self.gamma_rate_mismatch]).T
+        return {"t": self.times, **dict(zip(names, values)), "eps_H": self.epsilon_H,
+                "residual_max": [r.residual_max for r in self.results],
+                "iterations": [r.iterations for r in self.results],
+                "converged": self.converged, "reason": [r.reason for r in self.results]}
+
 
 def track(frames, config: MultiSolitonConfig,
           tolerance: float = 1e-10, max_iter: int = 50) -> TrackResult:
@@ -411,25 +421,3 @@ def track(frames, config: MultiSolitonConfig,
         epsilon_H=np.array([r.epsilon_H_norm for r in results]),
         converged=np.array([r.converged for r in results]),
     )
-
-
-def track_columns(K: int) -> list:
-    cols = ["t"]
-    for name in ("omega", "sigma", "gamma"):
-        cols += [f"{name}_{k+1}" for k in range(K)]
-    for name in ("domega_dt", "dsigma_dt", "dgamma_dt"):
-        cols += [f"{name}_{k+1}" for k in range(K)]
-    cols += [f"gamma_rate_mismatch_{k+1}" for k in range(K)]
-    cols += ["eps_H", "residual_max", "iterations", "converged", "reason"]
-    return cols
-
-
-def write_track_csv(path, result: TrackResult, config: MultiSolitonConfig) -> list:
-    """Parameter/rate time series in the documented column order."""
-    columns = track_columns(config.K)
-    rows = ([result.times[i], *result.pis[i], *result.rates[i],
-             *result.gamma_rate_mismatch[i], r.epsilon_H_norm, r.residual_max,
-             r.iterations, bool(r.converged), r.reason]
-            for i, r in enumerate(result.results))
-    _write_csv(path, columns, rows)
-    return columns

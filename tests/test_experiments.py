@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 import warnings
 from contextlib import closing
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from zaklab import experiments
 from zaklab.functionals import (
     CutoffFamily,
     _Frame,
+    _write_csv,
     energy,
     mass,
     momentum,
@@ -45,8 +45,6 @@ from zaklab.experiments import (
     gmod_series,
     local_series,
     run,
-    write_error_csv,
-    write_local_csv,
 )
 
 ONE = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
@@ -278,11 +276,42 @@ def test_error_series_matches_direct_evaluation(tmp_path):
     assert np.max(series["err_h2_square"]) == 0.0
 
     path = tmp_path / "errors.csv"
-    cols = write_error_csv(path, series)
+    _write_csv(path, series)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == ",".join(cols)
+    assert lines[0] == ",".join(series)
     assert len(lines) == 4
     assert float(lines[2].split(",")[1]) == series["M"][1]
+
+
+_ERRORS_HEADER = ["t", "M", "E", "P", "err_bold_H", "err_h2_square"]
+_LOCAL_HEADER = ["t", "M_1", "M_2", "P_1", "P_2"]
+
+
+@pytest.mark.parametrize("kind, headers", [
+    ("simulate", {"errors.csv": _ERRORS_HEADER}),
+    ("backward_msw", {"errors.csv": _ERRORS_HEADER}),
+    ("weinstein_audit", {"errors.csv": _ERRORS_HEADER, "functionals.csv": [
+        "t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G22", "G3",
+        "H", "G_mod", "mass_tail", "energy_tail", "g22_active"]}),
+    ("local_quantities", {"local_L4.csv": _LOCAL_HEADER, "local_L8.csv": _LOCAL_HEADER}),
+    ("modulation_track", {"modulation.csv": [
+        "t", "omega_1", "omega_2", "sigma_1", "sigma_2", "gamma_1", "gamma_2",
+        "domega_dt_1", "domega_dt_2", "dsigma_dt_1", "dsigma_dt_2", "dgamma_dt_1",
+        "dgamma_dt_2", "gamma_rate_mismatch_1", "gamma_rate_mismatch_2",
+        "eps_H", "residual_max", "iterations", "converged", "reason"]}),
+])
+def test_the_run_tables_keep_their_documented_headers(tmp_path, kind, headers):
+    """Every CSV a kind writes, with its header as the README documents it;
+    the benchmark harness reads t, err_bold_H, omega_k|sigma_k|gamma_k and
+    converged by name."""
+    spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP, L_values=(4.0, 8.0))
+    run_dir = Path(run(spec, output_dir=tmp_path).run_dir)
+    assert sorted(p.name for p in run_dir.glob("*.csv")) == sorted(headers)
+    for name, header in headers.items():
+        with open(run_dir / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header
+        assert len(rows) == 7 and all(len(row) == len(header) for row in rows)  # 6 frames
 
 
 def test_local_and_gmod_series_shapes():
@@ -296,6 +325,9 @@ def test_local_and_gmod_series_shapes():
     # both modified energies vanish when the state equals the reference
     assert np.max(np.abs(gm["H"])) < 1e-18
     assert np.max(np.abs(gm["G_mod"])) < 1e-18
+    for series in (error_series, gmod_series):
+        with pytest.raises(ValueError, match="no frames"):
+            series([], TWO)
 
 
 # --- manifest ---------------------------------------------------------------------
@@ -433,7 +465,9 @@ def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
                                 sample_stride=spec.sample_stride)
     for L in spec.L_values:
         path = tmp_path / f"L{L:g}.csv"
-        write_local_csv(path, local_series(frames, TWO, L))
+        loc = local_series(frames, TWO, L)
+        _write_csv(path, {"t": loc["t"], **{f"{q}_{k + 1}": col for q in "MP"
+                                            for k, col in enumerate(loc[f"{q}_k"].T)}})
         assert path.read_bytes() == (Path(man.run_dir) / f"local_L{L:g}.csv").read_bytes()
 
 
@@ -444,20 +478,20 @@ def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch
     spec = ExperimentSpec(kind="local_quantities", config=config, **dict(CHEAP, sample_stride=1))
     widths = [CutoffFamily.for_config(config, L) for L in (4.0, 8.0)]
     monkeypatch.setattr(experiments, "_BATCH", batch)
-    series, extras = experiments._backward_series(spec, extra=lambda f: zip(
-        *(experiments._local_rows(f, fam) for fam in widths)))
+    errors, *tables = experiments._backward_tables(
+        spec, [_Frame.errors, *map(experiments._local_table, widths)])
     states = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
                                 sample_stride=spec.sample_stride)
-    assert len(states) == len(extras) == 51
-    for i, (st, local) in enumerate(zip(states, extras)):
+    assert len(states) == len(errors["t"]) == 51
+    for i, st in enumerate(states):
         alone = _Frame.of([st], config)
-        assert [series[c][i] for c in series] == [
+        assert [errors[c][i] for c in errors] == [
             st.t, mass(st), energy(st), momentum(st), alone.eps.bold_H[0], alone.eps.h2_square[0]]
-        for fam, (t, M_k, P_k) in zip(widths, local):
+        for fam, local in zip(widths, tables):
             one = _Frame.of([st], family=fam)
-            assert t == st.t
-            assert np.array_equal(M_k, one.localized(one.mass_density)[0])
-            assert np.array_equal(P_k, one.localized(one.momentum_density)[0])
+            assert list(local) == ["t"] + list(one.local(one.chis))
+            assert [local[c][i] for c in local] == [
+                st.t, *(col[0] for col in one.local(one.chis).values())]
 
 
 @pytest.mark.parametrize("config", [ONE, TWO], ids=["K1", "K2"])
@@ -492,14 +526,14 @@ def test_a_failing_consumer_ends_the_integrating_child():
     boom = ZeroDivisionError("second batch")
     sizes = []
 
-    def extra(f):
+    def table(f):
         sizes.append(f.times.size)
         if len(sizes) == 2:
             raise boom
-        return repeat(None)
+        return f.errors()
 
     with pytest.raises(ZeroDivisionError) as err:
-        experiments._backward_series(spec, extra=extra)
+        experiments._backward_tables(spec, [table])
     assert err.value is boom
     assert sizes == [experiments._BATCH] * 2
     _assert_no_child_left()
@@ -571,7 +605,7 @@ def test_an_integer_t_final_streams_as_the_in_process_series(tmp_path):
                           dt=0.0625, sample_stride=1, t_final=1)
     manifest = run(spec, output_dir=tmp_path / "runs")
     frames = evolve(multi_soliton_state(spec.make_grid(), ONE, 0.0), 1, 0.0625)
-    write_error_csv(tmp_path / "alone.csv", error_series(frames, ONE))
+    _write_csv(tmp_path / "alone.csv", error_series(frames, ONE))
     streamed = (Path(manifest.run_dir) / "errors.csv").read_bytes()
     assert streamed == (tmp_path / "alone.csv").read_bytes()
     assert streamed.splitlines()[-1].startswith(b"1.0,")

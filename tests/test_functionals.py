@@ -125,8 +125,9 @@ def test_local_quantities_sum_to_global():
     g = Grid(2048, 80.0)
     st = multi_soliton_state(g, TWO, 0.0)
     f = _Frame.of([st], family=CutoffFamily.for_config(TWO, L=5.0))
-    masses = f.localized(f.mass_density)[0]
-    momenta = f.localized(f.momentum_density)[0]
+    loc = f.local(f.chis)
+    masses = [loc["M_1"][0], loc["M_2"][0]]
+    momenta = [loc["P_1"][0], loc["P_2"][0]]
     assert abs(sum(masses) - mass(st)) < 1e-10
     assert abs(sum(momenta) - momentum(st)) < 1e-10
     # separated equal-mass pair: each window holds about half the mass
@@ -149,11 +150,9 @@ def test_weinstein_identity_report_consistency():
     fam = CutoffFamily.for_config(TWO, L=5.0)
     value = weinstein(st, TWO, fam)
     f = _Frame.of([st], family=fam)
-    rebuilt = energy(st) + sum(
-        p.nu * mk - p.c * pk
-        for p, mk, pk in zip(TWO.solitons,
-                             f.localized(f.mass_density)[0],
-                             f.localized(f.momentum_density)[0]))
+    loc = f.local(f.chis)
+    rebuilt = energy(st) + sum(p.nu * loc[f"M_{k + 1}"][0] - p.c * loc[f"P_{k + 1}"][0]
+                               for k, p in enumerate(TWO.solitons))
     assert abs(value - rebuilt) < 1e-10
 
 
@@ -292,13 +291,32 @@ def test_report_csv_round_trip(tmp_path):
     reports = _Frame.of([multi_soliton_state(g, TWO, t) for t in (0.0, 0.5)],
                         TWO, fam).reports(5.0)
     path = tmp_path / "reports.csv"
-    _write_csv(path, list(reports), zip(*reports.values()))
+    _write_csv(path, reports)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == COLUMNS_TWO
     assert len(rows) == 3
     # repr round trip is exact
     assert float(rows[1][rows[0].index("M")]) == reports["M"][0]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("cell, text", [
+    (0.1 + 0.2, "0.30000000000000004"),
+    (np.float64(1.0) / 3.0, repr(1.0 / 3.0)),
+    (True, "True"),
+    (np.bool_(False), "False"),
+    (12, "12"),
+    (np.int64(12), "12"),
+    ("stagnation", "stagnation"),
+])
+def test_write_csv_cell_format(tmp_path, cell, text, as_array):
+    """Floats by repr, bools, ints and strings by str, whether a column is a
+    list of Python or numpy scalars or a numpy array."""
+    column = [cell, cell]
+    path = tmp_path / "cells.csv"
+    _write_csv(path, {"cell": np.array(column) if as_array else column, "t": [0.5, 2.0]})
+    assert path.read_bytes() == f"cell,t\r\n{text},0.5\r\n{text},2.0\r\n".encode()
 
 
 # --- the shared per-frame pass -------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile
 from zaklab.dynamics import State, multi_soliton_state
+from zaklab.functionals import _write_csv
 from zaklab.modulation import (
     REASONS,
     fd_jacobian,
@@ -16,8 +17,6 @@ from zaklab.modulation import (
     pi_norm,
     residuals_and_jacobian,
     track,
-    track_columns,
-    write_track_csv,
 )
 
 SEED = 42
@@ -243,10 +242,10 @@ def test_write_track_csv(tmp_path, backward_run):
     late = [st for st in traj if st.t >= 25.0]
     out = track(late, cfg)
     path = tmp_path / "track.csv"
-    write_track_csv(path, out, cfg)
+    _write_csv(path, out.columns())
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == track_columns(2)
+    assert rows[0] == list(out.columns())
     assert rows[0][-2:] == ["converged", "reason"]
     assert len(rows) == len(late) + 1
     assert [row[-1] for row in rows[1:]] == [r.reason for r in out.results]
