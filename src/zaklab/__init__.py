@@ -6,7 +6,7 @@ decompositions, parameter modulation, and linearized-operator spectra.
 """
 
 from ._version import __version__
-from .grid import Grid, quadrature, sobolev_norms, spectral_derivative
+from .grid import Grid, quadrature, spectral_derivative
 from .profiles import (
     MultiSolitonConfig,
     SolitonParams,
@@ -39,7 +39,6 @@ from .spectral import (
     LinearizedOperator,
     coercivity_nls,
     h2_coercivity,
-    h2_form,
     spectrum,
     young_mu,
 )
@@ -47,7 +46,7 @@ from .experiments import ExperimentSpec, RunManifest, fit_exponential, run
 
 __all__ = [
     "__version__",
-    "Grid", "quadrature", "sobolev_norms", "spectral_derivative",
+    "Grid", "quadrature", "spectral_derivative",
     "SolitonParams", "MultiSolitonConfig", "ground_state", "lambda_q", "phi",
     "traveling_wave", "multi_soliton",
     "State", "BlowUpError", "soliton_state", "multi_soliton_state",
@@ -56,6 +55,6 @@ __all__ = [
     "weinstein", "weinstein_decompose",
     "ModulationResult", "TrackResult", "modulate", "track",
     "LinearizedOperator", "spectrum", "coercivity_nls",
-    "h2_form", "h2_coercivity", "young_mu",
+    "h2_coercivity", "young_mu",
     "ExperimentSpec", "RunManifest", "fit_exponential", "run",
 ]

@@ -95,7 +95,7 @@ def _apply_override(data: dict, key: str, value):
             raise ConfigError(f"override key {key!r} goes through the non-container "
                               f"value at {'.'.join(parts[:i])!r}")
         elif part not in node and i < len(parts) - 1:
-            if part in ("numerics", "knobs") and i == 0:
+            if i == 0 and part in {key.metadata["block"] for key in CONFIG_KEYS}:
                 node[part] = {}
             else:
                 raise ConfigError(f"unknown config key in override: {key!r}")

@@ -38,8 +38,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .dynamics import backward_construct, backward_frames, evolve, multi_soliton_state
-from .dynamics import soliton_state
+from .dynamics import DEFAULT_BLOWUP_THRESHOLD, backward_construct, backward_frames, evolve
+from .dynamics import multi_soliton_state, soliton_state
 from .functionals import (
     CutoffFamily,
     _Frame,
@@ -90,7 +90,7 @@ class ExperimentSpec:
     box_length: float = config_key("numerics", POSITIVE, 40.0)
     dt: float = config_key("numerics", POSITIVE, 1e-3)
     sample_stride: int = config_key("numerics", COUNT, 100)
-    blowup_threshold: float = config_key("numerics", CEILING, 1e6)
+    blowup_threshold: float = config_key("numerics", CEILING, DEFAULT_BLOWUP_THRESHOLD)
     t_final: float = config_key("knobs", POSITIVE, 10.0)
     L_values: tuple = config_key("knobs", POSITIVES, (5.0, 10.0, 20.0))
     K0: float = config_key("knobs", Admits("finite, in (0, box_length/2)", FINITE.test), 5.0)
@@ -122,7 +122,7 @@ class ExperimentSpec:
         return Grid(n_points=self.n_points, box_length=self.box_length)
 
     def to_dict(self) -> dict:
-        data = {"kind": self.kind, "solitons": json.loads(self.config.to_json())["solitons"]}
+        data = {"kind": self.kind, "solitons": [asdict(s) for s in self.config.solitons]}
         for key in CONFIG_KEYS:
             value = getattr(self, key.name)
             block = data.setdefault(key.metadata["block"], {})
@@ -138,8 +138,17 @@ class ExperimentSpec:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in data or "solitons" not in data:
             raise ValueError("config must provide 'kind' and 'solitons'")
-        config = MultiSolitonConfig.from_json(json.dumps({"solitons": data["solitons"]}))
-        kwargs = {"kind": data["kind"], "config": config}
+        entries = data["solitons"]
+        if not (isinstance(entries, (list, tuple)) and entries
+                and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"solitons must be a non-empty list of objects, got {entries!r}")
+        sols = []
+        for i, entry in enumerate(entries):
+            try:
+                sols.append(SolitonParams(**entry))
+            except (TypeError, ValueError) as exc:  # a key unknown, missing or inadmissible
+                raise ValueError(f"solitons.{i}: {exc}") from None
+        kwargs = {"kind": data["kind"], "config": MultiSolitonConfig(tuple(sols))}
         for block in blocks:
             values = data.get(block, {})
             if not isinstance(values, dict):

@@ -171,7 +171,8 @@ class _Frame:
 
     @property
     def bold_H(self):
-        """sobolev_norms(...)["bold_H"] of the fields, from u_x alone."""
+        """The bold-H norm ||u||_{H^1} + ||n||_{L^2} + ||v||_{L^2} of the fields,
+        a sum of the three (not a root-sum-square)."""
         sq = [quadrature(self.grid, np.abs(f) ** 2).real
               for f in (self.u, self.ux, self.n, self.v)]
         return np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2]) + np.sqrt(sq[3])

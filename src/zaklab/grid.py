@@ -1,4 +1,4 @@
-"""Periodic pseudospectral grid: wavenumbers, derivatives, quadrature, norms.
+"""Periodic pseudospectral grid: wavenumbers, derivatives and quadrature.
 
 All fields live on a uniform grid over [-box_length/2, box_length/2) with
 periodic boundary conditions.  Derivatives are exact for band-limited fields
@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "spectral_derivative",
     "quadrature",
-    "sobolev_norms",
 ]
 
 
@@ -64,8 +63,8 @@ class Grid:
 
     @cached_property
     def derivative_factors(self) -> tuple:
-        """(ik)^order for orders 1 through 4, at index order - 1."""
-        return tuple((1j * self.wavenumbers) ** order for order in range(1, 5))
+        """(ik)^order for orders 1 and 2, at index order - 1."""
+        return tuple((1j * self.wavenumbers) ** order for order in (1, 2))
 
     def wrap(self, y):
         """Map coordinates to their periodic representative in [-L/2, L/2)."""
@@ -77,7 +76,7 @@ def spectral_derivative(grid: Grid, field, order: int = 1):
     """Differentiate a periodic field by Fourier multiplication with (ik)^order.
 
     The field runs along the last axis (leading axes are a batch of fields).
-    Real input returns a real array.  Orders 1 through 4 are supported.
+    Real input returns a real array.  Orders 1 and 2 are supported.
     """
     f = np.asarray(field)
     if f.shape[-1:] != grid.x.shape:
@@ -88,8 +87,8 @@ def spectral_derivative(grid: Grid, field, order: int = 1):
 def _derivative_of_transform(grid: Grid, f_hat, order: int, real: bool):
     """spectral_derivative of the field whose FFT is f_hat, so that one
     transform serves several orders."""
-    if not 1 <= order <= 4:
-        raise ValueError(f"derivative order must be in 1..4, got {order}")
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
     df = np.fft.ifft(grid.derivative_factors[order - 1] * f_hat)
     return df.real if real else df
 
@@ -98,33 +97,4 @@ def quadrature(grid: Grid, values):
     """Integrate over the periodic box: spacing times the ordered sum over
     the last axis (one value per field of a batch)."""
     return grid.spacing * np.asarray(values).sum(axis=-1)
-
-
-def sobolev_norms(grid: Grid, u, n, v) -> dict:
-    """Sobolev norms of a state triple (u complex, n and v real).
-
-    Returns a dict with keys H1_of_u, L2_of_n, L2_of_v, bold_H, H2_of_u,
-    H1_of_n, H1_of_v.  bold_H is the *sum* of the first three (the natural
-    norm on H^1 x L^2 x L^2 triples), not a root-sum-square.
-    """
-    ux = spectral_derivative(grid, u, 1)
-    uxx = spectral_derivative(grid, u, 2)
-    nx = spectral_derivative(grid, n, 1)
-    vx = spectral_derivative(grid, v, 1)
-
-    def l2sq(f):
-        return quadrature(grid, np.abs(f) ** 2).real
-
-    h1_u = np.sqrt(l2sq(u) + l2sq(ux))
-    l2_n = np.sqrt(l2sq(n))
-    l2_v = np.sqrt(l2sq(v))
-    return {
-        "H1_of_u": h1_u,
-        "L2_of_n": l2_n,
-        "L2_of_v": l2_v,
-        "bold_H": h1_u + l2_n + l2_v,
-        "H2_of_u": np.sqrt(l2sq(u) + l2sq(ux) + l2sq(uxx)),
-        "H1_of_n": np.sqrt(l2sq(n) + l2sq(nx)),
-        "H1_of_v": np.sqrt(l2sq(v) + l2sq(vx)),
-    }
 

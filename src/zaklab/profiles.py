@@ -25,7 +25,7 @@ tail at distance L/2 from the soliton, not at the box edge.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -162,29 +162,6 @@ class MultiSolitonConfig:
         root = min(gaps + [np.sqrt(self.omega_minus)]) / 16.0
         return root**2
 
-    def to_json(self) -> str:
-        return json.dumps({"solitons": [asdict(s) for s in self.solitons]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiSolitonConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(f"a soliton config must be a JSON object, got {data!r}")
-        extra = set(data) - {"solitons"}
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        entries = data.get("solitons")
-        if not (isinstance(entries, list) and entries
-                and all(isinstance(e, dict) for e in entries)):
-            raise ValueError(f"solitons must be a non-empty list of objects, got {entries!r}")
-        sols = []
-        for i, entry in enumerate(entries):
-            try:
-                sols.append(SolitonParams(**entry))
-            except (TypeError, ValueError) as exc:  # a key unknown, missing or inadmissible
-                raise ValueError(f"solitons.{i}: {exc}") from None
-        return cls(solitons=tuple(sols))
-
 
 # ---------------------------------------------------------------------------
 # profile fields (closed forms; sech kept explicit for numerical range safety)
@@ -192,18 +169,12 @@ class MultiSolitonConfig:
 # Grid evaluations are periodized over the two neighbouring box images: a line
 # profile sampled directly on the box has O(exp(-L/2))-size derivative jumps
 # at the seam, which the spectral Laplacian amplifies by k_max^2 and which
-# would poison sup-norm identities near 1e-8.  Raw-array input (line
-# coordinates) is evaluated directly.
+# would poison sup-norm identities near 1e-8.
 
 
-def _image_coords(grid_or_y, center):
-    if isinstance(grid_or_y, Grid):
-        return _images(grid_or_y, grid_or_y.wrap(grid_or_y.x - center))
-    return (np.asarray(grid_or_y) - center,)
-
-
-def _images(grid: Grid, y):
-    """Wrapped coordinates y and their two neighbouring box images."""
+def _images(grid: Grid, center):
+    """Wrapped coordinates x - center and their two neighbouring box images."""
+    y = grid.wrap(grid.x - center)
     box = grid.box_length
     return (y, y - box, y + box)
 
@@ -222,27 +193,27 @@ def _lambda_q_of(y):
 
 def ground_state(grid: Grid):
     """Q(y) = sqrt(2)/cosh(y) sampled (periodized) on the grid."""
-    return sum(_q_of(y) for y in _image_coords(grid, 0.0))
+    return sum(_q_of(y) for y in _images(grid, 0.0))
 
 
 def ground_state_prime(grid: Grid):
-    return sum(_q_prime_of(y) for y in _image_coords(grid, 0.0))
+    return sum(_q_prime_of(y) for y in _images(grid, 0.0))
 
 
 def lambda_q(grid: Grid):
     """Scaling generator (Q + y Q')/2 = (1 - y tanh y) / (sqrt(2) cosh y)."""
-    return sum(_lambda_q_of(y) for y in _image_coords(grid, 0.0))
+    return sum(_lambda_q_of(y) for y in _images(grid, 0.0))
 
 
 def y_ground_state(grid: Grid):
     """The line function y * Q(y), periodized (x * ground_state(x) would keep
     a value jump at the seam from the unbounded coordinate factor)."""
-    return sum(y * _q_of(y) for y in _image_coords(grid, 0.0))
+    return sum(y * _q_of(y) for y in _images(grid, 0.0))
 
 
-def phi(grid_or_y, omega: float, center: float = 0.0):
-    """phi_omega evaluated at wrapped (x - center); accepts a Grid or raw array."""
-    return _phi_of(_image_coords(grid_or_y, center), omega)
+def phi(grid: Grid, omega: float, center: float = 0.0):
+    """phi_omega evaluated at wrapped (x - center)."""
+    return _phi_of(_images(grid, center), omega)
 
 
 def _phi_of(coords, omega):
@@ -250,11 +221,10 @@ def _phi_of(coords, omega):
     return sum(np.sqrt(omega) * _q_of(root * y) for y in coords)
 
 
-def lambda_omega(grid_or_y, omega: float, center: float = 0.0):
+def lambda_omega(grid: Grid, omega: float, center: float = 0.0):
     """d(phi_omega)/d(omega) = (1/sqrt(omega)) * LambdaQ(sqrt(omega) x), closed form."""
     root = np.sqrt(omega)
-    return sum(_lambda_q_of(root * y) / root
-               for y in _image_coords(grid_or_y, center))
+    return sum(_lambda_q_of(root * y) / root for y in _images(grid, center))
 
 
 def soliton_phase(grid: Grid, c: float, omega_phase: float, gamma: float, t: float, center: float):
@@ -279,9 +249,9 @@ def _wave(grid: Grid, params: SolitonParams, omega: float, sigma: float, gamma: 
     wrapped coordinate serves both the envelope and the phase."""
     c = params.c
     center = c * t + sigma
-    y = grid.wrap(grid.x - center)
-    envelope = _phi_of(_images(grid, y), omega)
-    gph = _phase_of(y + center, c, params.omega, gamma, t)
+    images = _images(grid, center)
+    envelope = _phi_of(images, omega)
+    gph = _phase_of(images[0] + center, c, params.omega, gamma, t)
     u = np.sqrt(1.0 - c**2) * envelope * np.exp(1j * gph)
     n = -(envelope**2)
     v = c * n

@@ -13,9 +13,11 @@ LambdaQ = (Q + yQ')/2.  Each operator is defined once, by its FFT action;
 this module estimates such constrained minima matrix-free, by a three-term
 Lanczos recurrence in numpy on the pencil whose H^1 / L^2 norm is diagonal
 in Fourier space.  spectrum() alone builds a dense matrix, column by column
-from that action.  It also evaluates the quadratic form, h2_form, of the full
-(eta_u, eta_n, eta_v) linearization around a single traveling wave, which
-h2_coercivity minimizes.
+from that action.  h2_coercivity minimizes, over the full (eta_u, eta_n,
+eta_v) linearization around a single traveling wave, the form G21 of
+functionals.weinstein_decompose for that one soliton (K = 1, so the cutoff is
+1): the localized quadratic part of the Weinstein functional, which the
+functionals.csv audit evaluates along runs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, quadrature, spectral_derivative
+from .grid import Grid, spectral_derivative
 from .profiles import (
     MultiSolitonConfig,
     SolitonParams,
@@ -40,9 +42,6 @@ __all__ = [
     "LinearizedOperator",
     "spectrum",
     "coercivity_nls",
-    "q_density",
-    "coupling_density",
-    "h2_form",
     "h2_coercivity",
     "young_mu",
 ]
@@ -219,40 +218,15 @@ def coercivity_nls(grid: Grid) -> dict:
     }
 
 
-def q_density(grid: Grid, eta_u, eta_n, eta_v, nu: float, c: float):
-    """Pointwise localized quadratic density of the traveling-wave form."""
-    ux = spectral_derivative(grid, eta_u, 1)
-    return (
-        np.abs(ux) ** 2
-        + nu * np.abs(eta_u) ** 2
-        - c * (eta_n * eta_v + np.imag(np.conj(eta_u) * ux))
-        + 0.5 * (eta_n**2 + eta_v**2)
-    )
-
-
-def coupling_density(grid: Grid, eta_u, eta_n, params: SolitonParams, t: float = 0.0):
-    """Profile-coupling density 2 sqrt(1-c^2) phi eta_n Re(e^{i Gamma}
-    conj(eta_u)) - phi^2 |eta_u|^2 of the wave centered at c t + sigma."""
-    center = params.c * t + params.sigma
-    f = phi(grid, params.omega, center)
-    gam = soliton_phase(grid, params.c, params.omega, params.gamma, t, center)
-    w = np.sqrt(1.0 - params.c**2)
-    return (
-        2.0 * w * f * eta_n * np.real(np.exp(1j * gam) * np.conj(eta_u))
-        - f**2 * np.abs(eta_u) ** 2
-    )
-
-
-def h2_form(grid: Grid, eta_u, eta_n, eta_v, params: SolitonParams, t: float = 0.0) -> float:
-    """Quadratic form of the linearization around one traveling wave."""
-    dens = q_density(grid, eta_u, eta_n, eta_v, params.nu, params.c)
-    return quadrature(grid, dens + coupling_density(grid, eta_u, eta_n, params, t))
-
-
 def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
-    """Constrained minimum of h2_form over the coupled (eta_u, eta_n, eta_v).
+    """Constrained minimum of the one-soliton G21 over the coupled (eta_u,
+    eta_n, eta_v), that is of
 
-    Unknowns are stacked as z = [Re eta_u; Im eta_u; eta_n; eta_v] in R^{4n};
+        int |d_x eta_u|^2 + nu |eta_u|^2 - c (Im(conj(eta_u) d_x eta_u) + eta_n eta_v)
+            + (eta_n^2 + eta_v^2)/2 + 2 eta_n Re(conj(u_S) eta_u) + n_S |eta_u|^2
+
+    with (u_S, n_S) the wave at time t, as functionals.weinstein_decompose
+    evaluates it.  Unknowns are stacked as z = [Re eta_u; Im eta_u; eta_n; eta_v] in R^{4n};
     normalization is the quadratic bold-H sphere ||eta_u||_{H^1}^2 +
     ||eta_n||^2 + ||eta_v||^2 = 1 and the constraints are the modulation
     directions (phi, x phi, i Lambda_omega) with the wave's phases.
@@ -270,7 +244,7 @@ def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
     pot = params.nu - f**2
 
     def apply(z):
-        # the symmetric operator of h2_form: -c Im(conj(eta_u) d_x eta_u)
+        # the symmetric operator of G21: -c Im(conj(eta_u) d_x eta_u)
         # pairs Re eta_u with d_x Im eta_u, the coupling pairs eta_n with eta_u
         a, b, en, ev = np.reshape(z, (4, n))
         return h * np.concatenate([
@@ -302,10 +276,15 @@ def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
 def young_mu(config: MultiSolitonConfig) -> dict:
     """Uniform lower-bound constants for the localized quadratic density.
 
+    That density is the profile-free part of G21's integrand around soliton k,
+
+        q_k = |d_x eta_u|^2 + nu_k |eta_u|^2
+              - c_k (Im(conj(eta_u) d_x eta_u) + eta_n eta_v) + (eta_n^2 + eta_v^2)/2.
+
     mu_1 covers the c = 0 reduction; mu_2 covers c != 0 after splitting the
     Im(conj(eta_u) d_x eta_u) cross term by Young's inequality with the
     pulsation-adapted weight.  mu = min(mu_1, mu_2) makes the pointwise bound
-    q_density >= mu (|d_x eta_u|^2 + |eta_u|^2 + eta_n^2 + eta_v^2) hold for
+    q_k >= mu (|d_x eta_u|^2 + |eta_u|^2 + eta_n^2 + eta_v^2) hold for
     every soliton in the family.
     """
     mu_1 = min(min(0.5 * p.omega + 0.25 * p.c**2, 0.5) for p in config.solitons)

@@ -99,6 +99,11 @@ def test_config_not_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_root_not_an_object(tmp_path, capsys):
+    assert main(["validate-config", "--config", _write(tmp_path, 5)]) == 1
+    assert "config root must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_committed_configs_validate(path, capsys):
     assert main(["validate-config", "--config", str(path)]) == 0
@@ -142,6 +147,7 @@ def test_committed_configs_validate(path, capsys):
     ("validate-config", "solitons=5", "solitons"),
     ("validate-config", "solitons={}", "solitons"),
     ("validate-config", 'solitons="ab"', "solitons"),
+    ("validate-config", "solitons.0.c=1.5", "solitons.0: c"),
 ])
 def test_spec_rejects_before_the_run(tmp_path, capsys, subcommand, override, key):
     cfg = _write(tmp_path, _one_soliton_config())

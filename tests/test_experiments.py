@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zaklab.grid import Grid, sobolev_norms
+from zaklab.grid import Grid, quadrature, spectral_derivative
 from zaklab.profiles import SOLITON_KEYS, MultiSolitonConfig, SolitonParams
 from zaklab.dynamics import (
     BlowUpError,
@@ -545,7 +545,9 @@ def test_a_blowup_in_the_child_arrives_after_the_frames_before_it():
     g = Grid(256, 40.0)
     s = soliton_state(g, SolitonParams(1.0, 0.0))
     s = State(g, 0.0, s.u, 3.0 * s.n, s.v)
-    h1 = [sobolev_norms(g, st.u, st.n, st.v)["H1_of_u"] for st in evolve(s, 0.2, 1e-3)]
+    h1 = [np.sqrt(quadrature(g, np.abs(st.u) ** 2)
+                  + quadrature(g, np.abs(spectral_derivative(g, st.u, 1)) ** 2))
+          for st in evolve(s, 0.2, 1e-3)]
 
     def stream(batches):
         seen = []

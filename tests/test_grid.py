@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from zaklab.grid import Grid, quadrature, sobolev_norms, spectral_derivative
+from zaklab.dynamics import State
+from zaklab.functionals import _Frame
+from zaklab.grid import Grid, quadrature, spectral_derivative
 
 
 def test_grid_layout():
@@ -70,14 +72,12 @@ def test_sobolev_norms_known_field():
     u = np.exp(1j * g.x)          # |u|_L2^2 = 2 pi, |u_x|_L2^2 = 2 pi
     n = np.cos(g.x)               # L2^2 = pi
     v = np.zeros(g.n_points)
-    norms = sobolev_norms(g, u, n, v)
-    assert norms["H1_of_u"] == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-12)
-    assert norms["L2_of_n"] == pytest.approx(np.sqrt(np.pi), rel=1e-12)
-    assert norms["L2_of_v"] == 0.0
-    # the triple norm is the sum of the three pieces
-    assert norms["bold_H"] == pytest.approx(
-        norms["H1_of_u"] + norms["L2_of_n"] + norms["L2_of_v"], rel=1e-14)
-    assert norms["H2_of_u"] == pytest.approx(np.sqrt(6.0 * np.pi), rel=1e-12)
+    f = _Frame.of([State(g, 0.0, u, n, v)])
+    # the triple norm is the sum of the three pieces, |u|_H1 = sqrt(4 pi)
+    # and |n|_L2 = sqrt(pi), not a root-sum-square
+    assert f.bold_H[0] == pytest.approx(np.sqrt(4.0 * np.pi) + np.sqrt(np.pi), rel=1e-12)
+    # |u_xx|_L2^2 = 2 pi, |n_x|_L2^2 = pi
+    assert f.h2_square[0] == pytest.approx(3.0 * np.pi, rel=1e-12)
 
 
 def test_dealias_mask_two_thirds():
@@ -91,8 +91,16 @@ def test_dealias_mask_two_thirds():
 def test_derivative_factors_are_cached_powers():
     g = Grid(64, 10.0)
     assert g.derivative_factors is g.derivative_factors
-    for order in range(1, 5):
+    assert len(g.derivative_factors) == 2
+    for order in (1, 2):
         assert np.array_equal(g.derivative_factors[order - 1], (1j * g.wavenumbers) ** order)
+
+
+@pytest.mark.parametrize("order", (0, 3))
+def test_spectral_derivative_refuses_orders_other_than_1_and_2(order):
+    g = Grid(64, 10.0)
+    with pytest.raises(ValueError, match=f"derivative order must be 1 or 2, got {order}"):
+        spectral_derivative(g, np.sin(g.x), order)
 
 
 def test_spectral_derivative_of_a_batch_is_row_by_row():

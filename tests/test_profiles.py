@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from zaklab.experiments import ExperimentSpec
 from zaklab.grid import Grid, quadrature, spectral_derivative
 from zaklab.profiles import (
     MultiSolitonConfig,
@@ -105,14 +106,6 @@ def test_lambda_omega_is_omega_derivative():
     omega, h = 1.3, 1e-6
     fd = (phi(g, omega + h) - phi(g, omega - h)) / (2.0 * h)
     assert np.max(np.abs(fd - lambda_omega(g, omega))) < 1e-8
-
-
-def test_profiles_accept_raw_arrays():
-    y = np.linspace(-5.0, 5.0, 201)
-    f = phi(y, 2.0, center=1.0)
-    assert f.shape == y.shape
-    assert np.argmax(f) == np.argmin(np.abs(y - 1.0))
-    assert np.max(f) == pytest.approx(2.0)  # sqrt(2 * omega)
 
 
 # --- traveling waves -------------------------------------------------------
@@ -266,15 +259,19 @@ def test_config_derived_constants():
 
 
 def test_config_json_roundtrip():
+    # the solitons block is parsed by the experiment spec's dict form (the
+    # CLI refuses a config root that is not an object before it)
     cfg = MultiSolitonConfig((SolitonParams(1.0, -0.5, -10.0, 0.2),
                               SolitonParams(2.0, 0.5, 10.0, 1.0)))
-    text = cfg.to_json()
-    cfg2 = MultiSolitonConfig.from_json(text)
-    assert cfg2 == cfg
+    data = json.loads(json.dumps(ExperimentSpec("simulate", cfg).to_dict()))
+    assert ExperimentSpec.from_dict(data).config == cfg
     with pytest.raises(ValueError, match="unknown"):
-        MultiSolitonConfig.from_json(json.dumps(
-            {"solitons": [{"omega": 1.0, "c": 0.0}], "extra": 1}))
-    with pytest.raises(ValueError, match="solitons must be a non-empty list"):
-        MultiSolitonConfig.from_json("{}")
-    with pytest.raises(ValueError, match="must be a JSON object"):
-        MultiSolitonConfig.from_json("5")
+        ExperimentSpec.from_dict({"kind": "simulate",
+                                  "solitons": [{"omega": 1.0, "c": 0.0}], "extra": 1})
+    for bad in ({}, [], [5]):
+        with pytest.raises(ValueError, match="solitons must be a non-empty list"):
+            ExperimentSpec.from_dict({"kind": "simulate", "solitons": bad})
+    with pytest.raises(ValueError, match="^solitons.1: c must be in"):
+        ExperimentSpec.from_dict({"kind": "simulate",
+                                  "solitons": [{"omega": 1.0, "c": 0.0},
+                                               {"omega": 1.0, "c": 1.5}]})

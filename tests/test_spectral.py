@@ -21,15 +21,12 @@ from zaklab.profiles import (
 from zaklab.spectral import (
     LinearizedOperator,
     coercivity_nls,
-    coupling_density,
     h2_coercivity,
-    h2_form,
-    q_density,
     spectrum,
     young_mu,
 )
 from zaklab.functionals import CutoffFamily, weinstein_decompose
-from zaklab.dynamics import State, multi_soliton_state
+from zaklab.dynamics import State, soliton_state
 
 SEED = 42
 GRID = Grid(1024, 40.0)
@@ -309,46 +306,33 @@ def _random_direction(grid, rng, scale=1e-2):
     return eta_u, eta_n, eta_v
 
 
-def test_h2_form_equals_single_soliton_quadratic_part():
-    rng = np.random.default_rng(SEED)
-    g = GRID
-    p = SolitonParams(omega=1.0, c=0.5, sigma=0.0, gamma=0.3)
-    cfg = MultiSolitonConfig((p,))
-    fam = CutoffFamily.for_config(cfg, L=5.0)
-    eta_u, eta_n, eta_v = _random_direction(g, rng)
-    t = 0.7
-    S = multi_soliton_state(g, cfg, t)
-    eps = State(g, t, eta_u, eta_n, eta_v)
-    parts = weinstein_decompose(eps, S, cfg, fam)
-    val = h2_form(g, eta_u, eta_n, eta_v, p, t=t)
-    assert val == pytest.approx(parts["G21"], rel=1e-12)
+def _g21(grid, eta_u, eta_n, eta_v, p, t):
+    """G21 of the one-soliton config (p,) around its wave at time t; K = 1,
+    so the cutoff is 1 whatever its width."""
+    parts = weinstein_decompose(State(grid, t, eta_u, eta_n, eta_v), soliton_state(grid, p, t),
+                                MultiSolitonConfig((p,)), CutoffFamily(L=1.0))
+    return parts["G21"]
 
 
 @pytest.mark.parametrize("p, t", [(SolitonParams(1.0, 0.0), 0.0),
-                                  (SolitonParams(2.0, -0.4, 1.5, 0.7), 0.3)])
+                                  (SolitonParams(2.0, -0.4, 1.5, 0.7), 0.3),
+                                  (SolitonParams(1.0, 0.5, 0.0, 0.3), 0.7)])
 def test_weighted_h2_form_matches_the_three_old_forms(p, t):
-    # oracle: the quadrature of the quadratic and coupling densities
+    # oracle: the quadrature of the traveling-wave form written from the
+    # closed-form profile, a quadratic density plus the profile coupling
     rng = np.random.default_rng(SEED + 5)
     g = Grid(512, 40.0)
     eta_u, eta_n, eta_v = _random_direction(g, rng)
-    q = q_density(g, eta_u, eta_n, eta_v, p.nu, p.c)
-    cpl = coupling_density(g, eta_u, eta_n, p, t)
-    assert h2_form(g, eta_u, eta_n, eta_v, p, t) == quadrature(g, q + cpl)
-
-
-def test_coupling_density_integrates_into_h2(tmp_path):
-    # h2 = integral of |d eta_u|^2 + coupling + nu |eta_u|^2 + quadratic rest
-    rng = np.random.default_rng(SEED + 4)
-    g = GRID
-    p = SolitonParams(1.0, 0.0)
-    eta_u, eta_n, eta_v = _random_direction(g, rng)
-    du = spectral_derivative(g, eta_u, 1)
-    dens = (np.abs(du) ** 2
-            + coupling_density(g, eta_u, eta_n, p, t=0.0)
-            + p.nu * np.abs(eta_u) ** 2
-            + 0.5 * (eta_n**2 + eta_v**2))
-    assert quadrature(g, dens) == pytest.approx(
-        h2_form(g, eta_u, eta_n, eta_v, p, t=0.0), rel=1e-12)
+    ux = spectral_derivative(g, eta_u, 1)
+    q = (np.abs(ux) ** 2 + p.nu * np.abs(eta_u) ** 2
+         - p.c * (eta_n * eta_v + np.imag(np.conj(eta_u) * ux))
+         + 0.5 * (eta_n**2 + eta_v**2))
+    center = p.c * t + p.sigma
+    f = phi(g, p.omega, center)
+    gam = soliton_phase(g, p.c, p.omega, p.gamma, t, center)
+    cpl = (2.0 * np.sqrt(1.0 - p.c**2) * f * eta_n * np.real(np.exp(1j * gam) * np.conj(eta_u))
+           - f**2 * np.abs(eta_u) ** 2)
+    assert _g21(g, eta_u, eta_n, eta_v, p, t) == quadrature(g, q + cpl)
 
 
 # --- coupled constrained coercivity ----------------------------------------------
@@ -381,7 +365,7 @@ def test_h2_coercivity_matches_dense_oracle(n, omega, c, sigma, gamma, t):
 @pytest.mark.parametrize("p, t", [(SolitonParams(1.0, 0.5), 0.0),
                                   (SolitonParams(2.0, -0.4, 1.5, 0.7), 0.3)])
 def test_h2_coercivity_operator_is_the_h2_form(monkeypatch, p, t):
-    # z^T (A z) of the operator h2_coercivity minimizes is h2_form on
+    # z^T (A z) of the operator h2_coercivity minimizes is the one-soliton G21 on
     # band-limited fields (no Nyquist content, where the two derivatives differ)
     calls = []
 
@@ -400,7 +384,7 @@ def test_h2_coercivity_operator_is_the_h2_form(monkeypatch, p, t):
 
     a, b, eta_n, eta_v = field(), field(), field(), field()
     z = np.concatenate([a, b, eta_n, eta_v])
-    form = h2_form(g, a + 1j * b, eta_n, eta_v, p, t)
+    form = _g21(g, a + 1j * b, eta_n, eta_v, p, t)
     for apply in calls:
         assert z @ apply(z) == pytest.approx(form, rel=1e-13)
 
@@ -430,7 +414,7 @@ def test_young_mu_formulas():
 
 
 def test_young_margin_no_violations():
-    # sampled worst case of q_density - mu (|d_x eta_u|^2 + |eta_u|^2 + eta_n^2
+    # sampled worst case of q_k - mu (|d_x eta_u|^2 + |eta_u|^2 + eta_n^2
     # + eta_v^2) over random pointwise values; equality cases exist (pure
     # (eta_n, eta_v) content when mu = 1/2), so it may touch 0 to rounding
     cfg = MultiSolitonConfig((SolitonParams(1.0, -0.5), SolitonParams(1.0, 0.5)))
