@@ -153,6 +153,11 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig) -> FitEvaluati
     fixed (omega, sigma, gamma) order.  The terms are listed in the module
     docstring.
     """
+    return _evaluate(state, pi, config, [])
+
+
+def _evaluate(state, pi, config: MultiSolitonConfig, work: list) -> FitEvaluation:
+    """residuals_and_jacobian in the caller's work arrays, made on first use."""
     g = state.grid
     t = state.t
     K = config.K
@@ -161,8 +166,9 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig) -> FitEvaluati
 
     # The i-th residual of a field F is h Re sum(probes[i] * F); fields[j] is
     # d(eps_u)/d(pi_j) for j < 3K, and eps_u itself in the last slot.
-    probes = np.empty((3 * K, n_pts), dtype=complex)
-    fields = np.empty((3 * K + 1, n_pts), dtype=complex)
+    if not work:
+        work += [np.empty((rows, n_pts), dtype=complex) for rows in (3 * K, 3 * K + 1)]
+    probes, fields = work
     s_u = np.zeros(n_pts, dtype=complex)
     s_n = np.zeros(n_pts)
     s_v = np.zeros(n_pts)
@@ -275,7 +281,7 @@ def _result(state, ev: FitEvaluation, iterations: int, reason: str) -> Modulatio
 
 
 def modulate(state, config: MultiSolitonConfig, pi_guess=None,
-             tolerance: float = 1e-10, max_iter: int = 50) -> ModulationResult:
+             tolerance: float = 1e-10, max_iter: int = 50, *, _work=None) -> ModulationResult:
     """Newton-solve the 3K orthogonality relations from a warm guess.
 
     Steps that would push a pulsation out of (0, inf) are halved up to 20
@@ -289,11 +295,13 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
       * "max_iter": max_iter iterations ran out.
 
     On every exit but "converged" the best iterate seen is returned with
-    converged = False.
+    converged = False.  _work is track's list of Newton work arrays (see
+    _evaluate); every call without it makes its own.
     """
+    work = [] if _work is None else _work
     K = config.K
     pi = pi_from_config(config) if pi_guess is None else np.array(pi_guess, dtype=float)
-    ev = residuals_and_jacobian(state, pi, config)
+    ev = _evaluate(state, pi, config, work)
     best, stalled = ev, 0
 
     for it in range(max_iter):
@@ -311,7 +319,7 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
         else:
             return _result(state, best, it, "damping")
         pi = pi + scale * delta
-        ev = residuals_and_jacobian(state, pi, config)
+        ev = _evaluate(state, pi, config, work)
         if ev.residual_max < best.residual_max:
             best, stalled = ev, 0
         else:
@@ -383,16 +391,17 @@ def track(frames, config: MultiSolitonConfig,
 
     The first frame starts from Pi^0; after a failed frame the next one
     restarts from Pi^0.  gamma components are unwrapped to the 2*pi branch
-    nearest the previous frame so the rates are finite-differenceable.
+    nearest the previous frame so the rates are finite-differenceable.  All
+    frames share one pair of Newton work arrays.
     """
     K = config.K
     pi0 = pi_from_config(config)
-    times, results = [], []
+    times, results, work = [], [], []
     guess = pi0
     prev_pi = None
     for frame in frames:
         res = modulate(frame, config, pi_guess=guess, tolerance=tolerance,
-                       max_iter=max_iter)
+                       max_iter=max_iter, _work=work)
         pi = res.pi.copy()
         if prev_pi is not None:
             two_pi = 2.0 * np.pi

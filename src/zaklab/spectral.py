@@ -9,24 +9,25 @@ produces
 whose kernels are spanned by Q' and Q.  The stability machinery rests on the
 quadratic form <L_plus a, a> + <L_minus b, b> being positive definite on the
 H^1 sphere once a is orthogonal to Q and yQ and b is orthogonal to
-LambdaQ = (Q + yQ')/2.  Each operator is defined once, by its FFT action;
-this module estimates such constrained minima matrix-free, by a three-term
-Lanczos recurrence in numpy on the pencil whose H^1 / L^2 norm is diagonal
-in Fourier space.  spectrum() alone builds a dense matrix, column by column
-from that action.  h2_coercivity minimizes, over the full (eta_u, eta_n,
-eta_v) linearization around a single traveling wave, the form G21 of
-functionals.weinstein_decompose for that one soliton (K = 1, so the cutoff is
-1): the localized quadratic part of the Weinstein functional, which the
-functionals.csv audit evaluates along runs.
+LambdaQ = (Q + yQ')/2.  Each operator is declared once, as an _Operator: a
+Fourier symbol on its H^1 rows plus a pointwise multiplier on all rows.  Its
+action and its pencil matvec (four batched real-FFT calls) come from that
+declaration; constrained minima are found matrix-free by a three-term Lanczos
+recurrence in numpy on the matvec, and spectrum() alone builds a dense matrix
+from the action.  h2_coercivity minimizes, over the (eta_u, eta_n, eta_v)
+linearization around one traveling wave, the one-soliton G21 of
+functionals.weinstein_decompose (K = 1, so the cutoff is 1): the localized
+quadratic part of the Weinstein functional that functionals.csv audits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, spectral_derivative
+from .grid import Grid
 from .profiles import (
     MultiSolitonConfig,
     SolitonParams,
@@ -58,6 +59,39 @@ _LANCZOS_STEPS = 512
 
 
 @dataclass(frozen=True, eq=False)
+class _Operator:
+    """A = symbol, (m, m, n // 2 + 1) and Hermitian over the rfft wavenumbers, on
+    the H^1 rows 0..m-1 of z (b, n), plus multiplier, (b, b, n) and symmetric, on
+    all rows.  The pencil's norm B is 1 + k^2 on H^1 rows and 1 on L^2 rows."""
+
+    grid: Grid
+    symbol: np.ndarray
+    multiplier: np.ndarray
+
+    def apply(self, z):
+        m = len(self.symbol)
+        az = np.einsum("ijx,jx->ix", self.multiplier, z)
+        az[:m] += np.fft.irfft(np.einsum("ijk,jk->ik", self.symbol, np.fft.rfft(z[:m])),
+                               self.grid.n_points)
+        return az
+
+    @cached_property
+    def h1_scale(self):  # B^{-1/2} on an H^1 row, over the rfft wavenumbers
+        return 1.0 / np.sqrt(1.0 + self.grid.wavenumbers[: self.grid.n_points // 2 + 1] ** 2)
+
+    def scaled_apply(self, z):
+        """B^{-1/2} A B^{-1/2} z in four real-FFT calls over the H^1 rows: rfft
+        of z, irfft to x space for the multiplier, rfft of that, irfft of the sum."""
+        m, s = len(self.symbol), self.h1_scale
+        sz_hat = s * np.fft.rfft(z[:m])
+        az = np.einsum("ijx,jx->ix", self.multiplier,
+                       np.concatenate([np.fft.irfft(sz_hat, self.grid.n_points), z[m:]]))
+        az[:m] = np.fft.irfft(s * (np.einsum("ijk,jk->ik", self.symbol, sz_hat)
+                                   + np.fft.rfft(az[:m])), self.grid.n_points)
+        return az
+
+
+@dataclass(frozen=True, eq=False)
 class LinearizedOperator:
     """-d^2/dx^2 + potential with a sech-squared potential well.
 
@@ -79,11 +113,16 @@ class LinearizedOperator:
         q = ground_state(grid)
         return cls(kind="minus", grid=grid, potential=1.0 - q**2)
 
+    @cached_property
+    def _operator(self) -> _Operator:
+        k = self.grid.wavenumbers[: self.grid.n_points // 2 + 1]
+        return _Operator(self.grid, (k**2)[None, None], self.potential[None, None])
+
     def apply(self, f):
         f = np.asarray(f)
         if f.shape != (self.grid.n_points,):
             raise ValueError("field shape does not match the operator's grid")
-        return -spectral_derivative(self.grid, f, 2) + self.potential * f
+        return self._operator.apply(f[None])[0]
 
     def matrix(self):
         """Dense symmetric matrix: apply() on each unit vector, symmetrized.
@@ -149,33 +188,19 @@ def _lanczos_min(matvec, v) -> float:
                        f"Ritz residual {resid:.3e} at theta = {theta[0]:.16g}")
 
 
-def _lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
+def _lowest(op: _Operator, constraints=None) -> float:
     """Smallest lambda of A z = lambda B z over z L^2-orthogonal to constraints.
 
-    z stacks one length-n block per entry of h1_blocks; apply(z) is A z, with
-    the quadrature weight h included.  B is the Gram matrix of the norm,
-    h (1 + k^2) on H^1 blocks and h on L^2 blocks, diagonal in Fourier space,
-    so the pencil becomes the standard problem for B^{-1/2} A B^{-1/2}, which
-    the three-term Lanczos of _lanczos_min solves from FFT matvecs alone.
-    constraints is an (n_blocks * n, m) array of directions.
+    B is diagonal in Fourier space (the weight h, common to A and B, is left
+    out of both), so the pencil is the standard problem for B^{-1/2} A B^{-1/2},
+    solved by _lanczos_min from op.scaled_apply.  constraints, (k, m, n), lie
+    on the H^1 rows; orthogonality to c is orthogonality to B^{-1/2} c.
     """
-    n = grid.n_points
-    n_blocks = len(h1_blocks)
-    k = np.abs(grid.wavenumbers[: n // 2 + 1])
-    inv_sqrt_h1 = 1.0 / np.sqrt(grid.spacing * (1.0 + k**2))
-    inv_sqrt_l2 = 1.0 / np.sqrt(grid.spacing)
-
-    def scale(z):  # B^{-1/2} z, blockwise; z is one vector or a column stack
-        blocks = np.reshape(z, (n_blocks, n, -1))
-        return np.concatenate([
-            np.fft.irfft(inv_sqrt_h1[:, None] * np.fft.rfft(b, axis=0), n, axis=0)
-            if h1 else inv_sqrt_l2 * b
-            for b, h1 in zip(blocks, h1_blocks)
-        ]).reshape(np.shape(z))
-
-    size = n_blocks * n
-    basis = (np.linalg.qr(scale(constraints))[0] if constraints is not None
-             else np.empty((size, 0)))
+    shape = op.multiplier.shape[1:]
+    basis = np.zeros((op.multiplier[0].size, 0 if constraints is None else len(constraints)))
+    if constraints is not None:
+        basis[: constraints[0].size] = np.linalg.qr(np.fft.irfft(
+            op.h1_scale * np.fft.rfft(constraints), shape[1]).reshape(len(constraints), -1).T)[0]
 
     def project(y):
         return y - basis @ (basis.T @ y)
@@ -185,9 +210,9 @@ def _lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
     # Rayleigh quotient below 1), so the shifted directions never win.
     def matvec(y):
         p = project(y)
-        return project(scale(apply(scale(p)))) + 10.0 * (y - p)
+        return project(op.scaled_apply(p.reshape(shape)).ravel()) + 10.0 * (y - p)
 
-    return _lanczos_min(matvec, project(np.ones(size)))
+    return _lanczos_min(matvec, project(np.ones(len(basis))))
 
 
 def coercivity_nls(grid: Grid) -> dict:
@@ -199,23 +224,38 @@ def coercivity_nls(grid: Grid) -> dict:
     so the minimum is the smaller of two independent constrained generalized
     eigenvalues.
     """
-    h = grid.spacing
-
     def block(op, constraints):
-        def apply(z):
-            return h * op.apply(z)
-        return {"constrained": _lowest(grid, (True,), apply, constraints),
-                "unconstrained": _lowest(grid, (True,), apply)}
+        return {"constrained": _lowest(op._operator, constraints),
+                "unconstrained": _lowest(op._operator)}
 
     plus = block(LinearizedOperator.plus(grid),
-                 np.stack([ground_state(grid), y_ground_state(grid)], axis=1))
-    minus = block(LinearizedOperator.minus(grid), lambda_q(grid)[:, None])
+                 np.stack([ground_state(grid), y_ground_state(grid)])[:, None])
+    minus = block(LinearizedOperator.minus(grid), lambda_q(grid)[None, None])
     return {
         "lambda_min_constrained": min(plus["constrained"], minus["constrained"]),
         "lambda_min_unconstrained": min(plus["unconstrained"], minus["unconstrained"]),
         "plus_block": plus,
         "minus_block": minus,
     }
+
+
+def _h2_operator(grid: Grid, params: SolitonParams, t: float = 0.0):
+    """h2_coercivity's operator on [Re eta_u; Im eta_u; eta_n; eta_v], and its constraints."""
+    center = params.c * t + params.sigma
+    x_rel = grid.wrap(grid.x - center)
+    f = phi(grid, params.omega, center)
+    lam = lambda_omega(grid, params.omega, center)
+    gam = soliton_phase(grid, params.c, params.omega, params.gamma, t, center)
+    cg, sg, w, c = np.cos(gam), np.sin(gam), np.sqrt(1.0 - params.c**2), params.c
+    k = grid.wavenumbers[: grid.n_points // 2 + 1]
+    # -c Im(conj(eta_u) d_x eta_u) couples Re and Im eta_u through -c ik
+    symbol = np.array([[k**2, -1j * c * k], [1j * c * k, k**2]])
+    pot, fc, fs, one, zero = params.nu - f**2, w * f * cg, w * f * sg, np.ones_like(f), 0 * f
+    mult = np.array([[pot, zero, fc, zero], [zero, pot, fs, zero],
+                     [fc, fs, 0.5 * one, -0.5 * c * one], [zero, zero, -0.5 * c * one, 0.5 * one]])
+    constraints = np.array([[f * cg, f * sg], [x_rel * f * cg, x_rel * f * sg],
+                            [-lam * sg, lam * cg]])
+    return _Operator(grid, symbol, mult), constraints
 
 
 def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
@@ -231,45 +271,13 @@ def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:
     ||eta_n||^2 + ||eta_v||^2 = 1 and the constraints are the modulation
     directions (phi, x phi, i Lambda_omega) with the wave's phases.
     """
-    n = grid.n_points
-    h = grid.spacing
-    center = params.c * t + params.sigma
-    x_rel = grid.wrap(grid.x - center)
-    f = phi(grid, params.omega, center)
-    lam = lambda_omega(grid, params.omega, center)
-    gam = soliton_phase(grid, params.c, params.omega, params.gamma, t, center)
-    cg, sg = np.cos(gam), np.sin(gam)
-    w = np.sqrt(1.0 - params.c**2)
-    c = params.c
-    pot = params.nu - f**2
-
-    def apply(z):
-        # the symmetric operator of G21: -c Im(conj(eta_u) d_x eta_u)
-        # pairs Re eta_u with d_x Im eta_u, the coupling pairs eta_n with eta_u
-        a, b, en, ev = np.reshape(z, (4, n))
-        return h * np.concatenate([
-            -spectral_derivative(grid, a, 2) + pot * a
-            - c * spectral_derivative(grid, b, 1) + w * f * cg * en,
-            -spectral_derivative(grid, b, 2) + pot * b
-            + c * spectral_derivative(grid, a, 1) + w * f * sg * en,
-            w * f * (cg * a + sg * b) + 0.5 * en - 0.5 * c * ev,
-            0.5 * ev - 0.5 * c * en,
-        ])
-
-    zero = np.zeros(n)
-    constraints = np.stack([
-        np.concatenate([f * cg, f * sg, zero, zero]),
-        np.concatenate([x_rel * f * cg, x_rel * f * sg, zero, zero]),
-        np.concatenate([-lam * sg, lam * cg, zero, zero]),
-    ], axis=1)
-
-    h1_blocks = (True, True, False, False)
+    op, constraints = _h2_operator(grid, params, t)
     return {
         "omega": params.omega,
         "c": params.c,
-        "lambda_min_constrained": _lowest(grid, h1_blocks, apply, constraints),
-        "lambda_min_unconstrained": _lowest(grid, h1_blocks, apply),
-        "grid": {"n_points": n, "box_length": grid.box_length},
+        "lambda_min_constrained": _lowest(op, constraints),
+        "lambda_min_unconstrained": _lowest(op),
+        "grid": {"n_points": grid.n_points, "box_length": grid.box_length},
     }
 
 
