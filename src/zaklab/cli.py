@@ -7,8 +7,8 @@ the "zaklab" logger go to stderr, data files to the run directory, and the
 manifest path to stdout.
 
 Exit codes: 0 success, 1 configuration/validation error (the message names
-the offending key), 2 numerical failure (the message carries the failing
-time or module).
+the offending key) or a stdout whose reader closed early, 2 numerical
+failure (the message carries the failing time or module).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -123,11 +124,11 @@ def _load_config_dict(args) -> dict:
 
 
 def _spec_from_config(args, kind: str | None) -> ExperimentSpec:
-    """The config file's spec; kind None takes the file's kind (or backward_msw)."""
+    """The config file's spec; kind None takes the file's kind (or weinstein_audit)."""
     data = _load_config_dict(args)
     file_kind = data.pop("kind", None)
     if kind is None:
-        kind = "backward_msw" if file_kind is None else file_kind
+        kind = "weinstein_audit" if file_kind is None else file_kind
     elif file_kind is not None and file_kind != kind:
         raise ConfigError(
             f"config key 'kind' says {file_kind!r} but the subcommand requires {kind!r}")
@@ -160,7 +161,14 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed early (`zaklab ... | head`): send what is
+        # still buffered to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -13,13 +13,15 @@ C e^{-theta t} on an automatically selected window that avoids both the
 integrator noise floor (near t_final the error grows linearly in
 t_final - t) and the nonlinear regime (error above 1e-2).
 
-The streamed kinds (simulate, backward-msw, weinstein-audit,
-local-quantities) run as two processes: a child forked at the start of the
-integration steps the system and writes each batch of frames as raw bytes
-through a pipe, while the parent computes the per-frame diagnostics of the
-batch before it.  The child comes from POSIX `os.fork`, so these kinds need
-a POSIX system (and run inside a daemonic process too), and it has ended by
-the time the runner returns or raises.
+The weinstein-audit kind makes every table of the backward run (errors.csv,
+functionals.csv and one local_L<L>.csv per cutoff width) from one
+integration.  The streamed kinds (simulate, weinstein-audit) run as two
+processes: a child forked at the start of the integration steps the system
+and writes each batch of frames as raw bytes through a pipe, while the
+parent computes the per-frame diagnostics of the batch before it.  The
+child comes from POSIX `os.fork`, so these kinds need a POSIX system (and
+run inside a daemonic process too), and it has ended by the time the runner
+returns or raises.
 """
 
 from __future__ import annotations
@@ -110,9 +112,6 @@ class ExperimentSpec:
         # the checks that span keys
         if any(a >= b for a, b in zip(self.L_values, self.L_values[1:])):
             raise ValueError(f"L_values must be strictly increasing, got {list(self.L_values)}")
-        if self.kind == "local_quantities" and len(self.L_values) < 2:
-            raise ValueError("local_quantities compares drifts across L_values and needs "
-                             f"at least two, got {list(self.L_values)}")
         self.make_grid()  # validates n_points / box_length early
         if not 0 < self.K0 < 0.5 * self.box_length:
             raise ValueError(f"K0 must lie in (0, box_length/2), got {self.K0:g} "
@@ -235,9 +234,13 @@ def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2) -> t
     estimated from the last tenth of the series and samples below
     10 C_n (t_final - t) are dropped.  Returns the (t_lo, t_hi) of the
     longest contiguous surviving span with at least 8 points, or None.
+    The times must be strictly increasing (backward_frames streams them the
+    other way).
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("auto_window needs strictly increasing times")
     if t.size < 8:
         return None
     T = t[-1]
@@ -478,38 +481,45 @@ def _run_simulate(spec, run_dir, manifest):
     _save(run_dir, manifest, "errors.csv", "error_series", errors)
 
 
-def _run_backward_msw(spec, run_dir, manifest):
-    """backward multi-soliton construction with error-decay fit"""
-    errors, = _backward_tables(spec, [_Frame.errors])
-    _save(run_dir, manifest, "errors.csv", "error_series", errors)
-    _fit_error_rates(errors, manifest, spec.config.K)
-
-
 def _run_weinstein_audit(spec, run_dir, manifest):
-    """functional decomposition audit along a backward run"""
-    L = spec.L_values[0]
-    family = CutoffFamily.for_config(spec.config, L)
-    log.info(f"functional audit of every frame (L={L})")
-    errors, reports = _backward_tables(
-        spec, [_Frame.errors, lambda f: f.reports(spec.K0)], family)
+    """backward construction: error-decay fit, functional audit and localized drifts"""
+    first, *others = (CutoffFamily.for_config(spec.config, L) for L in spec.L_values)
+    log.info(f"functional audit and localized quantities of every frame "
+             f"(L={list(spec.L_values)})")
+    errors, reports, *tables = _backward_tables(
+        spec, [_Frame.errors, lambda f: f.reports(spec.K0), *map(_local_table, others)], first)
     _save(run_dir, manifest, "errors.csv", "error_series", errors)
     fit = _fit_error_rates(errors, manifest, spec.config.K)
 
     _save(run_dir, manifest, "functionals.csv", "functional_reports", reports)
     manifest.notes["psi_constants"] = cutoff_profile_constants()
     manifest.notes["young_mu"] = young_mu(spec.config)
-    manifest.notes["cutoff_L"] = L
+    manifest.notes["cutoff_L"] = first.L
 
-    g_vals = reports["G"]
     t = errors["t"]
-    drift = np.abs(g_vals - g_vals[-1])
+    window = (0.0, spec.t_final) if fit is None else tuple(fit["window"])
+    in_window = (t >= window[0]) & (t <= window[1])
     if fit is not None:
-        window = tuple(manifest.fits["theta_hat"]["window"])
-        keep = (t >= window[0]) & (t <= window[1]) & (drift > 0)
+        drift = np.abs(reports["G"] - reports["G"][-1])
+        keep = in_window & (drift > 0)
         if np.count_nonzero(keep) >= 8:
             manifest.fits["weinstein_drift"] = fit_exponential(t[keep], drift[keep])
-        theta_hat = manifest.fits["theta_hat"]["rate"]
-        manifest.fits["edo_constant"] = edo_constant_fit(t, reports["G_mod"], theta_hat, window)
+        manifest.fits["edo_constant"] = edo_constant_fit(t, reports["G_mod"], fit["rate"], window)
+
+    # the first width's masses and momenta are columns of the reports already
+    ks = range(1, spec.config.K + 1)
+    local = {c: reports[c] for c in ["t", *(f"{q}_{k}" for q in "MP" for k in ks)]}
+    drifts = {}
+    for L, loc in zip(spec.L_values, [local, *tables]):
+        _save(run_dir, manifest, f"local_L{L:g}.csv", f"local_series_L{L:g}", loc)
+        drifts[f"{L:g}"] = [float(np.max(np.abs(loc[f"M_{k}"][in_window] - loc[f"M_{k}"][-1])))
+                            for k in ks]
+    manifest.notes["mass_drift_by_L"] = drifts
+    manifest.notes["drift_window"] = list(window)
+    if len(spec.L_values) > 1:  # one width has nothing to compare
+        rows = list(drifts.values())
+        manifest.notes["monotone_in_L"] = {
+            f"k={k}": all(a[k - 1] > b[k - 1] for a, b in zip(rows, rows[1:])) for k in ks}
 
 
 def _run_coercivity_sweep(spec, run_dir, manifest):
@@ -531,29 +541,6 @@ def _run_coercivity_sweep(spec, run_dir, manifest):
     manifest.add_file(path, "coercivity_reports")
     manifest.notes["all_constrained_positive"] = bool(
         all(r["lambda_min_constrained"] > 0 for r in reports))
-
-
-def _run_local_quantities(spec, run_dir, manifest):
-    """localized mass/momentum drift across cutoff widths"""
-    families = [CutoffFamily.for_config(spec.config, L) for L in spec.L_values]
-    errors, *tables = _backward_tables(spec, [_Frame.errors, *map(_local_table, families)])
-    fit = _fit_error_rates(errors, manifest, spec.config.K)
-    window = tuple(manifest.fits["theta_hat"]["window"]) if fit else (0.0, spec.t_final)
-    drifts = {}
-    for L, loc in zip(spec.L_values, tables):
-        _save(run_dir, manifest, f"local_L{L:g}.csv", f"local_series_L{L:g}", loc)
-        t = loc["t"]
-        keep = (t >= window[0]) & (t <= window[1])
-        M_k = (loc[f"M_{k + 1}"] for k in range(spec.config.K))
-        drifts[f"{L:g}"] = [float(np.max(np.abs(m[keep] - m[-1]))) for m in M_k]
-    manifest.notes["mass_drift_by_L"] = drifts
-    manifest.notes["drift_window"] = list(window)
-    Ls = [f"{L:g}" for L in spec.L_values]
-    manifest.notes["monotone_in_L"] = {
-        f"k={k+1}": bool(all(drifts[Ls[i]][k] > drifts[Ls[i + 1]][k]
-                             for i in range(len(Ls) - 1)))
-        for k in range(spec.config.K)
-    }
 
 
 def _run_modulation_track(spec, run_dir, manifest):
@@ -611,11 +598,9 @@ class Kind(NamedTuple):
 
 KINDS = {
     "simulate": Kind("simulate", _run_simulate),
-    "backward_msw": Kind("backward-msw", _run_backward_msw),
     "modulation_track": Kind("modulate-track", _run_modulation_track),
     "weinstein_audit": Kind("weinstein-audit", _run_weinstein_audit),
     "coercivity_sweep": Kind("coercivity", _run_coercivity_sweep),
-    "local_quantities": Kind("local-quantities", _run_local_quantities),
     "convergence_order": Kind("convergence-order", _run_convergence_order),
 }
 

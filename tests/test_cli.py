@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +35,7 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "backward-msw" in out
+    assert "weinstein-audit" in out
     assert "numerics.dt" in out  # config keys documented in the epilog
 
 
@@ -43,10 +46,14 @@ def test_version(capsys):
     assert "zaklab" in capsys.readouterr().out
 
 
-def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_missing_subcommand_is_usage_error(capsys):
+    # backward-msw and local-quantities are no subcommands: weinstein-audit writes their tables
+    for argv in ([], ["backward-msw", "--config", "c.json"],
+                 ["local-quantities", "--config", "c.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().err.count("invalid choice") == 2
 
 
 # --- validate-config -------------------------------------------------------------
@@ -56,6 +63,7 @@ def test_validate_config_round_trip(tmp_path, capsys):
     assert main(["validate-config", "--config", cfg]) == 0
     first = capsys.readouterr().out
     data = json.loads(first)
+    assert data["kind"] == "weinstein_audit"  # a config without a kind runs as the audit
     assert data["numerics"]["n_points"] == 256
     assert data["knobs"]["t_final"] == 0.5
     # echoing the canonical form back through the validator is idempotent
@@ -114,10 +122,9 @@ def test_committed_configs_validate(path, capsys):
 
 @pytest.mark.parametrize("subcommand, override, key", [
     ("weinstein-audit", "knobs.K0=20.0", "K0"),
-    ("local-quantities", "knobs.L_values=[]", "L_values"),
-    ("local-quantities", "knobs.L_values=[5.0]", "L_values"),
-    ("local-quantities", "knobs.L_values=[5.0,5.0]", "L_values"),
-    ("local-quantities", "knobs.L_values=[20.0,10.0,5.0]", "L_values"),
+    ("weinstein-audit", "knobs.L_values=[]", "L_values"),
+    ("weinstein-audit", "knobs.L_values=[5.0,5.0]", "L_values"),
+    ("weinstein-audit", "knobs.L_values=[20.0,10.0,5.0]", "L_values"),
     ("weinstein-audit", "knobs.L_values=[10.0,5.0]", "L_values"),
     ("coercivity", "knobs.omegas_sweep=[1.0,0.0]", "omegas_sweep"),
     ("coercivity", "knobs.speeds_sweep=[0.5,1.0]", "speeds_sweep"),
@@ -126,7 +133,7 @@ def test_committed_configs_validate(path, capsys):
     ("simulate", "numerics.n_points=512.0", "n_points"),
     ("simulate", "numerics.blowup_threshold=-1", "blowup_threshold"),
     ("simulate", "numerics.dt=Infinity", "dt"),
-    ("backward-msw", "knobs.t_final=Infinity", "t_final"),
+    ("weinstein-audit", "knobs.t_final=Infinity", "t_final"),
     ("modulate-track", "knobs.tolerance=Infinity", "tolerance"),
     ("coercivity", "knobs.speeds_sweep=[NaN]", "speeds_sweep"),
     ("coercivity", "knobs.omegas_sweep=[Infinity]", "omegas_sweep"),
@@ -141,7 +148,7 @@ def test_committed_configs_validate(path, capsys):
     ("weinstein-audit", 'knobs.K0="5"', "K0"),
     ("weinstein-audit", "knobs.L_values=5.0", "L_values"),
     ("simulate", "numerics=5", "numerics"),
-    ("backward-msw", "knobs=5", "knobs"),
+    ("weinstein-audit", "knobs=5", "knobs"),
     ("simulate", "solitons.0.sigma=NaN", "sigma"),
     ("simulate", "solitons.0.omega=Infinity", "omega"),
     ("validate-config", "solitons=5", "solitons"),
@@ -218,7 +225,7 @@ def test_override_without_equals(tmp_path, capsys):
 
 def test_kind_mismatch_between_file_and_subcommand(tmp_path, capsys):
     data = _one_soliton_config()
-    data["kind"] = "backward_msw"
+    data["kind"] = "weinstein_audit"
     cfg = _write(tmp_path, data)
     assert main(["modulate-track", "--config", cfg,
                  "--output-dir", str(tmp_path / "runs")]) == 1
@@ -254,14 +261,15 @@ def test_coercivity_requires_config(capsys):
 def test_backward_msw_from_config_file(tmp_path, capsys):
     cfg = _write(tmp_path, _one_soliton_config())
     out_dir = tmp_path / "runs"
-    assert main(["backward-msw", "--config", cfg,
+    assert main(["weinstein-audit", "--config", cfg,
                  "--output-dir", str(out_dir)]) == 0
     captured = capsys.readouterr()
     lines = captured.out.strip().split("\n")
     assert len(lines) == 1
     manifest = json.loads(Path(lines[0]).read_text())
-    assert manifest["kind"] == "backward_msw"
-    assert (Path(lines[0]).parent / "errors.csv").exists()
+    assert manifest["kind"] == "weinstein_audit"
+    assert sorted(p.name for p in Path(lines[0]).parent.glob("*.csv")) == [
+        "errors.csv", "functionals.csv", "local_L10.csv", "local_L20.csv", "local_L5.csv"]
     # progress lives on stderr, not stdout
     assert "backward construction" in captured.err
 
@@ -294,3 +302,18 @@ def test_blowup_exits_two(tmp_path, capsys):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["incomplete"] is True
     assert manifest["notes"]["error"].startswith("BlowUpError")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_quietly(unbuffered):
+    # `zaklab validate-config ... | head` with the reader gone before any output:
+    # the write fails at print (unbuffered) or at the flush after the command
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "wb") as stdout:
+        done = subprocess.run([sys.executable, "-m", "zaklab.cli", "validate-config",
+                               "--config", str(CONFIGS[0])], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert (done.returncode, done.stderr) == (1, "")

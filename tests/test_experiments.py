@@ -58,7 +58,7 @@ CHEAP = dict(n_points=256, box_length=40.0, dt=1e-2, sample_stride=10,
 # --- spec -----------------------------------------------------------------------
 
 def test_spec_defaults_and_grid():
-    spec = ExperimentSpec(kind="backward_msw", config=ONE)
+    spec = ExperimentSpec(kind="weinstein_audit", config=ONE)
     g = spec.make_grid()
     assert (g.n_points, g.box_length) == (1024, 40.0)
     assert spec.L_values == (5.0, 10.0, 20.0)
@@ -68,43 +68,40 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         ExperimentSpec(kind="nope", config=ONE)
     with pytest.raises(TypeError):
-        ExperimentSpec(kind="backward_msw", config="not a config")
+        ExperimentSpec(kind="weinstein_audit", config="not a config")
     with pytest.raises(ValueError, match="dt"):
-        ExperimentSpec(kind="backward_msw", config=ONE, dt=0.0)
+        ExperimentSpec(kind="weinstein_audit", config=ONE, dt=0.0)
     with pytest.raises(ValueError, match="t_final"):
-        ExperimentSpec(kind="backward_msw", config=ONE, t_final=-1.0)
+        ExperimentSpec(kind="weinstein_audit", config=ONE, t_final=-1.0)
     with pytest.raises(ValueError, match="sample_stride"):
-        ExperimentSpec(kind="backward_msw", config=ONE, sample_stride=0)
+        ExperimentSpec(kind="weinstein_audit", config=ONE, sample_stride=0)
     # counts must be real ints: a float stride would sample at another rate
     # than the one recorded, and bools are not counts
     for name, value in (("n_points", 512.0), ("n_points", True),
                         ("sample_stride", 2.5), ("sample_stride", True)):
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
-            ExperimentSpec(kind="backward_msw", config=ONE, **{name: value})
+            ExperimentSpec(kind="weinstein_audit", config=ONE, **{name: value})
     for name in ("dt", "t_final"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            ExperimentSpec(kind="backward_msw", config=ONE, **{name: float("inf")})
+            ExperimentSpec(kind="weinstein_audit", config=ONE, **{name: float("inf")})
     for name, value in (("tolerance", float("inf")), ("box_length", float("inf")),
                         ("L_values", (5.0, float("inf"))), ("L_values", (float("nan"),)),
                         ("omegas_sweep", (float("inf"),)), ("speeds_sweep", (float("nan"),))):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            ExperimentSpec(kind="backward_msw", config=ONE, **{name: value})
+            ExperimentSpec(kind="weinstein_audit", config=ONE, **{name: value})
     for value in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="blowup_threshold must be positive"):
-            ExperimentSpec(kind="backward_msw", config=ONE, blowup_threshold=value)
+            ExperimentSpec(kind="weinstein_audit", config=ONE, blowup_threshold=value)
     # an infinite ceiling means none: the guard still refuses non-finite norms
-    assert ExperimentSpec(kind="backward_msw", config=ONE,
+    assert ExperimentSpec(kind="weinstein_audit", config=ONE,
                           blowup_threshold=float("inf")).blowup_threshold == float("inf")
     with pytest.raises(ValueError, match="L_values"):
-        ExperimentSpec(kind="backward_msw", config=ONE, L_values=(5.0, -1.0))
-    # widths must be strictly increasing for every kind; local_quantities
-    # compares drifts across them and needs two
+        ExperimentSpec(kind="weinstein_audit", config=ONE, L_values=(5.0, -1.0))
+    # widths must be strictly increasing for every kind; one width is enough
     for kind in KINDS:
         for widths in ((5.0, 5.0), (20.0, 10.0, 5.0)):
             with pytest.raises(ValueError, match="strictly increasing"):
                 ExperimentSpec(kind=kind, config=ONE, L_values=widths)
-    with pytest.raises(ValueError, match="at least two"):
-        ExperimentSpec(kind="local_quantities", config=ONE, L_values=(5.0,))
     assert ExperimentSpec(kind="weinstein_audit", config=ONE, L_values=(5.0,)).L_values == (5.0,)
 
 
@@ -126,7 +123,7 @@ def _inadmissible():
 
 @pytest.mark.parametrize("block, name, value", _inadmissible())
 def test_every_key_refuses_each_inadmissible_value(block, name, value):
-    data = ExperimentSpec(kind="backward_msw", config=ONE).to_dict()
+    data = ExperimentSpec(kind="weinstein_audit", config=ONE).to_dict()
     if block == "solitons.N":
         data["solitons"][0][name] = value
     else:
@@ -136,7 +133,7 @@ def test_every_key_refuses_each_inadmissible_value(block, name, value):
 
 
 def test_spec_dict_round_trip():
-    spec = ExperimentSpec(kind="local_quantities", config=TWO, n_points=512,
+    spec = ExperimentSpec(kind="weinstein_audit", config=TWO, n_points=512,
                           t_final=3.0, L_values=(4.0, 8.0))
     data = spec.to_dict()
     again = ExperimentSpec.from_dict(data)
@@ -145,7 +142,7 @@ def test_spec_dict_round_trip():
 
 
 def test_spec_from_dict_rejects_unknown_keys():
-    base = ExperimentSpec(kind="backward_msw", config=ONE).to_dict()
+    base = ExperimentSpec(kind="weinstein_audit", config=ONE).to_dict()
     bad = dict(base, extra=1)
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentSpec.from_dict(bad)
@@ -163,20 +160,20 @@ def test_spec_from_dict_rejects_unknown_keys():
 
 def test_spec_rejects_unknown_scheme():
     # there is one integrator, so numerics.scheme is no longer a key at all
-    base = ExperimentSpec(kind="backward_msw", config=ONE).to_dict()
+    base = ExperimentSpec(kind="weinstein_audit", config=ONE).to_dict()
     assert "scheme" not in base["numerics"]
     bad = json.loads(json.dumps(base))
     bad["numerics"]["scheme"] = "strang"
     with pytest.raises(ValueError, match=r"unknown numerics keys: \['scheme'\]"):
         ExperimentSpec.from_dict(bad)
     with pytest.raises(TypeError, match="scheme"):
-        ExperimentSpec(kind="backward_msw", config=ONE, scheme="strang")
+        ExperimentSpec(kind="weinstein_audit", config=ONE, scheme="strang")
 
 
 def test_content_hash_is_stable_and_sensitive():
-    a = ExperimentSpec(kind="backward_msw", config=TWO)
-    b = ExperimentSpec(kind="backward_msw", config=TWO)
-    c = ExperimentSpec(kind="backward_msw", config=TWO, dt=2e-3)
+    a = ExperimentSpec(kind="weinstein_audit", config=TWO)
+    b = ExperimentSpec(kind="weinstein_audit", config=TWO)
+    c = ExperimentSpec(kind="weinstein_audit", config=TWO, dt=2e-3)
     assert a.content_hash() == b.content_hash()
     assert len(a.content_hash()) == 12
     assert int(a.content_hash(), 16) >= 0
@@ -234,6 +231,14 @@ def test_auto_window_selects_clean_decay():
     assert fit["rate"] == pytest.approx(1.0, rel=0.05)
 
 
+def test_auto_window_refuses_times_out_of_order():
+    # backward_frames order, t_final -> 0, and a repeated time
+    t = np.linspace(0.0, 30.0, 301)
+    for times in (t[::-1], np.repeat(t, 2)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            auto_window(times, np.exp(-times))
+
+
 def test_auto_window_degenerate_inputs():
     t = np.linspace(0.0, 1.0, 5)
     assert auto_window(t, np.exp(-t)) is None
@@ -289,11 +294,11 @@ _LOCAL_HEADER = ["t", "M_1", "M_2", "P_1", "P_2"]
 
 @pytest.mark.parametrize("kind, headers", [
     ("simulate", {"errors.csv": _ERRORS_HEADER}),
-    ("backward_msw", {"errors.csv": _ERRORS_HEADER}),
     ("weinstein_audit", {"errors.csv": _ERRORS_HEADER, "functionals.csv": [
         "t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G22", "G3",
-        "H", "G_mod", "mass_tail", "energy_tail", "g22_active"]}),
-    ("local_quantities", {"local_L4.csv": _LOCAL_HEADER, "local_L8.csv": _LOCAL_HEADER}),
+        "H", "G_mod", "mass_tail", "energy_tail", "g22_active"],
+        "local_L4.csv": _LOCAL_HEADER, "local_L8.csv": _LOCAL_HEADER,
+        "local_L16.csv": _LOCAL_HEADER}),
     ("modulation_track", {"modulation.csv": [
         "t", "omega_1", "omega_2", "sigma_1", "sigma_2", "gamma_1", "gamma_2",
         "domega_dt_1", "domega_dt_2", "dsigma_dt_1", "dsigma_dt_2", "dgamma_dt_1",
@@ -304,7 +309,7 @@ def test_the_run_tables_keep_their_documented_headers(tmp_path, kind, headers):
     """Every CSV a kind writes, with its header as the README documents it;
     the benchmark harness reads t, err_bold_H, omega_k|sigma_k|gamma_k and
     converged by name."""
-    spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP, L_values=(4.0, 8.0))
+    spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP, L_values=(4.0, 8.0, 16.0))
     run_dir = Path(run(spec, output_dir=tmp_path).run_dir)
     assert sorted(p.name for p in run_dir.glob("*.csv")) == sorted(headers)
     for name, header in headers.items():
@@ -333,12 +338,12 @@ def test_local_and_gmod_series_shapes():
 # --- manifest ---------------------------------------------------------------------
 
 def test_manifest_write_and_roles(tmp_path):
-    man = RunManifest(kind="backward_msw", spec={"kind": "backward_msw"},
+    man = RunManifest(kind="weinstein_audit", spec={"kind": "weinstein_audit"},
                       derived_constants={"theta0": 0.1}, run_dir="x")
     man.add_file(Path("a/errors.csv"), "error_series")
     out = man.write(tmp_path / "manifest.json")
     data = json.loads(out.read_text())
-    assert data["kind"] == "backward_msw"
+    assert data["kind"] == "weinstein_audit"
     assert data["incomplete"] is False
     assert data["files"] == [{"name": "errors.csv", "role": "error_series"}]
     assert data["derived_constants"]["theta0"] == 0.1
@@ -352,14 +357,14 @@ def _read_manifest(manifest):
 
 
 def test_run_backward_msw_is_deterministic(tmp_path):
-    msw = ExperimentSpec(kind="backward_msw", config=ONE, **CHEAP)
-    audit = ExperimentSpec(kind="weinstein_audit", config=TWO, **CHEAP)
-    for spec, csvs in ((msw, ["errors.csv"]), (audit, ["errors.csv", "functionals.csv"])):
+    csvs = ["errors.csv", "functionals.csv", "local_L5.csv", "local_L10.csv", "local_L20.csv"]
+    for config in (ONE, TWO):
+        spec = ExperimentSpec(kind="weinstein_audit", config=config, **CHEAP)
         digests = []
         for sub in ("a", "b"):
             man = run(spec, output_dir=tmp_path / sub)
             assert Path(man.run_dir).name == f"{spec.kind}_{spec.content_hash()}"
-            if spec is msw:  # single-soliton data is exact: noted as such instead of fitted
+            if config is ONE:  # single-soliton data is exact: noted as such instead of fitted
                 notes = _read_manifest(man)["notes"]
                 assert "exact_solution" in notes
                 assert notes["max_err_bold_H"] < 1e-3
@@ -375,7 +380,7 @@ def test_run_backward_msw_is_deterministic(tmp_path):
 
 
 def test_run_marks_incomplete_when_no_window_exists(tmp_path):
-    spec = ExperimentSpec(kind="backward_msw", config=TWO, n_points=256,
+    spec = ExperimentSpec(kind="weinstein_audit", config=TWO, n_points=256,
                           box_length=40.0, dt=1e-2, sample_stride=5,
                           t_final=1.0)
     man = run(spec, output_dir=tmp_path)
@@ -385,11 +390,11 @@ def test_run_marks_incomplete_when_no_window_exists(tmp_path):
 
 
 def test_run_records_failure_and_reraises(tmp_path):
-    spec = ExperimentSpec(kind="backward_msw", config=ONE, **CHEAP,
+    spec = ExperimentSpec(kind="weinstein_audit", config=ONE, **CHEAP,
                           blowup_threshold=1.0)
     with pytest.raises(BlowUpError):
         run(spec, output_dir=tmp_path)
-    path = Path(tmp_path) / f"backward_msw_{spec.content_hash()}" / "manifest.json"
+    path = Path(tmp_path) / f"weinstein_audit_{spec.content_hash()}" / "manifest.json"
     data = json.loads(path.read_text())
     assert data["incomplete"] is True
     assert data["notes"]["error"].startswith("BlowUpError")
@@ -447,22 +452,28 @@ spectrum(LinearizedOperator.plus(Grid(64, 40.0)), 2)
 
 
 def test_run_local_quantities_smoke(tmp_path):
-    spec = ExperimentSpec(kind="local_quantities", config=ONE, **CHEAP,
-                          L_values=(4.0, 8.0))
+    # an audit of one width writes its table and drift, and has no widths to compare
+    spec = ExperimentSpec(kind="weinstein_audit", config=ONE, **CHEAP, L_values=(4.0,))
     man = run(spec, output_dir=tmp_path)
-    data = _read_manifest(man)
-    assert set(data["notes"]["mass_drift_by_L"]) == {"4", "8"}
-    assert (Path(man.run_dir) / "local_L4.csv").exists()
-    assert (Path(man.run_dir) / "local_L8.csv").exists()
+    notes = _read_manifest(man)["notes"]
+    assert set(notes["mass_drift_by_L"]) == {"4"}
+    assert notes["drift_window"] == [0.0, spec.t_final]
+    assert "monotone_in_L" not in notes
+    assert [p.name for p in Path(man.run_dir).glob("local_L*.csv")] == ["local_L4.csv"]
 
 
 def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
-    # the runner covers every width in one pass over the streamed frames
-    spec = ExperimentSpec(kind="local_quantities", config=TWO, **CHEAP,
+    # the runner makes every table in one pass over the streamed frames; each
+    # is the table the in-process series helpers make of the listed frames
+    spec = ExperimentSpec(kind="weinstein_audit", config=TWO, **CHEAP,
                           L_values=(4.0, 8.0))
     man = run(spec, output_dir=tmp_path / "runs")
+    assert set(man.notes["monotone_in_L"]) == {"k=1", "k=2"}
     frames = backward_construct(spec.make_grid(), TWO, spec.t_final, spec.dt,
                                 sample_stride=spec.sample_stride)
+    _write_csv(tmp_path / "errors.csv", error_series(frames, TWO))
+    assert (tmp_path / "errors.csv").read_bytes() == \
+        (Path(man.run_dir) / "errors.csv").read_bytes()
     for L in spec.L_values:
         path = tmp_path / f"L{L:g}.csv"
         loc = local_series(frames, TWO, L)
@@ -475,7 +486,7 @@ def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
 @pytest.mark.parametrize("batch", [1, 3, 16])
 def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch):
     # 51 frames: batches of 3 and 16 leave a short last batch
-    spec = ExperimentSpec(kind="local_quantities", config=config, **dict(CHEAP, sample_stride=1))
+    spec = ExperimentSpec(kind="weinstein_audit", config=config, **dict(CHEAP, sample_stride=1))
     widths = [CutoffFamily.for_config(config, L) for L in (4.0, 8.0)]
     monkeypatch.setattr(experiments, "_BATCH", batch)
     errors, *tables = experiments._backward_tables(
@@ -522,7 +533,7 @@ def _assert_no_child_left():
 
 
 def test_a_failing_consumer_ends_the_integrating_child():
-    spec = ExperimentSpec(kind="backward_msw", config=ONE, **dict(CHEAP, sample_stride=1))
+    spec = ExperimentSpec(kind="weinstein_audit", config=ONE, **dict(CHEAP, sample_stride=1))
     boom = ZeroDivisionError("second batch")
     sizes = []
 
@@ -591,8 +602,7 @@ def test_frames_off_the_grid_of_the_stream_are_refused():
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("kind", ["simulate", "backward_msw", "weinstein_audit",
-                                  "local_quantities"])
+@pytest.mark.parametrize("kind", ["simulate", "weinstein_audit"])
 def test_streamed_kinds_warn_nothing(tmp_path, kind):
     spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP, L_values=(4.0, 8.0))
     with warnings.catch_warnings():
@@ -619,7 +629,7 @@ def _run_in_a_pool_worker(spec, out_dir):
 
 def test_a_pool_worker_can_run_a_streamed_kind(tmp_path):
     # a Pool worker is daemonic, and multiprocessing.Process refuses it children
-    spec = ExperimentSpec(kind="backward_msw", config=ONE, **CHEAP)
+    spec = ExperimentSpec(kind="weinstein_audit", config=ONE, **CHEAP)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         in_worker = pool.apply(_run_in_a_pool_worker, (spec, tmp_path / "pool"))
     here = run(spec, output_dir=tmp_path / "here").run_dir
