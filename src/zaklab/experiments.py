@@ -112,6 +112,10 @@ class ExperimentSpec:
         # the checks that span keys
         if any(a >= b for a, b in zip(self.L_values, self.L_values[1:])):
             raise ValueError(f"L_values must be strictly increasing, got {list(self.L_values)}")
+        widths = [f"{L:g}" for L in self.L_values]  # as the local_L<L>.csv names print them
+        if len(set(widths)) < len(widths):
+            raise ValueError(f"L_values must name distinct local_L<L>.csv files, "
+                             f"got {list(self.L_values)}, printed {widths}")
         self.make_grid()  # validates n_points / box_length early
         if not 0 < self.K0 < 0.5 * self.box_length:
             raise ValueError(f"K0 must lie in (0, box_length/2), got {self.K0:g} "

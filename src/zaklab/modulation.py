@@ -27,10 +27,8 @@ their analytic 3K x 3K Jacobian.  The Jacobian has two kinds of term:
     r = sqrt(omega), and d e^{-i Gamma_k}/dgamma_k = -i e^{-i Gamma_k}.
 
 sech is formed from e^{-|z|}, so iterates that run to large omega do not
-overflow.  fd_jacobian, a forward-difference Jacobian of the independent
-orthogonality_residuals, is kept as the test oracle.  Along a trajectory each
-frame warm-starts from the previous one and gamma is kept on a continuous
-branch.
+overflow.  Along a trajectory each frame warm-starts from the previous one
+and gamma is kept on a continuous branch.
 
 The residual vector, the unknown vector, and the Jacobian all use the fixed
 component order (all omega, all sigma, all gamma).
@@ -45,25 +43,16 @@ import numpy as np
 
 from .dynamics import State
 from .grid import quadrature
-from .profiles import (
-    MultiSolitonConfig,
-    lambda_omega,
-    modulated_profile,
-    phi,
-    pi_from_config,
-    soliton_phase,
-)
+from .profiles import MultiSolitonConfig, pi_from_config
 
 __all__ = [
     "pi_from_config",
     "pi_norm",
-    "orthogonality_residuals",
     "FitEvaluation",
     "residuals_and_jacobian",
     "ModulationResult",
     "REASONS",
     "modulate",
-    "fd_jacobian",
     "leading_diagonal_constants",
     "TrackResult",
     "track",
@@ -93,39 +82,6 @@ def _checked_pi(pi, K: int) -> np.ndarray:
     return pi
 
 
-def orthogonality_residuals(state, pi, config: MultiSolitonConfig, t=None) -> np.ndarray:
-    """The 3K orthogonality quadratures at parameters pi.
-
-    eps_u = u - S^u(pi) is computed internally; the return order is all
-    omega-type, then all sigma-type, then all gamma-type residuals.  Built
-    from the profiles module alone, this is the reference the fused
-    residuals_and_jacobian is tested against.
-    """
-    g = state.grid
-    t = state.t if t is None else t
-    K = config.K
-    pi = _checked_pi(pi, K)
-
-    s_u, _, _ = modulated_profile(g, config, pi, t)
-    eps_u = state.u - s_u
-
-    res = np.empty(3 * K)
-    for k, p in enumerate(config.solitons):
-        omega_k = pi[k]
-        sigma_k = pi[K + k]
-        gamma_k = pi[2 * K + k]
-        center = p.c * t + sigma_k
-        x_rel = g.wrap(g.x - center)
-        f = phi(g, omega_k, center)
-        lam = lambda_omega(g, omega_k, center)
-        gam = soliton_phase(g, p.c, p.omega, gamma_k, t, center)
-        w = np.exp(-1j * gam) * eps_u
-        res[k] = quadrature(g, f * np.real(w))
-        res[K + k] = quadrature(g, x_rel * f * np.real(w))
-        res[2 * K + k] = quadrature(g, lam * np.imag(w))
-    return res
-
-
 class FitEvaluation(NamedTuple):
     """Residuals, their analytic Jacobian and the profile S(pi) at one pi."""
 
@@ -146,18 +102,16 @@ def _sech_tanh(z):
     return 2.0 * e / (1.0 + e2), np.sign(z) * (1.0 - e2) / (1.0 + e2)
 
 
-def residuals_and_jacobian(state, pi, config: MultiSolitonConfig) -> FitEvaluation:
+def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
+                           _work=None) -> FitEvaluation:
     """The 3K orthogonality residuals and their analytic Jacobian in one pass.
 
     Row i, column j of the Jacobian is d(residual_i)/d(pi_j); both use the
     fixed (omega, sigma, gamma) order.  The terms are listed in the module
-    docstring.
+    docstring.  _work is modulate's list of the two work arrays, filled on
+    first use; every call without it makes its own.
     """
-    return _evaluate(state, pi, config, [])
-
-
-def _evaluate(state, pi, config: MultiSolitonConfig, work: list) -> FitEvaluation:
-    """residuals_and_jacobian in the caller's work arrays, made on first use."""
+    work = [] if _work is None else _work
     g = state.grid
     t = state.t
     K = config.K
@@ -250,19 +204,6 @@ class ModulationResult:
         return float(np.max(np.abs(self.residuals)))
 
 
-def fd_jacobian(state, pi, config: MultiSolitonConfig, rel_step: float = 1e-6) -> np.ndarray:
-    """Forward-difference Jacobian of orthogonality_residuals (test oracle)."""
-    pi = np.asarray(pi, dtype=float)
-    base = orthogonality_residuals(state, pi, config)
-    jac = np.empty((pi.size, pi.size))
-    for j in range(pi.size):
-        step = rel_step * max(1.0, abs(pi[j]))
-        bumped = pi.copy()
-        bumped[j] += step
-        jac[:, j] = (orthogonality_residuals(state, bumped, config) - base) / step
-    return jac
-
-
 def _bold_h(eps: State) -> float:
     """||u||_H1 + ||n||_L2 + ||v||_L2, the H1 part by Parseval."""
     g = eps.grid
@@ -296,12 +237,12 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
 
     On every exit but "converged" the best iterate seen is returned with
     converged = False.  _work is track's list of Newton work arrays (see
-    _evaluate); every call without it makes its own.
+    residuals_and_jacobian); every call without it makes its own.
     """
     work = [] if _work is None else _work
     K = config.K
     pi = pi_from_config(config) if pi_guess is None else np.array(pi_guess, dtype=float)
-    ev = _evaluate(state, pi, config, work)
+    ev = residuals_and_jacobian(state, pi, config, _work=work)
     best, stalled = ev, 0
 
     for it in range(max_iter):
@@ -319,7 +260,7 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
         else:
             return _result(state, best, it, "damping")
         pi = pi + scale * delta
-        ev = _evaluate(state, pi, config, work)
+        ev = residuals_and_jacobian(state, pi, config, _work=work)
         if ev.residual_max < best.residual_max:
             best, stalled = ev, 0
         else:
@@ -384,8 +325,7 @@ class TrackResult:
                 "converged": self.converged, "reason": [r.reason for r in self.results]}
 
 
-def track(frames, config: MultiSolitonConfig,
-          tolerance: float = 1e-10, max_iter: int = 50) -> TrackResult:
+def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> TrackResult:
     """Modulate every frame (States in increasing time), warm-starting each
     solve from its predecessor; the stored results drop their epsilon State.
 
@@ -400,8 +340,7 @@ def track(frames, config: MultiSolitonConfig,
     guess = pi0
     prev_pi = None
     for frame in frames:
-        res = modulate(frame, config, pi_guess=guess, tolerance=tolerance,
-                       max_iter=max_iter, _work=work)
+        res = modulate(frame, config, pi_guess=guess, tolerance=tolerance, _work=work)
         pi = res.pi.copy()
         if prev_pi is not None:
             two_pi = 2.0 * np.pi

@@ -192,8 +192,8 @@ def _lambda_q_of(y):
 
 
 def ground_state(grid: Grid):
-    """Q(y) = sqrt(2)/cosh(y) sampled (periodized) on the grid."""
-    return sum(_q_of(y) for y in _images(grid, 0.0))
+    """Q(y) = sqrt(2)/cosh(y) sampled (periodized) on the grid: phi_1."""
+    return phi(grid, 1.0)
 
 
 def ground_state_prime(grid: Grid):
@@ -201,8 +201,8 @@ def ground_state_prime(grid: Grid):
 
 
 def lambda_q(grid: Grid):
-    """Scaling generator (Q + y Q')/2 = (1 - y tanh y) / (sqrt(2) cosh y)."""
-    return sum(_lambda_q_of(y) for y in _images(grid, 0.0))
+    """Scaling generator (Q + y Q')/2 = (1 - y tanh y) / (sqrt(2) cosh y): Lambda_1."""
+    return lambda_omega(grid, 1.0)
 
 
 def y_ground_state(grid: Grid):

@@ -9,15 +9,16 @@ produces
 whose kernels are spanned by Q' and Q.  The stability machinery rests on the
 quadratic form <L_plus a, a> + <L_minus b, b> being positive definite on the
 H^1 sphere once a is orthogonal to Q and yQ and b is orthogonal to
-LambdaQ = (Q + yQ')/2.  Each operator is declared once, as an _Operator: a
-Fourier symbol on its H^1 rows plus a pointwise multiplier on all rows.  Its
-action and its pencil matvec (four batched real-FFT calls) come from that
-declaration; constrained minima are found matrix-free by a three-term Lanczos
-recurrence in numpy on the matvec, and spectrum() alone builds a dense matrix
-from the action.  h2_coercivity minimizes, over the (eta_u, eta_n, eta_v)
-linearization around one traveling wave, the one-soliton G21 of
-functionals.weinstein_decompose (K = 1, so the cutoff is 1): the localized
-quadratic part of the Weinstein functional that functionals.csv audits.
+LambdaQ = (Q + yQ')/2.  Each operator, L_plus and L_minus included, is one
+LinearizedOperator: a Fourier symbol on its H^1 rows plus a pointwise
+multiplier on all rows.  Its action and its pencil matvec (four batched
+real-FFT calls) come from that declaration; constrained minima are found
+matrix-free by a three-term Lanczos recurrence in numpy on the matvec, and
+spectrum() alone builds a dense matrix from the action.  h2_coercivity
+minimizes, over the (eta_u, eta_n, eta_v) linearization around one traveling
+wave, the one-soliton G21 of functionals.weinstein_decompose (K = 1, so the
+cutoff is 1): the localized quadratic part of the Weinstein functional that
+functionals.csv audits.
 """
 
 from __future__ import annotations
@@ -59,16 +60,36 @@ _LANCZOS_STEPS = 512
 
 
 @dataclass(frozen=True, eq=False)
-class _Operator:
+class LinearizedOperator:
     """A = symbol, (m, m, n // 2 + 1) and Hermitian over the rfft wavenumbers, on
     the H^1 rows 0..m-1 of z (b, n), plus multiplier, (b, b, n) and symmetric, on
-    all rows.  The pencil's norm B is 1 + k^2 on H^1 rows and 1 on L^2 rows."""
+    all rows.  The pencil's norm B is 1 + k^2 on H^1 rows and 1 on L^2 rows.
+
+    plus and minus are the one-row operators -d^2/dx^2 + 1 - 3Q^2 and
+    -d^2/dx^2 + 1 - Q^2, with Q centered at the origin of the grid.
+    """
 
     grid: Grid
     symbol: np.ndarray
     multiplier: np.ndarray
 
+    @classmethod
+    def plus(cls, grid: Grid) -> "LinearizedOperator":
+        return cls._schrodinger(grid, 1.0 - 3.0 * ground_state(grid) ** 2)
+
+    @classmethod
+    def minus(cls, grid: Grid) -> "LinearizedOperator":
+        return cls._schrodinger(grid, 1.0 - ground_state(grid) ** 2)
+
+    @classmethod
+    def _schrodinger(cls, grid: Grid, potential) -> "LinearizedOperator":
+        k = grid.wavenumbers[: grid.n_points // 2 + 1]
+        return cls(grid, (k**2)[None, None], potential[None, None])
+
     def apply(self, z):
+        """A z for z of shape (b, n); a one-row operator also takes a field (n,)."""
+        if np.ndim(z) == 1:
+            return self.apply(np.asarray(z)[None])[0]
         m = len(self.symbol)
         az = np.einsum("ijx,jx->ix", self.multiplier, z)
         az[:m] += np.fft.irfft(np.einsum("ijk,jk->ik", self.symbol, np.fft.rfft(z[:m])),
@@ -90,42 +111,9 @@ class _Operator:
                                    + np.fft.rfft(az[:m])), self.grid.n_points)
         return az
 
-
-@dataclass(frozen=True, eq=False)
-class LinearizedOperator:
-    """-d^2/dx^2 + potential with a sech-squared potential well.
-
-    kind "plus" carries 1 - 3Q^2, kind "minus" carries 1 - Q^2, both centered
-    at the origin of the grid.
-    """
-
-    kind: str
-    grid: Grid
-    potential: np.ndarray
-
-    @classmethod
-    def plus(cls, grid: Grid) -> "LinearizedOperator":
-        q = ground_state(grid)
-        return cls(kind="plus", grid=grid, potential=1.0 - 3.0 * q**2)
-
-    @classmethod
-    def minus(cls, grid: Grid) -> "LinearizedOperator":
-        q = ground_state(grid)
-        return cls(kind="minus", grid=grid, potential=1.0 - q**2)
-
-    @cached_property
-    def _operator(self) -> _Operator:
-        k = self.grid.wavenumbers[: self.grid.n_points // 2 + 1]
-        return _Operator(self.grid, (k**2)[None, None], self.potential[None, None])
-
-    def apply(self, f):
-        f = np.asarray(f)
-        if f.shape != (self.grid.n_points,):
-            raise ValueError("field shape does not match the operator's grid")
-        return self._operator.apply(f[None])[0]
-
     def matrix(self):
-        """Dense symmetric matrix: apply() on each unit vector, symmetrized.
+        """Dense symmetric matrix of a one-row operator: apply() on each unit
+        vector, symmetrized.
 
         Refuses grids above _DENSE_MAX_POINTS before allocating anything.
         """
@@ -188,7 +176,7 @@ def _lanczos_min(matvec, v) -> float:
                        f"Ritz residual {resid:.3e} at theta = {theta[0]:.16g}")
 
 
-def _lowest(op: _Operator, constraints=None) -> float:
+def _lowest(op: LinearizedOperator, constraints=None) -> float:
     """Smallest lambda of A z = lambda B z over z L^2-orthogonal to constraints.
 
     B is diagonal in Fourier space (the weight h, common to A and B, is left
@@ -225,8 +213,7 @@ def coercivity_nls(grid: Grid) -> dict:
     eigenvalues.
     """
     def block(op, constraints):
-        return {"constrained": _lowest(op._operator, constraints),
-                "unconstrained": _lowest(op._operator)}
+        return {"constrained": _lowest(op, constraints), "unconstrained": _lowest(op)}
 
     plus = block(LinearizedOperator.plus(grid),
                  np.stack([ground_state(grid), y_ground_state(grid)])[:, None])
@@ -255,7 +242,7 @@ def _h2_operator(grid: Grid, params: SolitonParams, t: float = 0.0):
                      [fc, fs, 0.5 * one, -0.5 * c * one], [zero, zero, -0.5 * c * one, 0.5 * one]])
     constraints = np.array([[f * cg, f * sg], [x_rel * f * cg, x_rel * f * sg],
                             [-lam * sg, lam * cg]])
-    return _Operator(grid, symbol, mult), constraints
+    return LinearizedOperator(grid, symbol, mult), constraints
 
 
 def h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> dict:

@@ -126,6 +126,7 @@ def test_committed_configs_validate(path, capsys):
     ("weinstein-audit", "knobs.L_values=[5.0,5.0]", "L_values"),
     ("weinstein-audit", "knobs.L_values=[20.0,10.0,5.0]", "L_values"),
     ("weinstein-audit", "knobs.L_values=[10.0,5.0]", "L_values"),
+    ("weinstein-audit", "knobs.L_values=[5.0,5.0000001]", "L_values"),
     ("coercivity", "knobs.omegas_sweep=[1.0,0.0]", "omegas_sweep"),
     ("coercivity", "knobs.speeds_sweep=[0.5,1.0]", "speeds_sweep"),
     ("simulate", "numerics.sample_stride=2.5", "sample_stride"),

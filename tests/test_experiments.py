@@ -102,6 +102,9 @@ def test_spec_validation():
         for widths in ((5.0, 5.0), (20.0, 10.0, 5.0)):
             with pytest.raises(ValueError, match="strictly increasing"):
                 ExperimentSpec(kind=kind, config=ONE, L_values=widths)
+    # nor may two widths print alike in their local_L<L>.csv names
+    with pytest.raises(ValueError, match="L_values must name distinct local_L<L>.csv files"):
+        ExperimentSpec(kind="weinstein_audit", config=ONE, L_values=(5.0, 5.0000001))
     assert ExperimentSpec(kind="weinstein_audit", config=ONE, L_values=(5.0,)).L_values == (5.0,)
 
 
@@ -356,7 +359,7 @@ def _read_manifest(manifest):
     return json.loads((Path(manifest.run_dir) / "manifest.json").read_text())
 
 
-def test_run_backward_msw_is_deterministic(tmp_path):
+def test_run_weinstein_audit_is_deterministic(tmp_path):
     csvs = ["errors.csv", "functionals.csv", "local_L5.csv", "local_L10.csv", "local_L20.csv"]
     for config in (ONE, TWO):
         spec = ExperimentSpec(kind="weinstein_audit", config=config, **CHEAP)
@@ -364,8 +367,13 @@ def test_run_backward_msw_is_deterministic(tmp_path):
         for sub in ("a", "b"):
             man = run(spec, output_dir=tmp_path / sub)
             assert Path(man.run_dir).name == f"{spec.kind}_{spec.content_hash()}"
+            data = _read_manifest(man)
+            roles = {f["role"] for f in data["files"]}
+            assert {"error_series", "functional_reports", "manifest"} <= roles
+            notes = data["notes"]
+            assert notes["psi_constants"]["sup_psi_prime"] == pytest.approx(35 / 32)
+            assert notes["young_mu"]["mu"] > 0
             if config is ONE:  # single-soliton data is exact: noted as such instead of fitted
-                notes = _read_manifest(man)["notes"]
                 assert "exact_solution" in notes
                 assert notes["max_err_bold_H"] < 1e-3
             digests.append([hashlib.sha256((Path(man.run_dir) / name).read_bytes()).hexdigest()
@@ -400,16 +408,6 @@ def test_run_records_failure_and_reraises(tmp_path):
     assert data["notes"]["error"].startswith("BlowUpError")
     # the manifest of a failed run lists itself, as a finished one does
     assert "manifest" in {f["role"] for f in data["files"]}
-
-
-def test_run_weinstein_audit_smoke(tmp_path):
-    spec = ExperimentSpec(kind="weinstein_audit", config=ONE, **CHEAP)
-    man = run(spec, output_dir=tmp_path)
-    data = _read_manifest(man)
-    roles = {f["role"] for f in data["files"]}
-    assert {"error_series", "functional_reports", "manifest"} <= roles
-    assert data["notes"]["psi_constants"]["sup_psi_prime"] == pytest.approx(35 / 32)
-    assert data["notes"]["young_mu"]["mu"] > 0
 
 
 def test_run_coercivity_sweep(tmp_path):
@@ -464,10 +462,14 @@ def test_run_local_quantities_smoke(tmp_path):
 
 def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
     # the runner makes every table in one pass over the streamed frames; each
-    # is the table the in-process series helpers make of the listed frames
+    # is the table the in-process series helpers make of the listed frames,
+    # and the streamed run warns nothing and leaves no child behind
     spec = ExperimentSpec(kind="weinstein_audit", config=TWO, **CHEAP,
                           L_values=(4.0, 8.0))
-    man = run(spec, output_dir=tmp_path / "runs")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        man = run(spec, output_dir=tmp_path / "runs")
+    _assert_no_child_left()
     assert set(man.notes["monotone_in_L"]) == {"k=1", "k=2"}
     frames = backward_construct(spec.make_grid(), TWO, spec.t_final, spec.dt,
                                 sample_stride=spec.sample_stride)
@@ -602,9 +604,9 @@ def test_frames_off_the_grid_of_the_stream_are_refused():
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("kind", ["simulate", "weinstein_audit"])
+@pytest.mark.parametrize("kind", ["simulate"])  # weinstein_audit: the local-CSV test above
 def test_streamed_kinds_warn_nothing(tmp_path, kind):
-    spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP, L_values=(4.0, 8.0))
+    spec = ExperimentSpec(kind=kind, config=TWO, **CHEAP)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run(spec, output_dir=tmp_path)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zaklab.experiments import KINDS, ExperimentSpec, run
+from zaklab.experiments import CONFIG_KEYS, KINDS, ExperimentSpec, run
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORD = Path(__file__).with_name("golden") / "digests.json"
@@ -50,9 +50,9 @@ SPECS = {f"{config}/{kind}": (config, kind) for config in SIZES for kind in KIND
 def _spec(config: str, kind: str) -> ExperimentSpec:
     data = json.loads((ROOT / "configs" / f"{config}.json").read_text())
     data["kind"] = kind
+    blocks = {key.name: key.metadata["block"] for key in CONFIG_KEYS}
     for key, value in {**SIZES[config], **KIND_SIZES.get(kind, {})}.items():
-        block = "numerics" if key in ("n_points", "sample_stride", "dt") else "knobs"
-        data.setdefault(block, {})[key] = value
+        data.setdefault(blocks[key], {})[key] = value
     return ExperimentSpec.from_dict(data)
 
 

@@ -3,16 +3,21 @@ import csv
 import numpy as np
 import pytest
 
-from zaklab.grid import Grid
-from zaklab.profiles import MultiSolitonConfig, SolitonParams, modulated_profile
+from zaklab.grid import Grid, quadrature
+from zaklab.profiles import (
+    MultiSolitonConfig,
+    SolitonParams,
+    lambda_omega,
+    modulated_profile,
+    phi,
+    soliton_phase,
+)
 from zaklab.dynamics import State, multi_soliton_state
 from zaklab.functionals import _write_csv
 from zaklab.modulation import (
     REASONS,
-    fd_jacobian,
     leading_diagonal_constants,
     modulate,
-    orthogonality_residuals,
     pi_from_config,
     pi_norm,
     residuals_and_jacobian,
@@ -30,6 +35,44 @@ def _profile_state(grid, config, pi, t=0.0):
     return State(grid, t, su, sn, sv)
 
 
+# --- Newton oracles ---------------------------------------------------------------
+# The residuals built from the profiles module alone, and their forward-difference
+# Jacobian: the references the fused residuals_and_jacobian is tested against.
+
+def orthogonality_residuals(state, pi, config):
+    """The 3K orthogonality quadratures at parameters pi, in the order all
+    omega-type, then all sigma-type, then all gamma-type."""
+    g, t, K = state.grid, state.t, config.K
+    pi = np.asarray(pi, float)
+    eps_u = state.u - modulated_profile(g, config, pi, t)[0]
+    res = np.empty(3 * K)
+    for k, p in enumerate(config.solitons):
+        omega_k, sigma_k, gamma_k = pi[k], pi[K + k], pi[2 * K + k]
+        center = p.c * t + sigma_k
+        x_rel = g.wrap(g.x - center)
+        f = phi(g, omega_k, center)
+        lam = lambda_omega(g, omega_k, center)
+        gam = soliton_phase(g, p.c, p.omega, gamma_k, t, center)
+        w = np.exp(-1j * gam) * eps_u
+        res[k] = quadrature(g, f * np.real(w))
+        res[K + k] = quadrature(g, x_rel * f * np.real(w))
+        res[2 * K + k] = quadrature(g, lam * np.imag(w))
+    return res
+
+
+def fd_jacobian(state, pi, config, rel_step=1e-6):
+    """Forward-difference Jacobian of orthogonality_residuals."""
+    pi = np.asarray(pi, float)
+    base = orthogonality_residuals(state, pi, config)
+    jac = np.empty((pi.size, pi.size))
+    for j in range(pi.size):
+        step = rel_step * max(1.0, abs(pi[j]))
+        bumped = pi.copy()
+        bumped[j] += step
+        jac[:, j] = (orthogonality_residuals(state, bumped, config) - base) / step
+    return jac
+
+
 # --- residuals ----------------------------------------------------------------
 
 def test_pi_from_config_layout():
@@ -42,7 +85,7 @@ def test_pi_from_config_layout():
 def test_residuals_vanish_at_reference():
     g = Grid(2048, 80.0)
     st = multi_soliton_state(g, TWO, 0.0)
-    res = orthogonality_residuals(st, pi_from_config(TWO), TWO, t=0.0)
+    res = residuals_and_jacobian(st, pi_from_config(TWO), TWO).residuals
     assert res.shape == (6,)
     assert np.max(np.abs(res)) < 1e-12
 
@@ -52,9 +95,9 @@ def test_residuals_reject_bad_pi():
     cfg = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
     st = multi_soliton_state(g, cfg, 0.0)
     with pytest.raises(ValueError):
-        orthogonality_residuals(st, np.zeros(4), cfg)
+        residuals_and_jacobian(st, np.zeros(4), cfg)
     with pytest.raises(ValueError, match="positive"):
-        orthogonality_residuals(st, np.array([-1.0, 0.0, 0.0]), cfg)
+        residuals_and_jacobian(st, np.array([-1.0, 0.0, 0.0]), cfg)
 
 
 def test_residuals_linear_response():
@@ -64,7 +107,7 @@ def test_residuals_linear_response():
     pi_pert = pi.copy()
     pi_pert[0] += 1e-4
     st = _profile_state(g, TWO, pi_pert)
-    res = orthogonality_residuals(st, pi, TWO, t=0.0)
+    res = residuals_and_jacobian(st, pi, TWO).residuals
     assert abs(res[0]) > 10.0 * abs(res[1])
     assert abs(res[0]) > 1e-6
 
@@ -106,7 +149,7 @@ def test_modulate_with_orthogonal_noise():
     assert out.converged
     # parameters shift at most on the noise scale
     assert np.max(np.abs(out.pi - pi_from_config(TWO))) < 1e-2
-    res = orthogonality_residuals(noisy, out.pi, TWO, t=0.0)
+    res = orthogonality_residuals(noisy, out.pi, TWO)
     assert np.max(np.abs(res)) < 1e-10
 
 

@@ -145,8 +145,9 @@ def _dense_h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) -> d
 
 # --- closure-based matvec oracle --------------------------------------------------
 # The pencil matvec as the package wrote it before the fused Fourier-space
-# _Operator: B^{-1/2} per block around an apply() closure, 16 transforms per
-# h2 matvec.  Kept verbatim; the fused solves must reproduce its minima.
+# LinearizedOperator.scaled_apply: B^{-1/2} per block around an apply()
+# closure, 16 transforms per h2 matvec.  Kept verbatim; the fused solves must
+# reproduce its minima.
 
 def _closure_lowest(grid: Grid, h1_blocks, apply, constraints=None) -> float:
     n = grid.n_points
@@ -182,7 +183,7 @@ def _closure_coercivity_nls(grid: Grid) -> dict:
 
     def block(op, constraints):
         def apply(z):
-            return h * (-spectral_derivative(grid, z, 2) + op.potential * z)
+            return h * (-spectral_derivative(grid, z, 2) + op.multiplier[0, 0] * z)
         return {"constrained": _closure_lowest(grid, (True,), apply, constraints),
                 "unconstrained": _closure_lowest(grid, (True,), apply)}
 
@@ -249,7 +250,7 @@ def test_apply_is_the_second_derivative_plus_the_potential(kind):
     g = Grid(256, 40.0)
     op = getattr(LinearizedOperator, kind)(g)
     f = rng.standard_normal(g.n_points)
-    want = -spectral_derivative(g, f, 2) + op.potential * f
+    want = -spectral_derivative(g, f, 2) + op.multiplier[0, 0] * f
     assert np.max(np.abs(op.apply(f) - want)) <= 1e-12
 
 
@@ -258,7 +259,7 @@ def test_apply_matches_matrix():
     g = Grid(256, 40.0)
     op = LinearizedOperator.plus(g)
     f = rng.standard_normal(g.n_points)
-    dense = _stiffness_matrix(g) + np.diag(op.potential)
+    dense = _stiffness_matrix(g) + np.diag(op.multiplier[0, 0])
     assert np.max(np.abs(op.apply(f) - dense @ f)) < 1e-9
     # matrix(), built from apply(), is the symmetrized stiffness-based matrix
     assert np.max(np.abs(op.matrix() - 0.5 * (dense + dense.T))) < 1e-12
@@ -509,7 +510,7 @@ def test_fused_nls_solves_match_the_closure_matvec(n):
 def test_scaled_matvec_is_symmetric():
     rng = np.random.default_rng(SEED + 7)
     g = Grid(128, 40.0)
-    ops = [LinearizedOperator.plus(g)._operator, LinearizedOperator.minus(g)._operator,
+    ops = [LinearizedOperator.plus(g), LinearizedOperator.minus(g),
            *(spectral._h2_operator(g, p, t)[0] for p, t in _H2_CASES)]
     for op in ops:
         x, y = rng.standard_normal((2, *op.multiplier.shape[1:]))
