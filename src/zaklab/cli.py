@@ -6,9 +6,9 @@ overrides mutate single values from the command line.  Progress messages of
 the "zaklab" logger go to stderr, data files to the run directory, and the
 manifest path to stdout.
 
-Exit codes: 0 success, 1 configuration/validation error (the message names
-the offending key) or a stdout whose reader closed early, 2 numerical
-failure (the message carries the failing time or module).
+Exit codes: 0 success, 1 configuration error (the message names the key), an
+output directory that cannot be written or a stdout whose reader closed
+early, 2 numerical failure (the message carries the failing time or module).
 """
 
 from __future__ import annotations
@@ -168,6 +168,9 @@ def main(argv=None) -> int:
         # stdout's reader closed early (`zaklab ... | head`): send what is
         # still buffered to devnull, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # after BrokenPipeError, which is one too
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -271,16 +271,15 @@ def auto_window(times, values, floor: float = 1e-10, ceiling: float = 1e-2) -> t
     return (float(t[best[0]]), float(t[best[1] - 1]))
 
 
-def _batches(states, config: MultiSolitonConfig | None = None, family=None):
+def _batches(states, config: MultiSolitonConfig | None = None):
     """One _Frame for each run of _BATCH consecutive states."""
     states = iter(states)
     while batch := list(islice(states, _BATCH)):
-        yield _Frame.of(batch, config, family)
+        yield _Frame.of(batch, config)
 
 
-def _integrated_batches(frames, grid: Grid, config: MultiSolitonConfig | None = None,
-                        family=None):
-    """_batches(frames, config, family), with frames run in a forked child.
+def _integrated_batches(frames, grid: Grid, config: MultiSolitonConfig | None = None):
+    """_batches(frames, config), with frames run in a forked child.
 
     The child iterates _batches(frames), an integration on grid, and writes
     each frame's t, u, n and v as raw bytes through a one-way pipe; the
@@ -310,7 +309,7 @@ def _integrated_batches(frames, grid: Grid, config: MultiSolitonConfig | None = 
             fields = (np.empty((t.size, n), complex), np.empty((t.size, n)), np.empty((t.size, n)))
             for a in fields:  # a flat byte view: recv_bytes_into sizes by the first axis
                 recv.recv_bytes_into(a.reshape(-1).view(np.uint8))
-            yield _Frame(grid, t, *fields, config, family)
+            yield _Frame(grid, t, *fields, config)
         error, reported = recv.recv(), True
     except EOFError:  # the child ended without reporting, e.g. killed for memory
         pass
@@ -435,12 +434,12 @@ def _backward(spec: ExperimentSpec, grid: Grid, build=backward_frames):
                  sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
 
 
-def _backward_tables(spec: ExperimentSpec, tables, family=None) -> list:
+def _backward_tables(spec: ExperimentSpec, tables) -> list:
     """_tables of the backward run's streamed batches, in increasing time.
     The frames stream in integration order (t_final -> 0), so each column is
     reversed once at the end."""
     grid = spec.make_grid()
-    batches = _integrated_batches(_backward(spec, grid), grid, spec.config, family)
+    batches = _integrated_batches(_backward(spec, grid), grid, spec.config)
     return [{c: v[::-1].copy() for c, v in cols.items()} for cols in _tables(batches, tables)]
 
 
@@ -490,8 +489,9 @@ def _run_weinstein_audit(spec, run_dir, manifest):
     first, *others = (CutoffFamily.for_config(spec.config, L) for L in spec.L_values)
     log.info(f"functional audit and localized quantities of every frame "
              f"(L={list(spec.L_values)})")
-    errors, reports, *tables = _backward_tables(
-        spec, [_Frame.errors, lambda f: f.reports(spec.K0), *map(_local_table, others)], first)
+    errors, reports, *tables = _backward_tables(spec, [
+        _Frame.errors, lambda f: f.reports(spec.K0, first.chis(f.grid, f.t)),
+        *map(_local_table, others)])
     _save(run_dir, manifest, "errors.csv", "error_series", errors)
     fit = _fit_error_rates(errors, manifest, spec.config.K)
 
@@ -571,7 +571,7 @@ def _run_modulation_track(spec, run_dir, manifest):
 
 
 def _run_convergence_order(spec, run_dir, manifest):
-    """splitting-order measurement by dt halving"""
+    """splitting-order measurement by dt halving, on the config's first soliton alone"""
     grid = spec.make_grid()
     params = spec.config.solitons[0]
     state = soliton_state(grid, params, 0.0)

@@ -70,26 +70,21 @@ class _Frame:
     first use and then kept, so a caller pays only for what it reads and the
     diagnostics share one profile build and one transform of each field.
     `ref` (the frame of the fixed-parameter profile sums R(t)) and `eps` (the
-    frame of state - R(t)) need a config; `chis` needs a cutoff family.
+    frame of state - R(t)) need a config.
     """
 
-    def __init__(self, grid: Grid, t, u, n, v, config: MultiSolitonConfig | None = None,
-                 family: CutoffFamily | None = None):
-        if config is not None and family is not None and family.K != config.K:
-            raise ValueError(f"cutoff family has K={family.K} but config has K={config.K}")
+    def __init__(self, grid: Grid, t, u, n, v, config: MultiSolitonConfig | None = None):
         self.grid, self.t, self.u, self.n, self.v = grid, t, u, n, v
-        self.config, self.family = config, family
+        self.config = config
 
     @classmethod
-    def of(cls, states, config: MultiSolitonConfig | None = None,
-           family: CutoffFamily | None = None) -> _Frame:
+    def of(cls, states, config: MultiSolitonConfig | None = None) -> _Frame:
         """The frame of a sequence of States on one grid."""
         grid = states[0].grid
         if any(s.grid is not grid for s in states):
             raise ValueError("the states of one frame must share one grid")
         return cls(grid, np.array([[s.t] for s in states], dtype=float),
-                   *(np.stack([getattr(s, f) for s in states]) for f in "unv"),
-                   config, family)
+                   *(np.stack([getattr(s, f) for s in states]) for f in "unv"), config)
 
     @property
     def times(self):
@@ -126,10 +121,6 @@ class _Frame:
     @cached_property
     def momentum_density(self):
         return np.imag(np.conj(self.u) * self.ux) + self.n * self.v
-
-    @cached_property
-    def chis(self):
-        return self.family.chis(self.grid, self.t)
 
     @cached_property
     def ref(self) -> _Frame:
@@ -185,6 +176,8 @@ class _Frame:
                 + quadrature(g, self.vx**2))
 
     def weinstein(self, config: MultiSolitonConfig, chis):
+        if len(chis) != config.K:
+            raise ValueError(f"cutoff family has K={len(chis)} but config has K={config.K}")
         dens = self.energy_density
         for k, p in enumerate(config.solitons):
             dens = dens + chis[k] * (p.nu * self.mass_density - p.c * self.momentum_density)
@@ -227,17 +220,17 @@ class _Frame:
             "energy_tail": quadrature(g, self.energy_density * outside),
         }
 
-    def reports(self, K0: float) -> dict:
-        """The functionals.csv columns, in file order, as (B,) arrays (needs
-        config and family).  The decomposition uses S = R(t), the
-        fixed-parameter profiles, at the reference pulsations, so G22 is zero
-        and g22_active False."""
+    def reports(self, K0: float, chis) -> dict:
+        """The functionals.csv columns, in file order, as (B,) arrays, under
+        the (K, B, n_points) cutoffs chis (needs config).  The decomposition
+        uses S = R(t), the fixed-parameter profiles, at the reference
+        pulsations, so G22 is zero and g22_active False."""
         e, r = self.eps, self.ref
         return {
             **self.invariants(),
-            **self.local(self.chis),
-            "G": self.weinstein(self.config, self.chis),
-            **_decompose(e, r, self.config, self.chis, None),
+            **self.local(chis),
+            "G": self.weinstein(self.config, chis),
+            **_decompose(e, r, self.config, chis, None),
             **e.modified(r.u, r.ux),
             **self.tails(K0),
             "g22_active": np.zeros(self.times.shape, dtype=bool),
@@ -348,8 +341,8 @@ class CutoffFamily:
 
 def weinstein(state, config: MultiSolitonConfig, family: CutoffFamily) -> float:
     """Energy plus pulsation/speed-weighted localized masses and momenta."""
-    f = _Frame.of([state], config, family)
-    return f.weinstein(config, f.chis)[0]
+    f = _Frame.of([state])
+    return f.weinstein(config, family.chis(f.grid, f.t))[0]
 
 
 def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFamily,
@@ -365,8 +358,8 @@ def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFa
     """
     if epsilon.grid is not S.grid:
         raise ValueError("epsilon and S must share one grid")
-    ref = _Frame.of([S], config, family)
-    parts = _decompose(_Frame.of([epsilon]), ref, config, ref.chis, omegas_t)
+    ref = _Frame.of([S])
+    parts = _decompose(_Frame.of([epsilon]), ref, config, family.chis(ref.grid, ref.t), omegas_t)
     return {key: val[0] for key, val in parts.items()}
 
 

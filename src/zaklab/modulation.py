@@ -43,7 +43,7 @@ import numpy as np
 
 from .dynamics import State
 from .grid import quadrature
-from .profiles import MultiSolitonConfig, pi_from_config
+from .profiles import MultiSolitonConfig, _images, _phase_of, pi_from_config
 
 __all__ = [
     "pi_from_config",
@@ -116,7 +116,7 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
     t = state.t
     K = config.K
     pi = _checked_pi(pi, K)
-    h, L, n_pts = g.spacing, g.box_length, g.n_points
+    h, n_pts = g.spacing, g.n_points
 
     # The i-th residual of a field F is h Re sum(probes[i] * F); fields[j] is
     # d(eps_u)/d(pi_j) for j < 3K, and eps_u itself in the last slot.
@@ -131,11 +131,12 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
         omega = pi[k]
         r = np.sqrt(omega)
         center = p.c * t + pi[K + k]
-        x_k = g.wrap(g.x - center)
+        images = _images(g, center)
+        x_k = images[0]
         # sums over the three box images of sech, sech*tanh, sqrt(2) LambdaQ,
         # sqrt(2) LambdaQ' and the omega-derivative numerator of Lambda_omega
         f = df = lam = dlam = lam_omega = 0.0
-        for y in (x_k, x_k - L, x_k + L):
+        for y in images:
             z = r * y
             sech, tanh = _sech_tanh(z)
             lq = sech * (1.0 - z * tanh)
@@ -151,8 +152,7 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
         dlam = dlam / _SQRT2                            # Lambda_omega'
         lam_omega = lam_omega / (2.0 * _SQRT2 * omega)  # d(Lambda_omega)/d(omega)
 
-        phase = (0.5 * p.c * (x_k + center) - 0.25 * p.c**2 * t
-                 + p.omega * t + pi[2 * K + k])
+        phase = _phase_of(x_k + center, p.c, p.omega, pi[2 * K + k], t)
         cos, sin = np.cos(phase), np.sin(phase)
         e_phase = cos + 1j * sin                        # e^{i Gamma_k}
         e_back = cos - 1j * sin                         # e^{-i Gamma_k}
@@ -273,8 +273,8 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
     return _result(state, best, max_iter, "max_iter")
 
 
-def leading_diagonal_constants(state, config: MultiSolitonConfig, pi=None) -> dict:
-    """Jacobian diagonals rescaled to the universal ground-state constants.
+def leading_diagonal_constants(state, config: MultiSolitonConfig) -> dict:
+    """Jacobian diagonals at Pi^0 rescaled to the universal ground-state constants.
 
     At eps = 0 the residual Jacobian's diagonal blocks reduce to quadratures
     of the Q-family: the omega and gamma diagonals carry a factor
@@ -282,17 +282,14 @@ def leading_diagonal_constants(state, config: MultiSolitonConfig, pi=None) -> di
     Dividing those factors out recovers the dimensionless constants
     (int Q LambdaQ, int y Q Q', int Q LambdaQ) = (1, -2, 1).
     """
-    if pi is None:
-        pi = pi_from_config(config)
-    pi = np.asarray(pi, dtype=float)
     K = config.K
-    jac = residuals_and_jacobian(state, pi, config).jacobian
+    jac = residuals_and_jacobian(state, pi_from_config(config), config).jacobian
     d_omega = np.empty(K)
     d_sigma = np.empty(K)
     d_gamma = np.empty(K)
     for k, p in enumerate(config.solitons):
         w = np.sqrt(1.0 - p.c**2)
-        root = np.sqrt(pi[k])
+        root = np.sqrt(p.omega)
         d_omega[k] = -jac[k, k] * root / w
         d_sigma[k] = jac[K + k, K + k] / (w * root)
         d_gamma[k] = -jac[2 * K + k, 2 * K + k] * root / w
@@ -326,14 +323,19 @@ class TrackResult:
 
 
 def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> TrackResult:
-    """Modulate every frame (States in increasing time), warm-starting each
-    solve from its predecessor; the stored results drop their epsilon State.
+    """Modulate every frame (States in strictly increasing time, at least
+    one, else ValueError), warm-starting each solve from its predecessor; the
+    stored results drop their epsilon State.
 
     The first frame starts from Pi^0; after a failed frame the next one
     restarts from Pi^0.  gamma components are unwrapped to the 2*pi branch
     nearest the previous frame so the rates are finite-differenceable.  All
     frames share one pair of Newton work arrays.
     """
+    frames = list(frames)
+    if not frames or any(b.t <= a.t for a, b in zip(frames, frames[1:])):
+        raise ValueError("track needs at least one frame, in strictly increasing time "
+                         "(backward_construct lists a backward run so)")
     K = config.K
     pi0 = pi_from_config(config)
     times, results, work = [], [], []

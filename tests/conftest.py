@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 The backward two-soliton construction at the reference configuration is the
-expensive object of the suite (~10 s); it is built once per session and
-shared by the decay-rate, localized-drift, and modified-energy tests.
+expensive object of the suite (4-6 s on a 2-vCPU host); it is built once
+per session and shared by the decay-rate, rate-law, localized-drift, and
+modified-energy tests.
 """
 
 import numpy as np

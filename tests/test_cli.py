@@ -305,6 +305,22 @@ def test_blowup_exits_two(tmp_path, capsys):
     assert manifest["notes"]["error"].startswith("BlowUpError")
 
 
+@pytest.mark.parametrize("cause", ["a_file", "no_permission"])
+def test_an_output_dir_that_cannot_be_made_exits_one(tmp_path, capsys, monkeypatch, cause):
+    cfg = _write(tmp_path, _one_soliton_config())
+    out_dir = tmp_path / "out"
+    if cause == "a_file":
+        out_dir.write_text("")
+    else:  # a directory without write permission; refused here, as root ignores the mode
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write outputs: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_a_closed_stdout_ends_quietly(unbuffered):
     # `zaklab validate-config ... | head` with the reader gone before any output:

@@ -501,10 +501,10 @@ def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch
         assert [errors[c][i] for c in errors] == [
             st.t, mass(st), energy(st), momentum(st), alone.eps.bold_H[0], alone.eps.h2_square[0]]
         for fam, local in zip(widths, tables):
-            one = _Frame.of([st], family=fam)
-            assert list(local) == ["t"] + list(one.local(one.chis))
-            assert [local[c][i] for c in local] == [
-                st.t, *(col[0] for col in one.local(one.chis).values())]
+            one = _Frame.of([st])
+            cols = one.local(fam.chis(one.grid, one.t))
+            assert list(local) == ["t"] + list(cols)
+            assert [local[c][i] for c in local] == [st.t, *(col[0] for col in cols.values())]
 
 
 @pytest.mark.parametrize("config", [ONE, TWO], ids=["K1", "K2"])
@@ -522,7 +522,8 @@ def test_functionals_csv_equals_the_one_state_frame(tmp_path, monkeypatch, confi
                                 sample_stride=spec.sample_stride)
     assert len(rows) == len(states) == 51
     for st, row in zip(states, rows):
-        alone = _Frame.of([st], config, family).reports(spec.K0)
+        one = _Frame.of([st], config)
+        alone = one.reports(spec.K0, family.chis(one.grid, one.t))
         assert header == list(alone)
         for cell, value in zip(row, alone.values()):
             assert cell == (str(value[0]) if value.dtype == bool else repr(float(value[0])))

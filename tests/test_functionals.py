@@ -124,8 +124,8 @@ def test_cutoff_boundary_tracks_mean_speed():
 def test_local_quantities_sum_to_global():
     g = Grid(2048, 80.0)
     st = multi_soliton_state(g, TWO, 0.0)
-    f = _Frame.of([st], family=CutoffFamily.for_config(TWO, L=5.0))
-    loc = f.local(f.chis)
+    f = _Frame.of([st])
+    loc = f.local(CutoffFamily.for_config(TWO, L=5.0).chis(f.grid, f.t))
     masses = [loc["M_1"][0], loc["M_2"][0]]
     momenta = [loc["P_1"][0], loc["P_2"][0]]
     assert abs(sum(masses) - mass(st)) < 1e-10
@@ -149,8 +149,8 @@ def test_weinstein_identity_report_consistency():
     st = multi_soliton_state(g, TWO, 0.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
     value = weinstein(st, TWO, fam)
-    f = _Frame.of([st], family=fam)
-    loc = f.local(f.chis)
+    f = _Frame.of([st])
+    loc = f.local(fam.chis(f.grid, f.t))
     rebuilt = energy(st) + sum(p.nu * loc[f"M_{k + 1}"][0] - p.c * loc[f"P_{k + 1}"][0]
                                for k, p in enumerate(TWO.solitons))
     assert abs(value - rebuilt) < 1e-10
@@ -161,8 +161,14 @@ def test_weinstein_rejects_family_of_wrong_size():
     cfg = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
     s = soliton_state(g, cfg.solitons[0])
     wrong = CutoffFamily(L=5.0, boundary_speeds=(0.0,))
-    with pytest.raises(ValueError):
+    message = "cutoff family has K=2 but config has K=1"
+    with pytest.raises(ValueError, match=message):
         weinstein(s, cfg, wrong)
+    with pytest.raises(ValueError, match=message):
+        weinstein_decompose(s, s, cfg, wrong)
+    f = _Frame.of([s], cfg)
+    with pytest.raises(ValueError, match=message):
+        f.reports(5.0, wrong.chis(g, f.t))
 
 
 def test_decomposition_reassembles_total():
@@ -271,7 +277,8 @@ def test_functional_report_invariants():
     g = Grid(2048, 80.0)
     st = multi_soliton_state(g, TWO, 0.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
-    rep = _Frame.of([st], TWO, fam).reports(5.0)
+    f = _Frame.of([st], TWO)
+    rep = f.reports(5.0, fam.chis(g, f.t))
     assert list(rep) == COLUMNS_TWO
     assert all(np.shape(col) == (1,) for col in rep.values())
     rep = {key: col[0] for key, col in rep.items()}
@@ -288,8 +295,8 @@ def test_functional_report_invariants():
 def test_report_csv_round_trip(tmp_path):
     g = Grid(1024, 80.0)
     fam = CutoffFamily.for_config(TWO, L=5.0)
-    reports = _Frame.of([multi_soliton_state(g, TWO, t) for t in (0.0, 0.5)],
-                        TWO, fam).reports(5.0)
+    f = _Frame.of([multi_soliton_state(g, TWO, t) for t in (0.0, 0.5)], TWO)
+    reports = f.reports(5.0, fam.chis(g, f.t))
     path = tmp_path / "reports.csv"
     _write_csv(path, reports)
     with open(path, newline="") as fh:
@@ -342,8 +349,8 @@ def test_frame_pass_matches_public_functions(backward_run):
         ru, rn, rv = multi_soliton(g, cfg, st.t)
         S = State(g, st.t, ru, rn, rv)
         eps = State(g, st.t, st.u - ru, st.n - rn, st.v - rv)
-        f = _Frame.of([st], cfg, fam)
-        rep = {key: col[0] for key, col in f.reports(K0=5.0).items()}
+        f = _Frame.of([st], cfg)
+        rep = {key: col[0] for key, col in f.reports(5.0, fam.chis(g, f.t)).items()}
         assert (rep["t"], rep["M"], rep["E"], rep["P"]) == (
             st.t, mass(st), energy(st), momentum(st))
         mass_dens = np.abs(st.u) ** 2

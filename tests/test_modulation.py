@@ -12,7 +12,7 @@ from zaklab.profiles import (
     phi,
     soliton_phase,
 )
-from zaklab.dynamics import State, multi_soliton_state
+from zaklab.dynamics import State, backward_frames, multi_soliton_state
 from zaklab.functionals import _write_csv
 from zaklab.modulation import (
     REASONS,
@@ -265,6 +265,22 @@ def test_track_exact_trajectory_stays_at_reference():
     assert np.max(np.abs(out.rates)) < 1e-8
     assert np.max(np.abs(out.gamma_rate_mismatch)) < 1e-8
     assert np.max(out.epsilon_H) < 1e-9
+
+
+def test_track_refuses_no_frames():
+    with pytest.raises(ValueError, match="at least one frame.*backward_construct"):
+        track(iter([]), TWO)
+
+
+def test_track_refuses_frames_out_of_time_order():
+    # backward_frames streams from t_final down; fitted in that order the
+    # warm starts and the finite-difference rates would run backward
+    frames = backward_frames(Grid(256, 80.0), TWO, t_final=0.2, dt=0.01, sample_stride=10)
+    with pytest.raises(ValueError, match="strictly increasing time.*backward_construct"):
+        track(frames, TWO)
+    frame = multi_soliton_state(Grid(256, 80.0), TWO, 0.0)
+    with pytest.raises(ValueError, match="strictly increasing time"):
+        track([frame, frame], TWO)  # one time twice has no finite-difference rate
 
 
 def test_track_on_backward_run_converges_when_separated(backward_run):
