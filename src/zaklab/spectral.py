@@ -13,12 +13,13 @@ LambdaQ = (Q + yQ')/2.  Each operator, L_plus and L_minus included, is one
 LinearizedOperator: a Fourier symbol on its H^1 rows plus a pointwise
 multiplier on all rows.  Its action and its pencil matvec (four batched
 real-FFT calls) come from that declaration; constrained minima are found
-matrix-free by a three-term Lanczos recurrence in numpy on the matvec, and
-spectrum() alone builds a dense matrix from the action.  h2_coercivity
-minimizes, over the (eta_u, eta_n, eta_v) linearization around one traveling
-wave, the one-soliton G21 of functionals.weinstein_decompose (K = 1, so the
-cutoff is 1): the localized quadratic part of the Weinstein functional that
-functionals.csv audits.
+matrix-free by a three-term Lanczos recurrence in numpy on the matvec, stopped
+once the lowest Ritz value has converged (residual^2 / gap, checked at
+predicted steps), and spectrum() alone builds a dense matrix from the action.
+h2_coercivity minimizes, over the (eta_u, eta_n, eta_v) linearization around
+one traveling wave, the one-soliton G21 of functionals.weinstein_decompose
+(K = 1, so the cutoff is 1): the localized quadratic part of the Weinstein
+functional that functionals.csv audits.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ __all__ = [
 # n = 2048 raises peak RSS by about 195 MB.  matrix() alone holds four.
 _DENSE_MAX_POINTS = 4096
 _DENSE_PEAK_ARRAYS = 6
-# Step budget of one Lanczos solve.  The coercivity solves converge in 8-64
-# steps at n = 512 and n = 2048.
+# Step budget of one Lanczos solve.  The sweep's solves stop after 8-60 steps
+# at n = 512 and n = 2048; at c = 0.99 the constrained ones take 80-85.
 _LANCZOS_STEPS = 512
 
 
@@ -149,15 +150,19 @@ def _lanczos_min(matvec, v) -> float:
 
     The plain three-term recurrence, with no stored basis and no
     reorthogonalization: lost orthogonality only repeats Ritz values that have
-    already converged (Paige 1976), so the extreme one stays accurate.  Every 8
-    steps the tridiagonal T is diagonalized; the solve stops once the lowest
-    Ritz pair's residual beta_j |s_{j,0}| is <= 1e-10 max(1, |theta|), or at
-    once on an invariant subspace (beta = 0).
+    already converged (Paige 1976), so the extreme one stays accurate.  The
+    lowest Ritz value theta_1 errs by at most r^2 / gap for its residual
+    r = beta_j |s_{j,0}| (Kato-Temple; Parlett 1980), so, with theta_2 -
+    theta_1 for the gap, the solve stops once r^2 <= 1e-14 max(1, |theta_1|)
+    (theta_2 - theta_1), or r <= 1e-10 max(1, |theta_1|) should a ghost copy
+    of theta_1 close that gap, or at once on an invariant subspace (beta = 0).
+    T is diagonalized at step 8, then where the decay of r since the last
+    check (from r = beta_1 at step 1) predicts the stop, at most 16 steps on.
     """
     alphas, betas = [], []
     v = v / np.linalg.norm(v)
     v_prev = np.zeros_like(v)
-    beta = 0.0
+    beta, check, last = 0.0, 8, None
     for j in range(1, _LANCZOS_STEPS + 1):
         w = matvec(v) - beta * v_prev
         alpha = float(v @ w)
@@ -165,12 +170,17 @@ def _lanczos_min(matvec, v) -> float:
         beta = float(np.linalg.norm(w))
         alphas.append(alpha)
         betas.append(beta)
-        if beta == 0.0 or j % 8 == 0 or j == _LANCZOS_STEPS:
+        if beta == 0.0 or j == check or j == _LANCZOS_STEPS:
             t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
             theta, s = np.linalg.eigh(t)
-            resid = beta * abs(s[-1, 0])
-            if resid <= 1e-10 * max(1.0, abs(theta[0])):
+            resid, scale = beta * abs(s[-1, 0]), max(1.0, abs(theta[0]))
+            gap = theta[1] - theta[0] if j > 1 else 0.0
+            goal = max(1e-10 * scale, np.sqrt(1e-14 * scale * gap))
+            if resid <= goal:
                 return float(theta[0])
+            j0, r0 = last or (1, betas[0])
+            ahead = (j - j0) * np.log(goal / resid) / np.log(resid / r0) if resid < r0 else 16
+            check, last = j + int(np.clip(np.ceil(ahead), 1, 16)), (j, resid)
         v_prev, v = v, w / beta
     raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps: "
                        f"Ritz residual {resid:.3e} at theta = {theta[0]:.16g}")
@@ -185,22 +195,27 @@ def _lowest(op: LinearizedOperator, constraints=None) -> float:
     on the H^1 rows; orthogonality to c is orthogonality to B^{-1/2} c.
     """
     shape = op.multiplier.shape[1:]
-    basis = np.zeros((op.multiplier[0].size, 0 if constraints is None else len(constraints)))
-    if constraints is not None:
-        basis[: constraints[0].size] = np.linalg.qr(np.fft.irfft(
-            op.h1_scale * np.fft.rfft(constraints), shape[1]).reshape(len(constraints), -1).T)[0]
 
-    def project(y):
-        return y - basis @ (basis.T @ y)
-
-    # Constraint directions get eigenvalue 10.  Every minimum sought lies
-    # below 1 (a high-k mode, or a pure (n, v) field, already gives a
-    # Rayleigh quotient below 1), so the shifted directions never win.
     def matvec(y):
-        p = project(y)
-        return project(op.scaled_apply(p.reshape(shape)).ravel()) + 10.0 * (y - p)
+        return op.scaled_apply(y.reshape(shape)).ravel()
 
-    return _lanczos_min(matvec, project(np.ones(len(basis))))
+    v = np.ones(op.multiplier[0].size)
+    if constraints is None:
+        return _lanczos_min(matvec, v)
+    basis = np.zeros((len(v), len(constraints)))
+    basis[: constraints[0].size] = np.linalg.qr(np.fft.irfft(
+        op.h1_scale * np.fft.rfft(constraints), shape[1]).reshape(len(constraints), -1).T)[0]
+
+    # shifted(y) = P S P y + 10 (I - P) y, S = B^{-1/2} A B^{-1/2} and
+    # P = I - basis basis^T, with one projection.  Every minimum sought lies
+    # below 1 (a high-k mode, or a pure (n, v) field, already gives a Rayleigh
+    # quotient below 1), so the constraint directions, at 10, never win.
+    def shifted(y):
+        c = basis.T @ y
+        sp = matvec(y - basis @ c)
+        return sp + basis @ (10.0 * c - basis.T @ sp)
+
+    return _lanczos_min(shifted, v - basis @ (basis.T @ v))
 
 
 def coercivity_nls(grid: Grid) -> dict:

@@ -9,11 +9,19 @@ about the interaction rate
 
 the rate that bounds the error in the constructions of Martel (gKdV), Martel
 and Merle (NLS) and Cote, Martel and Merle.
+
+The coercivity constant of one traveling wave closes linearly at the sonic
+limit: the constrained minimum of h2_coercivity behaves like 0.1 (1 - c^2) as
+|c| -> 1, whatever the pulsation.
 """
 
 import numpy as np
+import pytest
 
 from zaklab.experiments import auto_window, error_series, fit_exponential
+from zaklab.grid import Grid
+from zaklab.profiles import SolitonParams
+from zaklab.spectral import h2_coercivity
 
 
 def _interaction_rate(config) -> float:
@@ -31,3 +39,13 @@ def test_backward_error_decays_at_the_interaction_rate(backward_run):
     fit = fit_exponential(series["t"], series["err_bold_H"], window)
     ratio = fit["rate"] / _interaction_rate(config)
     assert 0.95 < ratio < 1.05, (fit["rate"], window)
+
+
+@pytest.mark.parametrize("omega", (0.25, 1.0, 4.0))
+@pytest.mark.parametrize("c", (0.95, 0.99))
+def test_coercivity_closes_linearly_at_the_sonic_limit(omega, c):
+    # lambda_min / (1 - c^2) reads 0.1046-0.1075 over these six points at
+    # n = 512, box 40 (n = 1024 agrees to four digits); these are the
+    # smallest-gap solves, where a loose Lanczos stop would show first
+    lam = h2_coercivity(Grid(512, 40.0), SolitonParams(omega, c))["lambda_min_constrained"]
+    assert 0.100 < lam / (1.0 - c**2) < 0.110, lam

@@ -230,6 +230,46 @@ def _closure_h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) ->
             "lambda_min_unconstrained": _closure_lowest(grid, h1_blocks, apply)}
 
 
+# --- the fixed-schedule Lanczos oracle -------------------------------------------
+# _lanczos_min as the package wrote it before its stop looked at the Ritz gap:
+# the residual alone, checked every 8 steps.  Kept verbatim; the gap-aware stop
+# must reproduce its minima.
+
+_LANCZOS_STEPS = spectral._LANCZOS_STEPS
+
+
+def _fixed_schedule_lanczos_min(matvec, v) -> float:
+    """Smallest eigenvalue of the symmetric operator matvec, by Lanczos from v.
+
+    The plain three-term recurrence, with no stored basis and no
+    reorthogonalization: lost orthogonality only repeats Ritz values that have
+    already converged (Paige 1976), so the extreme one stays accurate.  Every 8
+    steps the tridiagonal T is diagonalized; the solve stops once the lowest
+    Ritz pair's residual beta_j |s_{j,0}| is <= 1e-10 max(1, |theta|), or at
+    once on an invariant subspace (beta = 0).
+    """
+    alphas, betas = [], []
+    v = v / np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    beta = 0.0
+    for j in range(1, _LANCZOS_STEPS + 1):
+        w = matvec(v) - beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0 or j % 8 == 0 or j == _LANCZOS_STEPS:
+            t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+            theta, s = np.linalg.eigh(t)
+            resid = beta * abs(s[-1, 0])
+            if resid <= 1e-10 * max(1.0, abs(theta[0])):
+                return float(theta[0])
+        v_prev, v = v, w / beta
+    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps: "
+                       f"Ritz residual {resid:.3e} at theta = {theta[0]:.16g}")
+
+
 # --- linearized operators ----------------------------------------------------
 
 def test_kernel_identities():
@@ -505,6 +545,57 @@ def test_fused_nls_solves_match_the_closure_matvec(n):
         for key in ("constrained", "unconstrained"):
             val, want = out[block][key], ref[block][key]
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# --- the gap-aware stop against the fixed schedule ---------------------------------
+# The Ritz value's error is at most residual^2 / gap, so the gap-aware stop may
+# return a few steps earlier; the minima must agree to 1e-11 relative and 1e-13
+# relative to max(1, |lambda|).  c = 0.95 and 0.99 have the smallest gaps.
+
+def _close_to_the_fixed_schedule(val, want):
+    return abs(val - want) <= min(1e-11 * abs(want), 1e-13 * max(1.0, abs(want)))
+
+
+@pytest.mark.parametrize("n", (64, 128, 256))
+@pytest.mark.parametrize("p, t", [*_H2_CASES, *((SolitonParams(1.0, c), 0.0) for c in (0.95, 0.99))])
+def test_gap_aware_h2_solves_match_the_fixed_schedule(n, p, t, monkeypatch):
+    g = Grid(n, 40.0)
+    out = h2_coercivity(g, p, t)
+    monkeypatch.setattr(spectral, "_lanczos_min", _fixed_schedule_lanczos_min)
+    ref = h2_coercivity(g, p, t)
+    for key in ("lambda_min_constrained", "lambda_min_unconstrained"):
+        assert _close_to_the_fixed_schedule(out[key], ref[key]), (key, out[key], ref[key])
+
+
+@pytest.mark.parametrize("n", (64, 128, 256))
+def test_gap_aware_nls_solves_match_the_fixed_schedule(n, monkeypatch):
+    # the minus block's unconstrained minimum, its kernel eigenvalue (-1.7e-4
+    # at n = 64, |lambda| < 1e-9 above), is met at step 8 by both rules, from
+    # the same matvecs, so it agrees exactly
+    g = Grid(n, 40.0)
+    out = coercivity_nls(g)
+    monkeypatch.setattr(spectral, "_lanczos_min", _fixed_schedule_lanczos_min)
+    ref = coercivity_nls(g)
+    for block in ("plus_block", "minus_block"):
+        for key in ("constrained", "unconstrained"):
+            val, want = out[block][key], ref[block][key]
+            assert _close_to_the_fixed_schedule(val, want), (block, key, val, want)
+
+
+def test_gap_aware_stop_saves_matvecs(monkeypatch):
+    # both solves of the shifted wave at n = 128: the constrained one stops at
+    # step 40 (fixed schedule: 56), the unconstrained one at 17 (16)
+    calls = []
+    scaled_apply = LinearizedOperator.scaled_apply
+    monkeypatch.setattr(LinearizedOperator, "scaled_apply",
+                        lambda op, z: calls.append(z) or scaled_apply(op, z))
+    g = Grid(128, 40.0)
+    h2_coercivity(g, *_SHIFTED)
+    assert len(calls) == 57
+    calls.clear()
+    monkeypatch.setattr(spectral, "_lanczos_min", _fixed_schedule_lanczos_min)
+    h2_coercivity(g, *_SHIFTED)
+    assert len(calls) == 72
 
 
 def test_scaled_matvec_is_symmetric():
