@@ -15,7 +15,8 @@ multiplier on all rows.  Its action and its pencil matvec (four batched
 real-FFT calls) come from that declaration; constrained minima are found
 matrix-free by a three-term Lanczos recurrence in numpy on the matvec, stopped
 once the lowest Ritz value has converged (residual^2 / gap, checked at
-predicted steps), and spectrum() alone builds a dense matrix from the action.
+predicted steps); spectrum() finds the lowest eigenpairs of the action by a
+block LOBPCG, also matrix-free.
 h2_coercivity minimizes, over the (eta_u, eta_n, eta_v) linearization around
 one traveling wave, the one-soliton G21 of functionals.weinstein_decompose
 (K = 1, so the cutoff is 1): the localized quadratic part of the Weinstein
@@ -49,15 +50,11 @@ __all__ = [
     "young_mu",
 ]
 
-# Largest grid a dense solve accepts, and the n x n float arrays at the peak
-# of one: spectrum()'s full eigh holds about six (the matrix, LAPACK's copy of
-# it, all n eigenvectors and the workspace), 805 MB at this size; one call at
-# n = 2048 raises peak RSS by about 195 MB.  matrix() alone holds four.
-_DENSE_MAX_POINTS = 4096
-_DENSE_PEAK_ARRAYS = 6
-# Step budget of one Lanczos solve.  The sweep's solves stop after 8-60 steps
-# at n = 512 and n = 2048; at c = 0.99 the constrained ones take 80-85.
-_LANCZOS_STEPS = 512
+# Step budget of one Lanczos or LOBPCG solve.  The sweep's Lanczos solves stop
+# after 8-60 steps at n = 512 and n = 2048; at c = 0.99 the constrained ones
+# take 80-85.  spectrum()'s LOBPCG takes 12-42 on L_plus and L_minus at
+# n = 128-16384 and n_eigs = 1-3.
+_MAX_STEPS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +85,14 @@ class LinearizedOperator:
         return cls(grid, (k**2)[None, None], potential[None, None])
 
     def apply(self, z):
-        """A z for z of shape (b, n); a one-row operator also takes a field (n,)."""
+        """A z for z of shape (..., b, n), a stack of fields acted on at once; a
+        one-row operator also takes a field (n,)."""
         if np.ndim(z) == 1:
             return self.apply(np.asarray(z)[None])[0]
         m = len(self.symbol)
-        az = np.einsum("ijx,jx->ix", self.multiplier, z)
-        az[:m] += np.fft.irfft(np.einsum("ijk,jk->ik", self.symbol, np.fft.rfft(z[:m])),
-                               self.grid.n_points)
+        az = np.einsum("ijx,...jx->...ix", self.multiplier, z)
+        az[..., :m, :] += np.fft.irfft(np.einsum("ijk,...jk->...ik", self.symbol,
+                                                 np.fft.rfft(z[..., :m, :])), self.grid.n_points)
         return az
 
     @cached_property
@@ -112,37 +110,37 @@ class LinearizedOperator:
                                    + np.fft.rfft(az[:m])), self.grid.n_points)
         return az
 
-    def matrix(self):
-        """Dense symmetric matrix of a one-row operator: apply() on each unit
-        vector, symmetrized.
-
-        Refuses grids above _DENSE_MAX_POINTS before allocating anything.
-        """
-        n = self.grid.n_points
-        if n > _DENSE_MAX_POINTS:
-            raise ValueError(f"a dense eigensolve on n = {n} points needs about "
-                             f"{_DENSE_PEAK_ARRAYS * n * n * 8} bytes; "
-                             f"the limit is n = {_DENSE_MAX_POINTS}")
-        mat = np.stack([self.apply(e) for e in np.eye(n)], axis=1)
-        return 0.5 * (mat + mat.T)
-
 
 def spectrum(op: LinearizedOperator, n_eigs: int):
-    """Lowest n_eigs eigenpairs of the discretized operator.
+    """Lowest n_eigs eigenpairs of a one-row operator, by block LOBPCG on apply
+    (Knyazev 2001).
 
-    Eigenfields are returned as columns, normalized to unit L^2 quadrature.
-    Raises on eigensolver failure with the residual norms attached.
+    The block X has n_eigs + 2 rows from a seeded normal start.  Each step
+    preconditions the residuals by (1 + k^2)^{-1} into W and does Rayleigh-Ritz
+    on the QR of [X, W, P], P being the last step's part orthogonal to the X it
+    started from; it stops once every wanted residual, in the H^{-1} norm, is
+    <= 1e-10 max(1, |theta|).  Eigenfields are returned as columns, normalized
+    to unit L^2 quadrature.
     """
-    if not 1 <= n_eigs <= op.grid.n_points:
-        raise ValueError("n_eigs must lie in 1..n_points")
-    mat = op.matrix()
-    vals, vecs = np.linalg.eigh(mat)
-    vals, vecs = vals[:n_eigs], vecs[:, :n_eigs]
-    resid = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    if not np.all(resid < 1e-6 * max(1.0, np.max(np.abs(vals)))):
-        raise RuntimeError(f"eigensolve residuals too large: {resid}")
-    vecs = vecs / np.sqrt(op.grid.spacing)
-    return vals, vecs
+    n, size = op.grid.n_points, n_eigs + 2
+    if n_eigs < 1 or 3 * size > n:
+        raise ValueError(f"n_eigs must lie in 1..{n // 3 - 2} for n = {n} points")
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, size)))[0].T
+    for _ in range(_MAX_STEPS):
+        aq = op.apply(q[:, None])[:, 0]
+        theta, c = np.linalg.eigh(q @ aq.T)  # reads the lower triangle
+        theta, c = theta[:size], c[:, :size]
+        x = c.T @ q
+        r_hat = np.fft.rfft(c.T @ aq - theta[:, None] * x)
+        # in l^2, rounding in the k^2 symbol (1.7e6 at n = 16384) would hold
+        # the residuals of the kernel modes at 2e-10-4e-10
+        resid = np.linalg.norm(np.fft.irfft(op.h1_scale * r_hat[:n_eigs], n), axis=1)
+        if np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(theta[:n_eigs]))):
+            return theta[:n_eigs], x[:n_eigs].T / np.sqrt(op.grid.spacing)
+        # q[:size] spans the X this step started from, so p is the step's part off it
+        w, p = np.fft.irfft(op.h1_scale**2 * r_hat, n), c[size:].T @ q[size:]
+        q = np.linalg.qr(np.concatenate([x, w, p]).T)[0].T
+    raise RuntimeError(f"LOBPCG did not converge in {_MAX_STEPS} steps: residuals {resid}")
 
 
 def _lanczos_min(matvec, v) -> float:
@@ -163,14 +161,14 @@ def _lanczos_min(matvec, v) -> float:
     v = v / np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     beta, check, last = 0.0, 8, None
-    for j in range(1, _LANCZOS_STEPS + 1):
+    for j in range(1, _MAX_STEPS + 1):
         w = matvec(v) - beta * v_prev
         alpha = float(v @ w)
         w -= alpha * v
         beta = float(np.linalg.norm(w))
         alphas.append(alpha)
         betas.append(beta)
-        if beta == 0.0 or j == check or j == _LANCZOS_STEPS:
+        if beta == 0.0 or j == check or j == _MAX_STEPS:
             t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
             theta, s = np.linalg.eigh(t)
             resid, scale = beta * abs(s[-1, 0]), max(1.0, abs(theta[0]))
@@ -182,7 +180,7 @@ def _lanczos_min(matvec, v) -> float:
             ahead = (j - j0) * np.log(goal / resid) / np.log(resid / r0) if resid < r0 else 16
             check, last = j + int(np.clip(np.ceil(ahead), 1, 16)), (j, resid)
         v_prev, v = v, w / beta
-    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps: "
+    raise RuntimeError(f"Lanczos did not converge in {_MAX_STEPS} steps: "
                        f"Ritz residual {resid:.3e} at theta = {theta[0]:.16g}")
 
 

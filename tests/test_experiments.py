@@ -426,8 +426,8 @@ def test_run_coercivity_sweep(tmp_path):
 
 def test_runs_never_import_scipy(tmp_path):
     # zaklab runs on numpy alone: with every scipy import made to fail,
-    # importing zaklab, a coercivity sweep, an audit and the dense spectrum()
-    # must all work
+    # importing zaklab, a coercivity sweep, an audit and the matrix-free
+    # spectrum() must all work
     script = f"""
 import sys
 sys.modules["scipy"] = None

@@ -34,7 +34,16 @@ GRID = Grid(1024, 40.0)
 
 # --- dense oracle ----------------------------------------------------------------
 # The pencils and the constrained eigensolve as the package assembled them
-# before its matrix-free solver; the solver must reproduce their minima.
+# before its matrix-free solver; the solver must reproduce their minima.  The
+# matrix of a one-row operator is the one spectrum() diagonalized before it
+# went matrix-free; its LOBPCG must reproduce that eigh.
+
+def _operator_matrix(op: LinearizedOperator):
+    """Dense symmetric matrix of a one-row operator: apply() on each unit
+    vector, symmetrized."""
+    mat = np.stack([op.apply(e) for e in np.eye(op.grid.n_points)], axis=1)
+    return 0.5 * (mat + mat.T)
+
 
 def _derivative_matrix(grid: Grid, order: int = 1):
     """Dense spectral differentiation matrix (real, exact on grid modes)."""
@@ -235,7 +244,7 @@ def _closure_h2_coercivity(grid: Grid, params: SolitonParams, t: float = 0.0) ->
 # the residual alone, checked every 8 steps.  Kept verbatim; the gap-aware stop
 # must reproduce its minima.
 
-_LANCZOS_STEPS = spectral._LANCZOS_STEPS
+_LANCZOS_STEPS = spectral._MAX_STEPS
 
 
 def _fixed_schedule_lanczos_min(matvec, v) -> float:
@@ -301,8 +310,20 @@ def test_apply_matches_matrix():
     f = rng.standard_normal(g.n_points)
     dense = _stiffness_matrix(g) + np.diag(op.multiplier[0, 0])
     assert np.max(np.abs(op.apply(f) - dense @ f)) < 1e-9
-    # matrix(), built from apply(), is the symmetrized stiffness-based matrix
-    assert np.max(np.abs(op.matrix() - 0.5 * (dense + dense.T))) < 1e-12
+    # the oracle matrix, built from apply(), is the symmetrized stiffness-based matrix
+    assert np.max(np.abs(_operator_matrix(op) - 0.5 * (dense + dense.T))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ("plus", "h2"))
+def test_apply_on_a_stack_is_apply_on_each_member(kind):
+    # one call on an (m, b, n) stack, as spectrum() makes on its block, gives
+    # the bits of m calls on the (b, n) members
+    rng = np.random.default_rng(SEED)
+    g = Grid(256, 40.0)
+    op = (LinearizedOperator.plus(g) if kind == "plus"
+          else spectral._h2_operator(g, SolitonParams(1.0, 0.5, 0.7, 0.2))[0])
+    stack = rng.standard_normal((5, len(op.multiplier), g.n_points))
+    assert np.array_equal(op.apply(stack), np.stack([op.apply(z) for z in stack]))
 
 
 def test_derivative_matrix_matches_spectral():
@@ -333,16 +354,52 @@ def test_spectrum_ground_mode_is_even():
     assert np.max(np.abs(np.abs(mode) - np.abs(flipped))) < 1e-8
 
 
-def test_spectrum_refuses_a_grid_too_large_before_allocating():
-    op = LinearizedOperator.plus(Grid(16384, 40.0))
+@pytest.mark.parametrize("n", (128, 256))
+@pytest.mark.parametrize("n_eigs", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("plus", "minus"))
+def test_spectrum_matches_the_dense_eigensolve(kind, n_eigs, n):
+    op = getattr(LinearizedOperator, kind)(Grid(n, 40.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = spectrum(op, n_eigs)
+    want, want_vecs = np.linalg.eigh(_operator_matrix(op))
+    want, want_vecs = want[:n_eigs], want_vecs[:, :n_eigs] / np.sqrt(op.grid.spacing)
+    assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+    # only the isolated eigenvalues fix their eigenfields: the continuum
+    # above 1 comes in nearly degenerate pairs, whose fields may mix
+    for i in range(min(n_eigs, 2 if kind == "plus" else 1)):
+        sign = np.sign(vecs[:, i] @ want_vecs[:, i])
+        assert np.max(np.abs(sign * vecs[:, i] - want_vecs[:, i])) <= 1e-8
+
+
+def test_spectrum_runs_a_grid_the_dense_eigensolve_refused_in_little_memory():
+    # n = 16384 needed about 12.9 GB densely; the LOBPCG holds its blocks of
+    # n-vectors and the FFTs of one apply() call on them
+    n = 16384
+    op = LinearizedOperator.plus(Grid(n, 40.0))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"n = 16384 points needs about 12884901888 bytes"):
-            spectrum(op, 1)
+        vals, _ = spectrum(op, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert vals[0] == pytest.approx(-3.0, abs=1e-8)
+    assert peak < 64 * n * 8
+
+
+def test_spectrum_checks_n_eigs():
+    # a block of n_eigs + 2 rows and its W and P need 3 (n_eigs + 2) <= n
+    op = LinearizedOperator.plus(Grid(64, 40.0))
+    for n_eigs in (0, 20):
+        with pytest.raises(ValueError, match=r"n_eigs must lie in 1\.\.19 for n = 64 points"):
+            spectrum(op, n_eigs)
+    assert len(spectrum(op, 19)[0]) == 19
+
+
+def test_spectrum_refuses_to_run_past_its_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"LOBPCG did not converge in 1 steps: residuals \["):
+        spectrum(LinearizedOperator.plus(Grid(256, 40.0)), 1)
 
 
 # --- Lanczos ------------------------------------------------------------------------
@@ -375,7 +432,7 @@ def test_lanczos_stops_on_an_invariant_subspace():
 
 
 def test_lanczos_refuses_to_run_past_its_budget(monkeypatch):
-    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 8)
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 8)
     diag = np.linspace(0.0, 1.0, 500)
     with pytest.raises(RuntimeError, match="did not converge in 8 steps: Ritz residual"):
         spectral._lanczos_min(lambda y: diag * y, np.ones(500))
