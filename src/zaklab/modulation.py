@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import State
-from .grid import quadrature
+from .functionals import _Frame
 from .profiles import MultiSolitonConfig, _images, _phase_of, pi_from_config
 
 __all__ = [
@@ -204,21 +204,12 @@ class ModulationResult:
         return float(np.max(np.abs(self.residuals)))
 
 
-def _bold_h(eps: State) -> float:
-    """||u||_H1 + ||n||_L2 + ||v||_L2, the H1 part by Parseval."""
-    g = eps.grid
-    u_hat = np.fft.fft(eps.u)
-    h1 = np.sqrt(g.spacing / g.n_points
-                 * np.sum((1.0 + g.wavenumbers**2) * np.abs(u_hat) ** 2))
-    return float(h1 + np.sqrt(quadrature(g, eps.n**2)) + np.sqrt(quadrature(g, eps.v**2)))
-
-
 def _result(state, ev: FitEvaluation, iterations: int, reason: str) -> ModulationResult:
     s_u, s_n, s_v = ev.profile
     eps = State(state.grid, state.t, state.u - s_u, state.n - s_n, state.v - s_v)
     return ModulationResult(pi=ev.pi, epsilon=eps, residuals=ev.residuals,
                             iterations=iterations, converged=reason == "converged",
-                            epsilon_H_norm=_bold_h(eps), reason=reason)
+                            epsilon_H_norm=float(_Frame.of([eps]).bold_H[0]), reason=reason)
 
 
 def modulate(state, config: MultiSolitonConfig, pi_guess=None,

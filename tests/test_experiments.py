@@ -387,6 +387,26 @@ def test_run_weinstein_audit_is_deterministic(tmp_path):
         assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == first
 
 
+def test_run_modulation_track_is_deterministic(tmp_path):
+    for config in (ONE, TWO):
+        spec = ExperimentSpec(kind="modulation_track", config=config, **CHEAP)
+        digests = []
+        for sub in ("a", "b"):
+            man = run(spec, output_dir=tmp_path / sub)
+            assert Path(man.run_dir).name == f"{spec.kind}_{spec.content_hash()}"
+            assert {f["role"] for f in _read_manifest(man)["files"]} == {
+                "modulation_series", "manifest"}
+            digests.append(hashlib.sha256(
+                (Path(man.run_dir) / "modulation.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+        # a rerun into the same directory rewrites every file with the same bytes
+        run_dir = tmp_path / "a" / f"{spec.kind}_{spec.content_hash()}"
+        first = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        assert set(first) == {"modulation.csv", "manifest.json"}
+        run(spec, output_dir=tmp_path / "a")
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == first
+
+
 def test_run_marks_incomplete_when_no_window_exists(tmp_path):
     spec = ExperimentSpec(kind="weinstein_audit", config=TWO, n_points=256,
                           box_length=40.0, dt=1e-2, sample_stride=5,

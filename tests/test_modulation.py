@@ -13,7 +13,7 @@ from zaklab.profiles import (
     soliton_phase,
 )
 from zaklab.dynamics import State, backward_frames, multi_soliton_state
-from zaklab.functionals import _write_csv
+from zaklab.functionals import _Frame, _write_csv
 from zaklab.modulation import (
     REASONS,
     leading_diagonal_constants,
@@ -233,6 +233,31 @@ def test_modulate_matches_fd_newton(backward_run):
         out = modulate(st, cfg)
         assert out.converged and converged_fd
         assert np.max(np.abs(out.pi - pi_fd)) <= 1e-9
+
+
+def parseval_bold_h(eps):
+    """||u||_H1 + ||n||_L2 + ||v||_L2 with the H1 part by Parseval: the norm
+    modulate reported before it took _Frame.bold_H."""
+    g = eps.grid
+    u_hat = np.fft.fft(eps.u)
+    h1 = np.sqrt(g.spacing / g.n_points
+                 * np.sum((1.0 + g.wavenumbers**2) * np.abs(u_hat) ** 2))
+    return float(h1 + np.sqrt(quadrature(g, eps.n**2)) + np.sqrt(quadrature(g, eps.v**2)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_modulate_measures_epsilon_with_the_frame_norm(backward_run):
+    _, cfg, traj = backward_run
+    # from Pi^0 the overlapping frames at t = 1 and 2.9 stagnate; at t = 2.9,
+    # 3.6 and 10.2 the Parseval form differs from _Frame.bold_H by an ulp on
+    # an x86-64 host with numpy 2.4
+    fits = [modulate(_frame_at(traj, t), cfg) for t in (1.0, 2.9, 3.6, 10.2)]
+    assert [res.reason for res in fits] == ["stagnation", "stagnation", "converged", "converged"]
+    for res in fits:
+        # the norm errors.csv reports as err_bold_H, bit for bit
+        assert res.epsilon_H_norm == _Frame.of([res.epsilon]).bold_H[0]
+        oracle = parseval_bold_h(res.epsilon)
+        assert abs(res.epsilon_H_norm - oracle) <= 1e-15 * oracle
 
 
 @pytest.mark.parametrize("omega,c", ((1.0, 0.0), (1.0, 0.5), (2.0, -0.3), (0.5, 0.8)))
