@@ -49,7 +49,7 @@ from .functionals import (
     cutoff_profile_constants,
 )
 from .grid import Grid, quadrature
-from .modulation import pi_from_config, pi_norm, track
+from .modulation import pi_from_config, track
 from .profiles import CEILING, COUNT, FINITE, POSITIVE, POSITIVES, SPEEDS, Admits, config_key
 from .profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from .spectral import coercivity_nls, h2_coercivity, young_mu
@@ -559,7 +559,7 @@ def _run_modulation_track(spec, run_dir, manifest):
     manifest.notes["frames_failed_by_reason"] = dict(Counter(
         r.reason for r in result.results if not r.converged))
     pi0 = pi_from_config(spec.config)
-    gaps = np.array([pi_norm(p, pi0) for p in result.pis])
+    gaps = np.abs(result.pis - pi0).sum(axis=1)
     window = auto_window(result.times, np.maximum(result.epsilon_H, 1e-300))
     if window is not None and spec.config.K > 1:
         manifest.fits["epsilon_H_rate"] = fit_exponential(

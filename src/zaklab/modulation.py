@@ -47,7 +47,6 @@ from .profiles import MultiSolitonConfig, _images, _phase_of, pi_from_config
 
 __all__ = [
     "pi_from_config",
-    "pi_norm",
     "FitEvaluation",
     "residuals_and_jacobian",
     "ModulationResult",
@@ -66,11 +65,6 @@ STAGNATION_ITERS = 5
 REASONS = ("converged", "stagnation", "singular", "damping", "max_iter")
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def pi_norm(pi, pi0) -> float:
-    """l1 distance between parameter vectors (sum of componentwise gaps)."""
-    return float(np.sum(np.abs(np.asarray(pi) - np.asarray(pi0))))
 
 
 def _checked_pi(pi, K: int) -> np.ndarray:
@@ -213,7 +207,7 @@ def _result(state, ev: FitEvaluation, iterations: int, reason: str) -> Modulatio
 
 
 def modulate(state, config: MultiSolitonConfig, pi_guess=None,
-             tolerance: float = 1e-10, max_iter: int = 50, *, _work=None) -> ModulationResult:
+             tolerance: float = 1e-10, max_iter: int = 50) -> ModulationResult:
     """Newton-solve the 3K orthogonality relations from a warm guess.
 
     Steps that would push a pulsation out of (0, inf) are halved up to 20
@@ -227,18 +221,25 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
       * "max_iter": max_iter iterations ran out.
 
     On every exit but "converged" the best iterate seen is returned with
-    converged = False.  _work is track's list of Newton work arrays (see
-    residuals_and_jacobian); every call without it makes its own.
+    converged = False.  The fit allocates one pair of work arrays and reuses
+    it across its iterations (see residuals_and_jacobian).
     """
-    work = [] if _work is None else _work
+    work = []
     K = config.K
     pi = pi_from_config(config) if pi_guess is None else np.array(pi_guess, dtype=float)
-    ev = residuals_and_jacobian(state, pi, config, _work=work)
-    best, stalled = ev, 0
-
-    for it in range(max_iter):
+    best, stalled = None, 0
+    for it in range(max_iter + 1):
+        ev = residuals_and_jacobian(state, pi, config, _work=work)
         if ev.residual_max <= tolerance:
             return _result(state, ev, it, "converged")
+        if best is None or ev.residual_max < best.residual_max:
+            best, stalled = ev, 0
+        else:
+            stalled += 1
+            if stalled == STAGNATION_ITERS:
+                return _result(state, best, it, "stagnation")
+        if it == max_iter:
+            return _result(state, best, it, "max_iter")
         try:
             delta = np.linalg.solve(ev.jacobian, -ev.residuals)
         except np.linalg.LinAlgError:
@@ -251,17 +252,6 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
         else:
             return _result(state, best, it, "damping")
         pi = pi + scale * delta
-        ev = residuals_and_jacobian(state, pi, config, _work=work)
-        if ev.residual_max < best.residual_max:
-            best, stalled = ev, 0
-        else:
-            stalled += 1
-            if stalled == STAGNATION_ITERS:
-                return _result(state, best, it + 1, "stagnation")
-
-    if ev.residual_max <= tolerance:
-        return _result(state, ev, max_iter, "converged")
-    return _result(state, best, max_iter, "max_iter")
 
 
 def leading_diagonal_constants(state, config: MultiSolitonConfig) -> dict:
@@ -320,8 +310,7 @@ def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> Track
 
     The first frame starts from Pi^0; after a failed frame the next one
     restarts from Pi^0.  gamma components are unwrapped to the 2*pi branch
-    nearest the previous frame so the rates are finite-differenceable.  All
-    frames share one pair of Newton work arrays.
+    nearest the previous frame so the rates are finite-differenceable.
     """
     frames = list(frames)
     if not frames or any(b.t <= a.t for a, b in zip(frames, frames[1:])):
@@ -329,11 +318,11 @@ def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> Track
                          "(backward_construct lists a backward run so)")
     K = config.K
     pi0 = pi_from_config(config)
-    times, results, work = [], [], []
+    times, results = [], []
     guess = pi0
     prev_pi = None
     for frame in frames:
-        res = modulate(frame, config, pi_guess=guess, tolerance=tolerance, _work=work)
+        res = modulate(frame, config, pi_guess=guess, tolerance=tolerance)
         pi = res.pi.copy()
         if prev_pi is not None:
             two_pi = 2.0 * np.pi

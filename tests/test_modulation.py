@@ -14,12 +14,14 @@ from zaklab.profiles import (
 )
 from zaklab.dynamics import State, backward_frames, multi_soliton_state
 from zaklab.functionals import _Frame, _write_csv
+from zaklab import modulation
 from zaklab.modulation import (
     REASONS,
+    STAGNATION_ITERS,
+    _result,
     leading_diagonal_constants,
     modulate,
     pi_from_config,
-    pi_norm,
     residuals_and_jacobian,
     track,
 )
@@ -79,7 +81,6 @@ def test_pi_from_config_layout():
     pi = pi_from_config(TWO)
     assert pi.shape == (6,)
     assert np.array_equal(pi, [1.0, 1.0, -10.0, 10.0, 0.0, 1.0])
-    assert pi_norm(pi, pi) == 0.0
 
 
 def test_residuals_vanish_at_reference():
@@ -170,11 +171,14 @@ def test_modulate_reports_failure_flag():
         assert out.residual_max > 1e-10
 
 
-def test_modulate_reports_max_iter():
+def _shifted_state():
     rng = np.random.default_rng(SEED + 3)
-    g = Grid(2048, 80.0)
     pi_true = pi_from_config(TWO) + 1e-2 * rng.standard_normal(6)
-    out = modulate(_profile_state(g, TWO, pi_true), TWO, max_iter=1)
+    return _profile_state(Grid(2048, 80.0), TWO, pi_true)
+
+
+def test_modulate_reports_max_iter():
+    out = modulate(_shifted_state(), TWO, max_iter=1)
     assert not out.converged
     assert out.reason == "max_iter"
     assert out.iterations == 1
@@ -233,6 +237,92 @@ def test_modulate_matches_fd_newton(backward_run):
         out = modulate(st, cfg)
         assert out.converged and converged_fd
         assert np.max(np.abs(out.pi - pi_fd)) <= 1e-9
+
+
+def _modulate_two_calls(state, config, pi_guess=None,
+                        tolerance: float = 1e-10, max_iter: int = 50, *, _work=None):
+    """modulate as it was with one kernel call before its loop and one in it,
+    and a second "converged" exit after the loop: the oracle of the one-loop
+    form (copied verbatim)."""
+    work = [] if _work is None else _work
+    K = config.K
+    pi = pi_from_config(config) if pi_guess is None else np.array(pi_guess, dtype=float)
+    ev = residuals_and_jacobian(state, pi, config, _work=work)
+    best, stalled = ev, 0
+
+    for it in range(max_iter):
+        if ev.residual_max <= tolerance:
+            return _result(state, ev, it, "converged")
+        try:
+            delta = np.linalg.solve(ev.jacobian, -ev.residuals)
+        except np.linalg.LinAlgError:
+            return _result(state, best, it, "singular")
+        scale = 1.0
+        for _ in range(20):
+            if np.all(pi[:K] + scale * delta[:K] > 0):
+                break
+            scale *= 0.5
+        else:
+            return _result(state, best, it, "damping")
+        pi = pi + scale * delta
+        ev = residuals_and_jacobian(state, pi, config, _work=work)
+        if ev.residual_max < best.residual_max:
+            best, stalled = ev, 0
+        else:
+            stalled += 1
+            if stalled == STAGNATION_ITERS:
+                return _result(state, best, it + 1, "stagnation")
+
+    if ev.residual_max <= tolerance:
+        return _result(state, ev, max_iter, "converged")
+    return _result(state, best, max_iter, "max_iter")
+
+
+def _assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_same_fit(got, want):
+    for name in ("pi", "residuals", "epsilon_H_norm"):
+        _assert_bitwise(getattr(got, name), getattr(want, name))
+    for name in ("iterations", "reason", "converged"):
+        assert (type(getattr(got, name)), getattr(got, name)) == \
+            (type(getattr(want, name)), getattr(want, name)), name
+    for name in ("u", "n", "v"):
+        _assert_bitwise(getattr(got.epsilon, name), getattr(want.epsilon, name))
+
+
+@pytest.mark.filterwarnings("error")
+def test_modulate_matches_the_two_call_loop(backward_run):
+    # from Pi^0 the frames at t = 1 and 2.9 stagnate, those at 3.6 and 10.2
+    # converge; max_iter = 0 and 1 exit on "max_iter" without or after a step
+    _, cfg, traj = backward_run
+    cases = [(_frame_at(traj, t), cfg, {}) for t in (1.0, 2.9, 3.6, 10.2)]
+    shifted = _shifted_state()
+    cases += [(shifted, TWO, {"max_iter": m}) for m in (0, 1)]
+    reasons = []
+    for st, config, kwargs in cases:
+        got = modulate(st, config, **kwargs)
+        _assert_same_fit(got, _modulate_two_calls(st, config, **kwargs))
+        reasons.append(got.reason)
+    assert reasons == ["stagnation", "stagnation", "converged", "converged",
+                       "max_iter", "max_iter"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_track_matches_the_two_call_loop(backward_run, monkeypatch):
+    # the warm chain over t <= 4 holds the t = 3.6 stagnation
+    _, cfg, traj = backward_run
+    early = [st for st in traj if st.t <= 4.0]
+    got = track(early, cfg).columns()
+    monkeypatch.setattr(modulation, "modulate", _modulate_two_calls)
+    want = track(early, cfg).columns()
+    assert got["reason"][np.argmin(np.abs(got["t"] - 3.6))] == "stagnation"
+    assert list(got) == list(want)
+    for name in got:
+        _assert_bitwise(got[name], want[name])
 
 
 def parseval_bold_h(eps):
