@@ -7,9 +7,10 @@ Global invariants of the flow:
     P = Im int ( conj(u) u_x ) + int n v
 
 Localized counterparts use a moving C^3 partition of unity chi_k built from
-an order-7 smoothstep; the chi boundaries travel at the midpoint speeds
+an order-7 smoothstep psi; the chi boundaries travel at the midpoint speeds
 between neighboring solitons, so M_k and P_k capture the k-th soliton's
-share.  The Weinstein functional
+share.  The three suprema of psi that the analysis uses have closed forms
+(cutoff_profile_constants).  The Weinstein functional
 
     G = E + sum_k ( nu_k^0 M_k - c_k P_k ),   nu_k^0 = omega_k^0 + c_k^2/4,
 
@@ -17,8 +18,9 @@ is coercive around the modulated multi-soliton profile; its expansion in the
 error eps = state - S splits exactly (pure algebra, no smallness used) into
 G = G0 + G1 + G21 + G22 + G3 with G0 the profile value, G1 the first
 variation, G21 the localized quadratic form at the instantaneous pulsations,
-G22 the pulsation-mismatch correction, and G3 the cubic term
-int eps_n |eps_u|^2.
+G22 the pulsation-mismatch correction (zero at the reference pulsations,
+so functionals.csv, which splits around R(t), has no G22 column), and G3
+the cubic term int eps_n |eps_u|^2.
 
 Second-derivative-level ("modified") energies of an error triple (U, N, V)
 against a reference u-profile R_u:
@@ -224,16 +226,17 @@ class _Frame:
         """The functionals.csv columns, in file order, as (B,) arrays, under
         the (K, B, n_points) cutoffs chis (needs config).  The decomposition
         uses S = R(t), the fixed-parameter profiles, at the reference
-        pulsations, so G22 is zero and g22_active False."""
+        pulsations, where G22 is identically zero; so it is not a column."""
         e, r = self.eps, self.ref
+        parts = _decompose(e, r, self.config, chis, None)
+        del parts["G22"]
         return {
             **self.invariants(),
             **self.local(chis),
             "G": self.weinstein(self.config, chis),
-            **_decompose(e, r, self.config, chis, None),
+            **parts,
             **e.modified(r.u, r.ux),
             **self.tails(K0),
-            "g22_active": np.zeros(self.times.shape, dtype=bool),
         }
 
 
@@ -259,37 +262,25 @@ def smooth_step(s):
     return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
-# samples of cutoff_profile_constants, in all and per chunk
-_SAMPLES, _CHUNK = 400_001, 1 << 14
-
-
 def cutoff_profile_constants() -> dict:
-    """Measured regularity constants of the base step profile.
+    """Regularity constants of the base step profile, in closed form.
 
     The analysis wants (psi')^2 <= psi and (psi'')^2 <= C psi'; the polynomial
-    step satisfies both only up to finite constants, which are measured here
-    (suprema over a fine sampling of the transition interval) and reported in
-    run manifests rather than assumed to be 1.  The samples of
-    np.linspace(-1, 1, _SAMPLES) are taken in chunks of _CHUNK so that the
-    working memory stays small; a supremum is the maximum of the chunk maxima.
+    step satisfies both only up to finite constants, which are reported in run
+    manifests rather than assumed to be 1.  With t = (s+1)/2 on the transition
+    interval, psi' = 70 t^3 (1-t)^3 and psi'' = 105 t^2 (1-t)^2 (1-2t), so
+      sup psi' = 35/32, at t = 1/2;
+      sup (psi'')^2/psi' = 157.5 max t(1-t)(1-2t)^2 = 315/32, at t(1-t) = 1/8;
+      sup (psi')^2/psi = 4900 r^2 (1-r)^6 / (35 - 84r + 70r^2 - 20r^3), at the
+        root r = 0.33803235762626066... in (0, 1) of
+        50t^4 - 200t^3 + 294t^2 - 182t + 35 (where the log-derivative vanishes).
+    The values are the correctly rounded doubles, so they are the same bits on
+    every platform.
     """
-    samples = np.linspace(-1.0, 1.0, _SAMPLES)
-    sups = np.zeros(3)
-    for lo in range(0, _SAMPLES, _CHUNK):
-        s = samples[lo:lo + _CHUNK]
-        t = (s + 1.0) * 0.5
-        psi = smooth_step(s)
-        dpsi = 70.0 * t**3 * (1.0 - t) ** 3
-        d2psi = 105.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
-        inner = (psi > 0) & (dpsi > 0)
-        chunk = (np.max(dpsi),
-                 np.max(dpsi[psi > 0] ** 2 / psi[psi > 0], initial=0.0),
-                 np.max(d2psi[inner] ** 2 / dpsi[inner], initial=0.0))
-        sups = np.maximum(sups, chunk)
     return {
-        "sup_psi_prime": float(sups[0]),
-        "sup_psi_prime_sq_over_psi": float(sups[1]),
-        "sup_psi_second_sq_over_psi_prime": float(sups[2]),
+        "sup_psi_prime": 1.09375,
+        "sup_psi_prime_sq_over_psi": 3.4061802173391893,
+        "sup_psi_second_sq_over_psi_prime": 9.84375,
     }
 
 

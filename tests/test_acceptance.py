@@ -3,7 +3,8 @@
 Each test pins one guarantee at its stated tolerance and, on success, prints
 a single summary line with the measured numbers (visible under
 ``pytest tests/test_acceptance.py -v -s``).  The heavy two-soliton backward
-run is computed once per session and shared by the last three checks.
+run and its error fit are computed once per session (tests/conftest.py)
+and shared by the last three checks.
 """
 
 import time
@@ -37,24 +38,12 @@ from zaklab.spectral import LinearizedOperator, coercivity_nls, h2_coercivity, s
 from zaklab.experiments import (
     auto_window,
     edo_constant_fit,
-    error_series,
     fit_exponential,
     gmod_series,
     local_series,
 )
 
 SEED = 42
-
-
-@pytest.fixture(scope="session")
-def backward_fit(backward_run):
-    """Error series, decay window, and rate fit of the shared backward run."""
-    grid, config, traj = backward_run
-    series = error_series(traj, config)
-    window = auto_window(series["t"], series["err_bold_H"])
-    assert window is not None, "no clean decay window in the backward run"
-    fit = fit_exponential(series["t"], series["err_bold_H"], window)
-    return series, window, fit
 
 
 def test_c01_ground_state_integrals():

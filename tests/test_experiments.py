@@ -298,8 +298,8 @@ _LOCAL_HEADER = ["t", "M_1", "M_2", "P_1", "P_2"]
 @pytest.mark.parametrize("kind, headers", [
     ("simulate", {"errors.csv": _ERRORS_HEADER}),
     ("weinstein_audit", {"errors.csv": _ERRORS_HEADER, "functionals.csv": [
-        "t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G22", "G3",
-        "H", "G_mod", "mass_tail", "energy_tail", "g22_active"],
+        "t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G3",
+        "H", "G_mod", "mass_tail", "energy_tail"],
         "local_L4.csv": _LOCAL_HEADER, "local_L8.csv": _LOCAL_HEADER,
         "local_L16.csv": _LOCAL_HEADER}),
     ("modulation_track", {"modulation.csv": [

@@ -1,5 +1,5 @@
 import csv
-import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,8 +27,8 @@ SEED = 42
 TWO = MultiSolitonConfig((SolitonParams(1.0, -0.5, -8.0, 0.0),
                           SolitonParams(1.0, 0.5, 8.0, 1.0)))
 # the documented functionals.csv columns of a two-soliton config
-COLUMNS_TWO = ["t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G22",
-               "G3", "H", "G_mod", "mass_tail", "energy_tail", "g22_active"]
+COLUMNS_TWO = ["t", "M", "E", "P", "M_1", "M_2", "P_1", "P_2", "G", "G0", "G1", "G21", "G3",
+               "H", "G_mod", "mass_tail", "energy_tail"]
 
 
 def _random_state(grid, rng, scale=1e-3, t=0.0):
@@ -68,28 +68,46 @@ def test_smooth_step_profile():
     assert smooth_step(np.array([-3.0, 3.0])) == pytest.approx([0.0, 1.0])
 
 
+def _sampled_profile_constants(samples=400_001, chunk=1 << 14):
+    """The three suprema of cutoff_profile_constants, measured as maxima over
+    np.linspace(-1, 1, samples) taken in chunks (the oracle of the closed forms)."""
+    points = np.linspace(-1.0, 1.0, samples)
+    sups = np.zeros(3)
+    for lo in range(0, samples, chunk):
+        s = points[lo:lo + chunk]
+        t = (s + 1.0) * 0.5
+        psi = smooth_step(s)
+        dpsi = 70.0 * t**3 * (1.0 - t) ** 3
+        d2psi = 105.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
+        inner = (psi > 0) & (dpsi > 0)
+        sups = np.maximum(sups, (np.max(dpsi),
+                                 np.max(dpsi[psi > 0] ** 2 / psi[psi > 0], initial=0.0),
+                                 np.max(d2psi[inner] ** 2 / dpsi[inner], initial=0.0)))
+    return dict(zip(("sup_psi_prime", "sup_psi_prime_sq_over_psi",
+                     "sup_psi_second_sq_over_psi_prime"), map(float, sups)))
+
+
 def test_cutoff_profile_constants():
     consts = cutoff_profile_constants()
-    assert consts["sup_psi_prime"] == pytest.approx(35.0 / 32.0, rel=1e-6)
-    # the remaining two are measured; freeze their magnitudes
-    assert consts["sup_psi_prime_sq_over_psi"] == pytest.approx(3.406, rel=1e-2)
-    assert consts["sup_psi_second_sq_over_psi_prime"] == pytest.approx(
-        9.84375, rel=1e-3)
-
-
-def test_cutoff_profile_constants_in_bounded_memory():
-    tracemalloc.start()
-    try:
-        consts = cutoff_profile_constants()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the 400 001 samples alone are 3.2 MB per array
-    assert peak <= 5e6
-    # the values of the whole-array evaluation, bit for bit
-    assert consts == {"sup_psi_prime": 1.09375,
-                      "sup_psi_prime_sq_over_psi": 3.406180217338208,
-                      "sup_psi_second_sq_over_psi_prime": 9.843749999750157}
+    assert consts == {"sup_psi_prime": 35 / 32,
+                      "sup_psi_prime_sq_over_psi": 3.4061802173391893,
+                      "sup_psi_second_sq_over_psi_prime": 315 / 32}
+    # the closed forms agree with the sampled suprema they replace
+    sampled = _sampled_profile_constants()
+    assert sampled.keys() == consts.keys()
+    for key, value in consts.items():
+        assert abs(sampled[key] - value) <= 1e-9 * value, key
+    # the third: Newton in 50 digits on the root r in (0, 1) of
+    # 50t^4 - 200t^3 + 294t^2 - 182t + 35, where (psi')^2/psi peaks
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal("0.34")
+        for _ in range(40):
+            r -= ((((50 * r - 200) * r + 294) * r - 182) * r + 35) / (
+                ((200 * r - 600) * r + 588) * r - 182)
+        assert 0 < r < 1
+        peak = 4900 * r**2 * (1 - r) ** 6 / (((-20 * r + 70) * r - 84) * r + 35)
+    assert float(peak) == consts["sup_psi_prime_sq_over_psi"]
 
 
 def test_cutoff_family_partition_of_unity():
@@ -288,8 +306,8 @@ def test_functional_report_invariants():
     identity = rep["E"] + sum(p.nu * rep[f"M_{k + 1}"] - p.c * rep[f"P_{k + 1}"]
                               for k, p in enumerate(TWO.solitons))
     assert abs(rep["G"] - identity) < 1e-10
-    assert not rep["g22_active"]
-    assert rep["G22"] == 0.0
+    # the split around R(t) is at the reference pulsations, where G22 == 0
+    assert not {"G22", "g22_active"} & set(rep)
 
 
 def test_report_csv_round_trip(tmp_path):
@@ -361,6 +379,7 @@ def test_frame_pass_matches_public_functions(backward_run):
             assert rep[f"P_{k + 1}"] == quadrature(g, mom_dens * chi)
         assert rep["G"] == weinstein(st, cfg, fam)
         parts = weinstein_decompose(eps, S, cfg, fam)
+        assert parts.pop("G22") == 0.0  # so functionals.csv has no G22 column
         assert {key: rep[key] for key in parts} == parts
         Ux, Nx = d(eps.u), d(eps.n)
         H = quadrature(g, np.abs(d(eps.u, 2)) ** 2 + 0.5 * Nx**2 + 0.5 * d(eps.v) ** 2)

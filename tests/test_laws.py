@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zaklab.experiments import ExperimentSpec, auto_window, error_series, fit_exponential, run
+from zaklab.experiments import ExperimentSpec, run
 from zaklab.grid import Grid
 from zaklab.profiles import MultiSolitonConfig, SolitonParams
 from zaklab.spectral import h2_coercivity
@@ -32,14 +32,11 @@ def _interaction_rate(config) -> float:
     return min(np.sqrt(min(a.omega, b.omega)) * (b.c - a.c) for a, b in zip(sols, sols[1:]))
 
 
-def test_backward_error_decays_at_the_interaction_rate(backward_run):
+def test_backward_error_decays_at_the_interaction_rate(backward_run, backward_fit):
     # the reference pair (omega 1, c -0.5 and 0.5) fits theta_hat = 0.9745
     # against theta_int = 1 on the window [8.5, 11.0]
-    grid, config, traj = backward_run
-    series = error_series(traj, config)
-    window = auto_window(series["t"], series["err_bold_H"])
-    assert window is not None, "no clean decay window in the backward run"
-    fit = fit_exponential(series["t"], series["err_bold_H"], window)
+    config = backward_run[1]
+    _, window, fit = backward_fit
     ratio = fit["rate"] / _interaction_rate(config)
     assert 0.95 < ratio < 1.05, (fit["rate"], window)
 
