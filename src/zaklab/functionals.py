@@ -14,13 +14,16 @@ share.  The three suprema of psi that the analysis uses have closed forms
 
     G = E + sum_k ( nu_k^0 M_k - c_k P_k ),   nu_k^0 = omega_k^0 + c_k^2/4,
 
-is coercive around the modulated multi-soliton profile; its expansion in the
+is coercive around the modulated multi-soliton profile.  Its expansion in the
 error eps = state - S splits exactly (pure algebra, no smallness used) into
-G = G0 + G1 + G21 + G22 + G3 with G0 the profile value, G1 the first
-variation, G21 the localized quadratic form at the instantaneous pulsations,
-G22 the pulsation-mismatch correction (zero at the reference pulsations,
-so functionals.csv, which splits around R(t), has no G22 column), and G3
-the cubic term int eps_n |eps_u|^2.
+G = G0 + G1 + G21 + G22 + G3: G0 the profile value, G1 the first variation,
+G22 = sum_k (omega_k^0 - omega_k(t)) M_k(eps) the pulsation mismatch (zero at
+the reference pulsations, so functionals.csv, split around R(t), has no G22
+column), G3 = int eps_n |eps_u|^2, and G21 the localized quadratic form at the
+instantaneous pulsations, by polarization G(S + eps) = G0 + G1 + G(eps) + cross
+(exact as sum_k chi_k = 1 and nu_k(t) = nu_k^0 - omega_k^0 + omega_k(t)):
+
+    G21 = G(eps) - G22 - G3 + cross,  cross = int 2 eps_n Re(conj(S_u) eps_u) + S_n |eps_u|^2.
 
 Second-derivative-level ("modified") energies of an error triple (U, N, V)
 against a reference u-profile R_u:
@@ -166,9 +169,8 @@ class _Frame:
     def bold_H(self):
         """The bold-H norm ||u||_{H^1} + ||n||_{L^2} + ||v||_{L^2} of the fields,
         a sum of the three (not a root-sum-square)."""
-        sq = [quadrature(self.grid, np.abs(f) ** 2).real
-              for f in (self.u, self.ux, self.n, self.v)]
-        return np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2]) + np.sqrt(sq[3])
+        ux, n, v = (quadrature(self.grid, np.abs(f) ** 2) for f in (self.ux, self.n, self.v))
+        return np.sqrt(self.M + ux) + np.sqrt(n) + np.sqrt(v)
 
     @property
     def h2_square(self):
@@ -178,12 +180,13 @@ class _Frame:
                 + quadrature(g, self.vx**2))
 
     def weinstein(self, config: MultiSolitonConfig, chis):
+        """G = E + sum_k (nu_k M_k - c_k P_k) at the reference pulsations, with
+        M_k, P_k the local(chis) columns."""
         if len(chis) != config.K:
             raise ValueError(f"cutoff family has K={len(chis)} but config has K={config.K}")
-        dens = self.energy_density
-        for k, p in enumerate(config.solitons):
-            dens = dens + chis[k] * (p.nu * self.mass_density - p.c * self.momentum_density)
-        return quadrature(self.grid, dens)
+        loc = self.local(chis)
+        return self.E + sum(p.nu * loc[f"M_{k + 1}"] - p.c * loc[f"P_{k + 1}"]
+                            for k, p in enumerate(config.solitons))
 
     def modified(self, r_u, rux) -> dict:
         """Second-derivative energies of the fields as an error triple against
@@ -344,8 +347,9 @@ def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFa
     epsilon the remainder); S.t sets the cutoff positions.  omegas_t supplies
     the instantaneous pulsations entering G21's quadratic weights and G22's
     mismatch; when omitted they default to the reference pulsations and
-    G22 == 0 (the decomposition stays usable pre-modulation).  The split is
-    algebraically exact for arbitrary epsilon, which the tests exercise.
+    G22 == 0 (the decomposition stays usable pre-modulation).  G21 comes by
+    polarization, G21 = G(eps) - G22 - G3 + cross (see the module docstring),
+    so the split is algebraically exact for arbitrary epsilon.
     """
     if epsilon.grid is not S.grid:
         raise ValueError("epsilon and S must share one grid")
@@ -369,7 +373,7 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
     lin = (
         2.0 * np.real(s_ux * np.conj(e_ux))
         + 2.0 * s_n * np.real(np.conj(s_u) * e_u)
-        + e_n * np.abs(s_u) ** 2
+        + e_n * S.mass_density
         + s_n * e_n
         + s_v * e_v
     )
@@ -381,21 +385,14 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
         )
     g1 = quadrature(g, lin)
 
-    # localized quadratic form at the instantaneous pulsations, plus the
-    # profile-coupling part (linear in S, so the per-soliton sum telescopes)
-    mom_dens = e.momentum_density
-    quad = 2.0 * e_n * np.real(np.conj(s_u) * e_u) + s_n * e.mass_density
+    # G21 by polarization: G(S + eps) = G0 + G1 + G(eps) + cross, with cross
+    # the S-eps-eps terms of n |u|^2 and G(eps) = G21 + G22 + G3 - cross
+    cross = quadrature(g, 2.0 * e_n * np.real(np.conj(s_u) * e_u) + s_n * e.mass_density)
     g22 = 0.0
     for k, p in enumerate(config.solitons):
-        nu_t = omegas_t[k] + 0.25 * p.c**2
-        quad = quad + chis[k] * (
-            np.abs(e_ux) ** 2 + nu_t * e.mass_density
-            - p.c * mom_dens + 0.5 * (e_n**2 + e_v**2)
-        )
         g22 += (p.omega - omegas_t[k]) * quadrature(g, chis[k] * e.mass_density)
-    g21 = quadrature(g, quad)
-
     g3 = quadrature(g, e_n * e.mass_density)
+    g21 = e.weinstein(config, chis) - g22 - g3 + cross
     return {"G0": g0, "G1": g1, "G21": g21, "G22": g22, "G3": g3}
 
 

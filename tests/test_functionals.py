@@ -245,6 +245,81 @@ def test_decomposition_requires_shared_grid():
                             CutoffFamily(L=5.0))
 
 
+# --- the polarized split against the density-built one ----------------------
+
+def _density_weinstein(f, config, chis):
+    """G of the frame f as one cutoff-weighted Weinstein density (the oracle
+    of _Frame.weinstein, which sums E and the local columns)."""
+    dens = f.energy_density
+    for k, p in enumerate(config.solitons):
+        dens = dens + chis[k] * (p.nu * f.mass_density - p.c * f.momentum_density)
+    return quadrature(f.grid, dens)
+
+
+def _density_decompose(e, S, config, chis, omegas_t):
+    """The split with G21 as one chi-weighted quadratic density per soliton at
+    the instantaneous pulsations, plus the profile coupling (the oracle of the
+    polarized G21 = G(eps) - G22 - G3 + cross)."""
+    omegas_t = np.asarray(config.omegas if omegas_t is None else omegas_t, dtype=float)
+    g = S.grid
+    s_u, s_n, s_v, s_ux = S.u, S.n, S.v, S.ux
+    e_u, e_n, e_v, e_ux = e.u, e.n, e.v, e.ux
+    lin = (2.0 * np.real(s_ux * np.conj(e_ux)) + 2.0 * s_n * np.real(np.conj(s_u) * e_u)
+           + e_n * np.abs(s_u) ** 2 + s_n * e_n + s_v * e_v)
+    for k, p in enumerate(config.solitons):
+        lin = lin + chis[k] * (
+            2.0 * p.nu * np.real(np.conj(s_u) * e_u)
+            - p.c * (np.imag(np.conj(e_u) * s_ux + np.conj(s_u) * e_ux)
+                     + s_n * e_v + e_n * s_v))
+    quad = 2.0 * e_n * np.real(np.conj(s_u) * e_u) + s_n * e.mass_density
+    g22 = 0.0
+    for k, p in enumerate(config.solitons):
+        nu_t = omegas_t[k] + 0.25 * p.c**2
+        quad = quad + chis[k] * (np.abs(e_ux) ** 2 + nu_t * e.mass_density
+                                 - p.c * e.momentum_density + 0.5 * (e_n**2 + e_v**2))
+        g22 += (p.omega - omegas_t[k]) * quadrature(g, chis[k] * e.mass_density)
+    return {"G0": _density_weinstein(S, config, chis), "G1": quadrature(g, lin),
+            "G21": quadrature(g, quad), "G22": g22, "G3": quadrature(g, e_n * e.mass_density)}
+
+
+SPLIT_CONFIGS = {
+    1: MultiSolitonConfig((SolitonParams(1.0, 0.3, 1.0, 0.5),)),
+    2: TWO,
+    3: MultiSolitonConfig(tuple(SolitonParams(1.0 + 0.2 * k, c, 14.0 * c / 0.6, k)
+                                for k, c in enumerate((-0.6, 0.0, 0.6)))),
+}
+# G0, G21 and G against their density-built oracles, relative (4.2e-16 seen)
+SPLIT_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("modulated", [False, True], ids=["reference", "omegas_t"])
+@pytest.mark.parametrize("scale", [1e-2, 1e-6])
+@pytest.mark.parametrize("K", sorted(SPLIT_CONFIGS))
+def test_polarized_split_matches_the_density_split(K, scale, modulated):
+    cfg = SPLIT_CONFIGS[K]
+    g, t = Grid(1024, 80.0), 0.7
+    fam = CutoffFamily.for_config(cfg, L=5.0)
+    pi = pi_from_config(cfg)
+    omegas_t = None
+    if modulated:
+        pi[:K] += np.linspace(0.05, -0.03, K)
+        omegas_t = pi[:K]
+    S = State(g, t, *modulated_profile(g, cfg, pi, t))
+    eps = _random_state(g, np.random.default_rng(SEED + K), scale=scale, t=t)
+    full = State(g, t, S.u + eps.u, S.n + eps.n, S.v + eps.v)
+    parts = weinstein_decompose(eps, S, cfg, fam, omegas_t=omegas_t)
+    chis = fam.chis(g, t)
+    oracle = _density_decompose(_Frame.of([eps]), _Frame.of([S]), cfg, chis, omegas_t)
+    for key in ("G1", "G22", "G3"):
+        assert parts[key] == oracle[key][0], key
+    assert (parts["G22"] != 0.0) == modulated
+    for key in ("G0", "G21"):
+        assert abs(parts[key] - oracle[key]) <= SPLIT_RTOL * abs(oracle[key]), key
+    G = weinstein(full, cfg, fam)
+    G_oracle = _density_weinstein(_Frame.of([full]), cfg, chis)
+    assert abs(G - G_oracle) <= SPLIT_RTOL * abs(G_oracle)
+
+
 # --- modified energies and tails ---------------------------------------------
 
 def test_modified_energies_vanish_on_reference():
