@@ -34,7 +34,7 @@ from .functionals import (
     weinstein,
     weinstein_decompose,
 )
-from .modulation import ModulationResult, TrackResult, modulate, track
+from .modulation import ModulationResult, modulate, track
 from .spectral import (
     LinearizedOperator,
     coercivity_nls,
@@ -53,7 +53,7 @@ __all__ = [
     "evolve", "time_reverse", "backward_frames", "backward_construct",
     "mass", "energy", "momentum", "CutoffFamily",
     "weinstein", "weinstein_decompose",
-    "ModulationResult", "TrackResult", "modulate", "track",
+    "ModulationResult", "modulate", "track",
     "LinearizedOperator", "spectrum", "coercivity_nls",
     "h2_coercivity", "young_mu",
     "ExperimentSpec", "RunManifest", "fit_exponential", "run",

@@ -552,22 +552,22 @@ def _run_modulation_track(spec, run_dir, manifest):
     # the warm-started fit runs in increasing time, so this kind holds every frame
     frames = _backward(spec, spec.make_grid(), backward_construct)
     log.info(f"modulating {len(frames)} frames")
-    result = track(frames, spec.config, tolerance=spec.tolerance)
-    _save(run_dir, manifest, "modulation.csv", "modulation_series", result.columns())
-    manifest.notes["frames_converged"] = int(np.count_nonzero(result.converged))
-    manifest.notes["frames_total"] = int(result.converged.size)
-    manifest.notes["frames_failed_by_reason"] = dict(Counter(
-        r.reason for r in result.results if not r.converged))
-    pi0 = pi_from_config(spec.config)
-    gaps = np.abs(result.pis - pi0).sum(axis=1)
-    window = auto_window(result.times, np.maximum(result.epsilon_H, 1e-300))
+    columns = track(frames, spec.config, tolerance=spec.tolerance)
+    _save(run_dir, manifest, "modulation.csv", "modulation_series", columns)
+    reasons = Counter(columns["reason"])
+    manifest.notes["frames_converged"] = reasons.pop("converged", 0)
+    manifest.notes["frames_total"] = len(columns["reason"])
+    manifest.notes["frames_failed_by_reason"] = dict(reasons)
+    pis = np.stack([columns[f"{name}_{k + 1}"] for name in ("omega", "sigma", "gamma")
+                    for k in range(spec.config.K)], axis=1)
+    gaps = np.abs(pis - pi_from_config(spec.config)).sum(axis=1)
+    times, eps_h = columns["t"], columns["eps_H"]
+    window = auto_window(times, np.maximum(eps_h, 1e-300))
     if window is not None and spec.config.K > 1:
-        manifest.fits["epsilon_H_rate"] = fit_exponential(
-            result.times, result.epsilon_H, window)
-        keep = (result.times >= window[0]) & (result.times <= window[1]) & (gaps > 0)
+        manifest.fits["epsilon_H_rate"] = fit_exponential(times, eps_h, window)
+        keep = (times >= window[0]) & (times <= window[1]) & (gaps > 0)
         if np.count_nonzero(keep) >= 8:
-            manifest.fits["pi_gap_rate"] = fit_exponential(
-                result.times[keep], gaps[keep])
+            manifest.fits["pi_gap_rate"] = fit_exponential(times[keep], gaps[keep])
 
 
 def _run_convergence_order(spec, run_dir, manifest):

@@ -36,7 +36,7 @@ component order (all omega, all sigma, all gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +53,6 @@ __all__ = [
     "REASONS",
     "modulate",
     "leading_diagonal_constants",
-    "TrackResult",
     "track",
 ]
 
@@ -185,13 +184,22 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
 
 @dataclass(frozen=True)
 class ModulationResult:
+    """One fit of modulate: the pulsations, positions and phases pi (in the
+    fixed omega, sigma, gamma order), epsilon = state - S(pi) as a State, the
+    3K orthogonality residuals at pi, the Newton iterations run, the bold-H
+    norm of epsilon and the exit reason (one of REASONS); converged is
+    reason == "converged"."""
+
     pi: np.ndarray
-    epsilon: State | None    # state - S(pi); None in the results track keeps
+    epsilon: State
     residuals: np.ndarray
     iterations: int
-    converged: bool
     epsilon_H_norm: float
-    reason: str              # one of REASONS
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
     @property
     def residual_max(self) -> float:
@@ -201,8 +209,7 @@ class ModulationResult:
 def _result(state, ev: FitEvaluation, iterations: int, reason: str) -> ModulationResult:
     s_u, s_n, s_v = ev.profile
     eps = State(state.grid, state.t, state.u - s_u, state.n - s_n, state.v - s_v)
-    return ModulationResult(pi=ev.pi, epsilon=eps, residuals=ev.residuals,
-                            iterations=iterations, converged=reason == "converged",
+    return ModulationResult(pi=ev.pi, epsilon=eps, residuals=ev.residuals, iterations=iterations,
                             epsilon_H_norm=float(_Frame.of([eps]).bold_H[0]), reason=reason)
 
 
@@ -213,16 +220,16 @@ def modulate(state, config: MultiSolitonConfig, pi_guess=None,
     Steps that would push a pulsation out of (0, inf) are halved up to 20
     times.  The solve exits, with ModulationResult.reason set to
 
-      * "converged": max |residual| <= tolerance (converged = True);
+      * "converged": max |residual| <= tolerance;
       * "stagnation": the best residual did not improve for STAGNATION_ITERS
         consecutive iterations;
       * "singular": the Jacobian could not be solved;
       * "damping": 20 halvings left a pulsation non-positive;
       * "max_iter": max_iter iterations ran out.
 
-    On every exit but "converged" the best iterate seen is returned with
-    converged = False.  The fit allocates one pair of work arrays and reuses
-    it across its iterations (see residuals_and_jacobian).
+    On every exit but "converged" the best iterate seen is returned.  The
+    fit allocates one pair of work arrays and reuses it across its
+    iterations (see residuals_and_jacobian).
     """
     work = []
     K = config.K
@@ -277,36 +284,13 @@ def leading_diagonal_constants(state, config: MultiSolitonConfig) -> dict:
     return {"d_omega": d_omega, "d_sigma": d_sigma, "d_gamma": d_gamma}
 
 
-@dataclass(frozen=True)
-class TrackResult:
-    """Per-frame modulation along a trajectory plus finite-difference rates."""
-
-    times: np.ndarray
-    results: tuple
-    pis: np.ndarray                 # (n_frames, 3K), gamma on a continuous branch
-    rates: np.ndarray               # (n_frames, 3K), d(pi)/dt by finite differences
-    gamma_rate_mismatch: np.ndarray  # (n_frames, K): dgamma/dt - (omega - omega^0)
-    epsilon_H: np.ndarray
-    converged: np.ndarray
-
-    def columns(self) -> dict:
-        """The modulation.csv columns: t, then per soliton pi, its rates and
-        the gamma rate mismatch, then each fit's exit."""
-        K = self.gamma_rate_mismatch.shape[1]
-        names = [f"{name}_{k + 1}" for name in ("omega", "sigma", "gamma", "domega_dt",
-                                                "dsigma_dt", "dgamma_dt", "gamma_rate_mismatch")
-                 for k in range(K)]
-        values = np.hstack([self.pis, self.rates, self.gamma_rate_mismatch]).T
-        return {"t": self.times, **dict(zip(names, values)), "eps_H": self.epsilon_H,
-                "residual_max": [r.residual_max for r in self.results],
-                "iterations": [r.iterations for r in self.results],
-                "converged": self.converged, "reason": [r.reason for r in self.results]}
-
-
-def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> TrackResult:
+def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> dict:
     """Modulate every frame (States in strictly increasing time, at least
-    one, else ValueError), warm-starting each solve from its predecessor; the
-    stored results drop their epsilon State.
+    one, else ValueError), warm-starting each solve from its predecessor, and
+    return the modulation.csv columns: t, then per soliton pi, its
+    finite-difference rates and the gamma rate mismatch
+    dgamma/dt - (omega - omega^0), then each fit's eps_H, residual_max,
+    iterations, converged and reason.  Only each fit's scalars are kept.
 
     The first frame starts from Pi^0; after a failed frame the next one
     restarts from Pi^0.  gamma components are unwrapped to the 2*pi branch
@@ -318,36 +302,32 @@ def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> Track
                          "(backward_construct lists a backward run so)")
     K = config.K
     pi0 = pi_from_config(config)
-    times, results = [], []
-    guess = pi0
-    prev_pi = None
+    pis, fits = [], []
+    guess, prev_pi = pi0, None
     for frame in frames:
         res = modulate(frame, config, pi_guess=guess, tolerance=tolerance)
         pi = res.pi.copy()
         if prev_pi is not None:
             two_pi = 2.0 * np.pi
             shift = two_pi * np.round((prev_pi[2 * K:] - pi[2 * K:]) / two_pi)
-            if np.any(shift != 0.0):
+            if np.any(shift != 0.0):  # adding a zero shift would turn -0.0 into +0.0
                 pi[2 * K:] += shift
-        times.append(frame.t)
-        results.append(replace(res, pi=pi, epsilon=None))
+        pis.append(pi)
+        fits.append((res.epsilon_H_norm, res.residual_max, res.iterations,
+                     res.converged, res.reason))
         guess = pi if res.converged else pi0
         prev_pi = pi if res.converged else prev_pi
 
-    times = np.array(times)
-    pis = np.stack([r.pi for r in results])
-    if len(times) >= 2:
-        rates = np.gradient(pis, times, axis=0)
-    else:
-        rates = np.zeros_like(pis)
+    times = np.array([frame.t for frame in frames])
+    pis = np.stack(pis)
+    rates = np.gradient(pis, times, axis=0) if len(times) >= 2 else np.zeros_like(pis)
     omega0 = np.array([p.omega for p in config.solitons])
     mismatch = rates[:, 2 * K:] - (pis[:, :K] - omega0)
-    return TrackResult(
-        times=times,
-        results=tuple(results),
-        pis=pis,
-        rates=rates,
-        gamma_rate_mismatch=mismatch,
-        epsilon_H=np.array([r.epsilon_H_norm for r in results]),
-        converged=np.array([r.converged for r in results]),
-    )
+    names = [f"{name}_{k + 1}" for name in ("omega", "sigma", "gamma", "domega_dt",
+                                            "dsigma_dt", "dgamma_dt", "gamma_rate_mismatch")
+             for k in range(K)]
+    eps_h, residual_max, iterations, converged, reason = zip(*fits)
+    return {"t": times, **dict(zip(names, np.hstack([pis, rates, mismatch]).T)),
+            "eps_H": np.array(eps_h), "residual_max": list(residual_max),
+            "iterations": list(iterations), "converged": np.array(converged),
+            "reason": list(reason)}

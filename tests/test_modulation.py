@@ -316,9 +316,9 @@ def test_track_matches_the_two_call_loop(backward_run, monkeypatch):
     # the warm chain over t <= 4 holds the t = 3.6 stagnation
     _, cfg, traj = backward_run
     early = [st for st in traj if st.t <= 4.0]
-    got = track(early, cfg).columns()
+    got = track(early, cfg)
     monkeypatch.setattr(modulation, "modulate", _modulate_two_calls)
-    want = track(early, cfg).columns()
+    want = track(early, cfg)
     assert got["reason"][np.argmin(np.abs(got["t"] - 3.6))] == "stagnation"
     assert list(got) == list(want)
     for name in got:
@@ -367,19 +367,30 @@ def _exact_trajectory(grid, config, times):
     return [multi_soliton_state(grid, config, t) for t in times]
 
 
+PI_NAMES = ("omega", "sigma", "gamma")
+
+
+def _stacked(columns, names, K):
+    """The per-soliton columns name_1..name_K of each name, side by side as
+    an (n_frames, len(names) K) array: pi for PI_NAMES."""
+    return np.stack([columns[f"{name}_{k + 1}"] for name in names for k in range(K)], axis=1)
+
+
 def test_track_exact_trajectory_stays_at_reference():
     g = Grid(2048, 80.0)
     times = np.linspace(10.0, 12.0, 9)
     traj = _exact_trajectory(g, TWO, times)
     out = track(traj, TWO)
-    assert all(out.converged)
-    assert out.pis.shape == (9, 6)
+    assert all(out["converged"])
+    pis = _stacked(out, PI_NAMES, TWO.K)
+    assert pis.shape == (9, 6)
     pi0 = pi_from_config(TWO)
-    assert np.max(np.abs(out.pis - pi0)) < 1e-10
+    assert np.max(np.abs(pis - pi0)) < 1e-10
     # parameter velocities and the phase-clock mismatch are both flat zero
-    assert np.max(np.abs(out.rates)) < 1e-8
-    assert np.max(np.abs(out.gamma_rate_mismatch)) < 1e-8
-    assert np.max(out.epsilon_H) < 1e-9
+    rates = _stacked(out, ("domega_dt", "dsigma_dt", "dgamma_dt"), TWO.K)
+    assert np.max(np.abs(rates)) < 1e-8
+    assert np.max(np.abs(_stacked(out, ("gamma_rate_mismatch",), TWO.K))) < 1e-8
+    assert np.max(out["eps_H"]) < 1e-9
 
 
 def test_track_refuses_no_frames():
@@ -402,13 +413,13 @@ def test_track_on_backward_run_converges_when_separated(backward_run):
     grid, cfg, traj = backward_run
     late = [st for st in traj if st.t >= 10.0]
     out = track(late, cfg)
-    conv = np.array(out.converged)
+    conv = np.array(out["converged"])
     assert np.all(conv)
     # modulation keeps parameters near the reference once solitons separate
     pi0 = pi_from_config(cfg)
-    assert np.max(np.abs(out.pis[-1] - pi0)) < 1e-3
+    assert np.max(np.abs(_stacked(out, PI_NAMES, cfg.K)[-1] - pi0)) < 1e-3
     # the error norms the tracker reports decay toward the final time
-    assert out.epsilon_H[-1] < out.epsilon_H[0]
+    assert out["eps_H"][-1] < out["eps_H"][0]
 
 
 def test_write_track_csv(tmp_path, backward_run):
@@ -416,13 +427,13 @@ def test_write_track_csv(tmp_path, backward_run):
     late = [st for st in traj if st.t >= 25.0]
     out = track(late, cfg)
     path = tmp_path / "track.csv"
-    _write_csv(path, out.columns())
+    _write_csv(path, out)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(out.columns())
+    assert rows[0] == list(out)
     assert rows[0][-2:] == ["converged", "reason"]
     assert len(rows) == len(late) + 1
-    assert [row[-1] for row in rows[1:]] == [r.reason for r in out.results]
+    assert [row[-1] for row in rows[1:]] == out["reason"]
     assert all(row[-1] == "converged" for row in rows[1:])
 
 
@@ -431,7 +442,7 @@ def test_track_fails_fast_and_quietly_near_collision(backward_run):
     grid, cfg, traj = backward_run
     early = [st for st in traj if st.t <= 4.0]
     out = track(early, cfg)
-    failed = [r for r in out.results if not r.converged]
-    assert failed, "the overlapping frames near t = 0 are expected to fail"
-    assert all(r.reason == "stagnation" for r in failed)
-    assert max(r.iterations for r in failed) <= 15
+    failed = np.flatnonzero(~out["converged"])
+    assert failed.size, "the overlapping frames near t = 0 are expected to fail"
+    assert all(out["reason"][i] == "stagnation" for i in failed)
+    assert max(out["iterations"][i] for i in failed) <= 15
