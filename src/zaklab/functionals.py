@@ -179,12 +179,11 @@ class _Frame:
         return (quadrature(g, np.abs(self.uxx) ** 2) + quadrature(g, self.nx**2)
                 + quadrature(g, self.vx**2))
 
-    def weinstein(self, config: MultiSolitonConfig, chis):
+    def weinstein(self, config: MultiSolitonConfig, loc):
         """G = E + sum_k (nu_k M_k - c_k P_k) at the reference pulsations, with
-        M_k, P_k the local(chis) columns."""
-        if len(chis) != config.K:
-            raise ValueError(f"cutoff family has K={len(chis)} but config has K={config.K}")
-        loc = self.local(chis)
+        M_k, P_k the columns loc of local(chis)."""
+        if len(loc) != 2 * config.K:
+            raise ValueError(f"cutoff family has K={len(loc) // 2} but config has K={config.K}")
         return self.E + sum(p.nu * loc[f"M_{k + 1}"] - p.c * loc[f"P_{k + 1}"]
                             for k, p in enumerate(config.solitons))
 
@@ -235,8 +234,8 @@ class _Frame:
         del parts["G22"]
         return {
             **self.invariants(),
-            **self.local(chis),
-            "G": self.weinstein(self.config, chis),
+            **(loc := self.local(chis)),  # after _decompose, so its peak holds no densities
+            "G": self.weinstein(self.config, loc),
             **parts,
             **e.modified(r.u, r.ux),
             **self.tails(K0),
@@ -336,7 +335,7 @@ class CutoffFamily:
 def weinstein(state, config: MultiSolitonConfig, family: CutoffFamily) -> float:
     """Energy plus pulsation/speed-weighted localized masses and momenta."""
     f = _Frame.of([state])
-    return f.weinstein(config, family.chis(f.grid, f.t))[0]
+    return f.weinstein(config, f.local(family.chis(f.grid, f.t)))[0]
 
 
 def weinstein_decompose(epsilon, S, config: MultiSolitonConfig, family: CutoffFamily,
@@ -367,7 +366,7 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
     s_u, s_n, s_v, s_ux = S.u, S.n, S.v, S.ux
     e_u, e_n, e_v, e_ux = e.u, e.n, e.v, e.ux
 
-    g0 = S.weinstein(config, chis)
+    g0 = S.weinstein(config, S.local(chis))
 
     # first variation of G at S in direction eps
     lin = (
@@ -388,11 +387,10 @@ def _decompose(e: _Frame, S: _Frame, config: MultiSolitonConfig, chis, omegas_t)
     # G21 by polarization: G(S + eps) = G0 + G1 + G(eps) + cross, with cross
     # the S-eps-eps terms of n |u|^2 and G(eps) = G21 + G22 + G3 - cross
     cross = quadrature(g, 2.0 * e_n * np.real(np.conj(s_u) * e_u) + s_n * e.mass_density)
-    g22 = 0.0
-    for k, p in enumerate(config.solitons):
-        g22 += (p.omega - omegas_t[k]) * quadrature(g, chis[k] * e.mass_density)
+    loc = e.local(chis)
+    g22 = sum((p.omega - omegas_t[k]) * loc[f"M_{k + 1}"] for k, p in enumerate(config.solitons))
     g3 = quadrature(g, e_n * e.mass_density)
-    g21 = e.weinstein(config, chis) - g22 - g3 + cross
+    g21 = e.weinstein(config, loc) - g22 - g3 + cross
     return {"G0": g0, "G1": g1, "G21": g21, "G22": g22, "G3": g3}
 
 

@@ -12,9 +12,9 @@ with x_k = x - c_k t - sigma_k and Gamma_k = c_k x/2 - c_k^2 t/4 +
 omega_k^0 t + gamma_k (the reference pulsation runs the phase clock).  These
 conditions are solved per snapshot by a damped Newton iteration (the
 modulation theory of Weinstein, SIAM J. Math. Anal. 1985).  Each iteration
-makes one call to residuals_and_jacobian, which evaluates sech/tanh once per
-soliton over the three box images and returns the residuals together with
-their analytic 3K x 3K Jacobian.  The Jacobian has two kinds of term:
+makes one call to residuals_and_jacobian, which builds each soliton's
+directions once (profiles._directions) and returns the residuals together
+with their analytic 3K x 3K Jacobian.  The Jacobian has two kinds of term:
 
   * profile terms, in every column j, from eps_u = u - S(pi):
     dS/domega_j = a_j Lambda_{omega_j} e^{i Gamma_j},
@@ -26,9 +26,8 @@ their analytic 3K x 3K Jacobian.  The Jacobian has two kinds of term:
     dLambda/domega = (-LambdaQ(r y)/r + y LambdaQ'(r y)) / (2 omega) with
     r = sqrt(omega), and d e^{-i Gamma_k}/dgamma_k = -i e^{-i Gamma_k}.
 
-sech is formed from e^{-|z|}, so iterates that run to large omega do not
-overflow.  Along a trajectory each frame warm-starts from the previous one
-and gamma is kept on a continuous branch.
+Along a trajectory each frame warm-starts from the previous one and gamma is
+kept on a continuous branch.
 
 The residual vector, the unknown vector, and the Jacobian all use the fixed
 component order (all omega, all sigma, all gamma).
@@ -43,7 +42,7 @@ import numpy as np
 
 from .dynamics import State
 from .functionals import _Frame
-from .profiles import MultiSolitonConfig, _images, _phase_of, pi_from_config
+from .profiles import MultiSolitonConfig, _checked_pi, _directions, pi_from_config
 
 __all__ = [
     "pi_from_config",
@@ -63,18 +62,6 @@ STAGNATION_ITERS = 5
 # Every way modulate can exit, as reported in ModulationResult.reason.
 REASONS = ("converged", "stagnation", "singular", "damping", "max_iter")
 
-_SQRT2 = np.sqrt(2.0)
-
-
-def _checked_pi(pi, K: int) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (3 * K,):
-        raise ValueError(f"pi must have shape ({3 * K},)")
-    if np.any(pi[:K] <= 0):
-        raise ValueError("modulated pulsations must stay positive")
-    return pi
-
-
 class FitEvaluation(NamedTuple):
     """Residuals, their analytic Jacobian and the profile S(pi) at one pi."""
 
@@ -86,13 +73,6 @@ class FitEvaluation(NamedTuple):
     @property
     def residual_max(self) -> float:
         return float(np.max(np.abs(self.residuals)))
-
-
-def _sech_tanh(z):
-    """sech z and tanh z from e^{-|z|}, finite however large |z| grows."""
-    e = np.exp(-np.abs(z))
-    e2 = e * e
-    return 2.0 * e / (1.0 + e2), np.sign(z) * (1.0 - e2) / (1.0 + e2)
 
 
 def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
@@ -121,32 +101,8 @@ def residuals_and_jacobian(state, pi, config: MultiSolitonConfig, *,
     s_v = np.zeros(n_pts)
     blocks = []
     for k, p in enumerate(config.solitons):
-        omega = pi[k]
-        r = np.sqrt(omega)
-        center = p.c * t + pi[K + k]
-        images = _images(g, center)
-        x_k = images[0]
-        # sums over the three box images of sech, sech*tanh, sqrt(2) LambdaQ,
-        # sqrt(2) LambdaQ' and the omega-derivative numerator of Lambda_omega
-        f = df = lam = dlam = lam_omega = 0.0
-        for y in images:
-            z = r * y
-            sech, tanh = _sech_tanh(z)
-            lq = sech * (1.0 - z * tanh)
-            dlq = sech * (z * (tanh * tanh - sech * sech) - 2.0 * tanh)
-            f = f + sech
-            df = df + sech * tanh
-            lam = lam + lq
-            dlam = dlam + dlq
-            lam_omega = lam_omega + (y * dlq - lq / r)
-        f = _SQRT2 * r * f                              # phi_omega
-        df = -_SQRT2 * omega * df                       # phi_omega'
-        lam = lam / (_SQRT2 * r)                        # Lambda_omega
-        dlam = dlam / _SQRT2                            # Lambda_omega'
-        lam_omega = lam_omega / (2.0 * _SQRT2 * omega)  # d(Lambda_omega)/d(omega)
-
-        phase = _phase_of(x_k + center, p.c, p.omega, pi[2 * K + k], t)
-        cos, sin = np.cos(phase), np.sin(phase)
+        x_k, f, df, lam, dlam, lam_omega, cos, sin = _directions(
+            g, p.c, pi[k], p.c * t + pi[K + k], pi[2 * K + k], t, p.omega)
         e_phase = cos + 1j * sin                        # e^{i Gamma_k}
         e_back = cos - 1j * sin                         # e^{-i Gamma_k}
         a = np.sqrt(1.0 - p.c**2)

@@ -20,6 +20,10 @@ speeds.  On the periodic box all profile arguments are wrapped to
 [-L/2, L/2); the phase factor uses the wrapped coordinate recentred on the
 soliton so that the inevitable phase seam sits under the exponentially small
 tail at distance L/2 from the soliton, not at the box edge.
+
+A wave's modulation directions, for both the Newton fit of modulation and
+the constraints of spectral.h2_coercivity, come from _directions, which forms
+sech from e^{-|z|}, so iterates that run to large omega do not overflow.
 """
 
 from __future__ import annotations
@@ -172,6 +176,9 @@ class MultiSolitonConfig:
 # would poison sup-norm identities near 1e-8.
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
 def _images(grid: Grid, center):
     """Wrapped coordinates x - center and their two neighbouring box images."""
     y = grid.wrap(grid.x - center)
@@ -240,6 +247,39 @@ def _phase_of(x_near, c, omega_phase, gamma, t):
     return 0.5 * c * x_near - 0.25 * c**2 * t + omega_phase * t + gamma
 
 
+def _sech_tanh(z):
+    """sech z and tanh z from e^{-|z|}, finite however large |z| grows."""
+    e = np.exp(-np.abs(z))
+    e2 = e * e
+    return 2.0 * e / (1.0 + e2), np.sign(z) * (1.0 - e2) / (1.0 + e2)
+
+
+def _directions(grid: Grid, c, omega, center, gamma, t, omega_phase):
+    """The modulation directions of the wave of speed c and pulsation omega
+    centred at center, summed over the three box images: the wrapped
+    x_k = x - center, then phi_omega, phi_omega', Lambda_omega,
+    Lambda_omega' and d(Lambda_omega)/d(omega) at x_k, then cos Gamma and
+    sin Gamma for the phase of soliton_phase with clock omega_phase."""
+    r = np.sqrt(omega)
+    images = _images(grid, center)
+    # sums of sech, sech*tanh, sqrt(2) LambdaQ, sqrt(2) LambdaQ' and the
+    # omega-derivative numerator of Lambda_omega
+    f = df = lam = dlam = lam_omega = 0.0
+    for y in images:
+        z = r * y
+        sech, tanh = _sech_tanh(z)
+        lq = sech * (1.0 - z * tanh)
+        dlq = sech * (z * (tanh * tanh - sech * sech) - 2.0 * tanh)
+        f = f + sech
+        df = df + sech * tanh
+        lam = lam + lq
+        dlam = dlam + dlq
+        lam_omega = lam_omega + (y * dlq - lq / r)
+    phase = _phase_of(images[0] + center, c, omega_phase, gamma, t)
+    return (images[0], _SQRT2 * r * f, -_SQRT2 * omega * df, lam / (_SQRT2 * r),
+            dlam / _SQRT2, lam_omega / (2.0 * _SQRT2 * omega), np.cos(phase), np.sin(phase))
+
+
 def _wave(grid: Grid, params: SolitonParams, omega: float, sigma: float, gamma: float,
           t):
     """(u, n, v) of the wave of speed params.c with pulsation omega,
@@ -280,17 +320,26 @@ def pi_from_config(config: MultiSolitonConfig) -> np.ndarray:
     )
 
 
+def _checked_pi(pi, K: int) -> np.ndarray:
+    """pi as floats in the (omega, sigma, gamma) layout of K solitons, its
+    pulsations positive; else ValueError."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (3 * K,):
+        raise ValueError(f"pi must have shape ({3 * K},), got {pi.shape}")
+    if np.any(pi[:K] <= 0):
+        raise ValueError("modulated pulsations must stay positive")
+    return pi
+
+
 def modulated_profile(grid: Grid, config: MultiSolitonConfig, pi, t):
     """Sum of modulated soliton profiles S(pi) at time t.
 
     pi is the flat parameter vector of length 3K ordered as
-    (omega_1..omega_K, sigma_1..sigma_K, gamma_1..gamma_K).  t broadcasts as
-    in multi_soliton.
+    (omega_1..omega_K, sigma_1..sigma_K, gamma_1..gamma_K), its pulsations
+    positive.  t broadcasts as in multi_soliton.
     """
-    pi = np.asarray(pi, dtype=float)
     K = config.K
-    if pi.shape != (3 * K,):
-        raise ValueError(f"pi must have shape ({3*K},), got {pi.shape}")
+    pi = _checked_pi(pi, K)
     shape = np.broadcast_shapes(np.shape(t), grid.x.shape)
     u = np.zeros(shape, dtype=complex)
     n = np.zeros(shape)

@@ -20,7 +20,8 @@ block LOBPCG, also matrix-free.
 h2_coercivity minimizes, over the (eta_u, eta_n, eta_v) linearization around
 one traveling wave, the one-soliton G21 of functionals.weinstein_decompose
 (K = 1, so the cutoff is 1): the localized quadratic part of the Weinstein
-functional that functionals.csv audits.
+functional that functionals.csv audits, orthogonal to the wave's directions
+from profiles._directions at Pi^0, whose residuals modulate sets to zero.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from .grid import Grid
 from .profiles import (
     MultiSolitonConfig,
     SolitonParams,
+    _directions,
     ground_state,
-    lambda_omega,
     lambda_q,
-    phi,
-    soliton_phase,
     y_ground_state,
 )
 
@@ -241,12 +240,9 @@ def coercivity_nls(grid: Grid) -> dict:
 
 def _h2_operator(grid: Grid, params: SolitonParams, t: float = 0.0):
     """h2_coercivity's operator on [Re eta_u; Im eta_u; eta_n; eta_v], and its constraints."""
-    center = params.c * t + params.sigma
-    x_rel = grid.wrap(grid.x - center)
-    f = phi(grid, params.omega, center)
-    lam = lambda_omega(grid, params.omega, center)
-    gam = soliton_phase(grid, params.c, params.omega, params.gamma, t, center)
-    cg, sg, w, c = np.cos(gam), np.sin(gam), np.sqrt(1.0 - params.c**2), params.c
+    c, w = params.c, np.sqrt(1.0 - params.c**2)
+    x_rel, f, _, lam, _, _, cg, sg = _directions(grid, c, params.omega, c * t + params.sigma,
+                                                 params.gamma, t, params.omega)
     k = grid.wavenumbers[: grid.n_points // 2 + 1]
     # -c Im(conj(eta_u) d_x eta_u) couples Re and Im eta_u through -c ik
     symbol = np.array([[k**2, -1j * c * k], [1j * c * k, k**2]])

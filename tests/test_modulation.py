@@ -95,10 +95,13 @@ def test_residuals_reject_bad_pi():
     g = Grid(512, 40.0)
     cfg = MultiSolitonConfig((SolitonParams(1.0, 0.0),))
     st = multi_soliton_state(g, cfg, 0.0)
-    with pytest.raises(ValueError):
-        residuals_and_jacobian(st, np.zeros(4), cfg)
-    with pytest.raises(ValueError, match="positive"):
-        residuals_and_jacobian(st, np.array([-1.0, 0.0, 0.0]), cfg)
+    # the fit and the profile share one check of the pi layout
+    for call in (lambda pi: residuals_and_jacobian(st, pi, cfg),
+                 lambda pi: modulated_profile(g, cfg, pi, 0.0)):
+        with pytest.raises(ValueError, match=r"got \(4,\)"):
+            call(np.ones(4))
+        with pytest.raises(ValueError, match="positive"):
+            call(np.array([-1.0, 0.0, 0.0]))
 
 
 def test_residuals_linear_response():

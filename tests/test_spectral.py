@@ -27,6 +27,7 @@ from zaklab.spectral import (
 )
 from zaklab.functionals import CutoffFamily, weinstein_decompose
 from zaklab.dynamics import State, soliton_state
+from zaklab.modulation import pi_from_config, residuals_and_jacobian
 
 SEED = 42
 GRID = Grid(1024, 40.0)
@@ -591,6 +592,24 @@ def test_fused_h2_solves_match_the_closure_matvec(n, p, t):
     out, ref = h2_coercivity(g, p, t), _closure_h2_coercivity(g, p, t)
     for key in ("lambda_min_constrained", "lambda_min_unconstrained"):
         assert abs(out[key] - ref[key]) <= 1e-12 * abs(ref[key])
+
+
+@pytest.mark.parametrize("n", (256, 512))
+@pytest.mark.parametrize("p, t", _H2_CASES)
+def test_h2_constraints_are_the_fit_residual_rows(n, p, t):
+    # at Pi^0 the three orthogonality residuals of a K = 1 fit are h times the
+    # h2 constraints applied to [Re eps_u; Im eps_u]: G21 is minimized under
+    # the conditions modulate sets to zero
+    g = Grid(n, 40.0)
+    cfg = MultiSolitonConfig((p,))
+    rng = np.random.default_rng(SEED + 7)
+    eps_u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    st = soliton_state(g, p, t)
+    st = State(g, t, st.u + eps_u, st.n, st.v)
+    res = residuals_and_jacobian(st, pi_from_config(cfg), cfg).residuals
+    _, constraints = spectral._h2_operator(g, p, t)
+    want = g.spacing * (constraints.reshape(3, -1) @ np.concatenate([eps_u.real, eps_u.imag]))
+    assert np.max(np.abs(res - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", (64, 128, 256))
