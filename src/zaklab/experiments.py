@@ -15,13 +15,13 @@ t_final - t) and the nonlinear regime (error above 1e-2).
 
 The weinstein-audit kind makes every table of the backward run (errors.csv,
 functionals.csv and one local_L<L>.csv per cutoff width) from one
-integration.  The streamed kinds (simulate, weinstein-audit) run as two
-processes: a child forked at the start of the integration steps the system
-and writes each batch of frames as raw bytes through a pipe, while the
-parent computes the per-frame diagnostics of the batch before it.  The
-child comes from POSIX `os.fork`, so these kinds need a POSIX system (and
-run inside a daemonic process too), and it has ended by the time the runner
-returns or raises.
+integration.  It and simulate run as two processes: a child forked by
+os.fork (POSIX only; a daemonic process may fork too) integrates and sends
+each batch of frames as raw bytes through a pipe while the parent computes
+the diagnostics of the batch before; the child has ended when the runner
+returns or raises.  modulate-track fits each frame as it streams, in one
+process, and holds only the collision frames (modulation.track_backward);
+if its two fit chains disagree it integrates again.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .dynamics import DEFAULT_BLOWUP_THRESHOLD, backward_construct, backward_frames, evolve
+from .dynamics import DEFAULT_BLOWUP_THRESHOLD, backward_frames, evolve
 from .dynamics import multi_soliton_state, soliton_state
 from .functionals import (
     CutoffFamily,
@@ -49,7 +49,7 @@ from .functionals import (
     cutoff_profile_constants,
 )
 from .grid import Grid, quadrature
-from .modulation import pi_from_config, track
+from .modulation import pi_from_config, track, track_backward
 from .profiles import CEILING, COUNT, FINITE, POSITIVE, POSITIVES, SPEEDS, Admits, config_key
 from .profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from .spectral import coercivity_nls, h2_coercivity, young_mu
@@ -426,12 +426,12 @@ def edo_constant_fit(times, gmod, theta_hat: float, window) -> dict:
     }
 
 
-def _backward(spec: ExperimentSpec, grid: Grid, build=backward_frames):
-    """build (backward_frames or backward_construct) applied to the spec's run."""
+def _backward(spec: ExperimentSpec, grid: Grid):
+    """backward_frames of the spec's run: its frames from t_final down to 0."""
     log.info(f"backward construction to t=0 from t={spec.t_final} "
              f"(n={spec.n_points}, dt={spec.dt})")
-    return build(grid, spec.config, spec.t_final, spec.dt,
-                 sample_stride=spec.sample_stride, blowup_threshold=spec.blowup_threshold)
+    return backward_frames(grid, spec.config, spec.t_final, spec.dt, spec.sample_stride,
+                           spec.blowup_threshold)
 
 
 def _backward_tables(spec: ExperimentSpec, tables) -> list:
@@ -549,10 +549,13 @@ def _run_coercivity_sweep(spec, run_dir, manifest):
 
 def _run_modulation_track(spec, run_dir, manifest):
     """backward run plus per-frame parameter modulation"""
-    # the warm-started fit runs in increasing time, so this kind holds every frame
-    frames = _backward(spec, spec.make_grid(), backward_construct)
-    log.info(f"modulating {len(frames)} frames")
-    columns = track(frames, spec.config, tolerance=spec.tolerance)
+    grid = spec.make_grid()
+    columns, notes = track_backward(_backward(spec, grid), spec.config, spec.tolerance)
+    if columns is None:  # the fit chains took different roots
+        log.info(f"integrating again: {notes['refit']}")
+        columns = track(list(_backward(spec, grid))[::-1], spec.config, spec.tolerance)
+        notes["frames_held"] = len(columns["t"])
+    manifest.notes.update(notes)
     _save(run_dir, manifest, "modulation.csv", "modulation_series", columns)
     reasons = Counter(columns["reason"])
     manifest.notes["frames_converged"] = reasons.pop("converged", 0)

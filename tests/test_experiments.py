@@ -33,6 +33,7 @@ from zaklab.functionals import (
     mass,
     momentum,
 )
+from zaklab.modulation import track
 from zaklab.experiments import (
     CONFIG_KEYS,
     KINDS,
@@ -708,6 +709,28 @@ def test_run_modulation_track_smoke(tmp_path):
     assert data["notes"]["frames_converged"] == data["notes"]["frames_total"]
     assert data["notes"]["frames_failed_by_reason"] == {}
     assert (Path(man.run_dir) / "modulation.csv").exists()
+
+
+def test_modulation_track_integrates_again_when_the_chains_do_not_meet(tmp_path):
+    # the committed two-soliton waves at n = 512, t_final = 4, a frame every 0.05:
+    # only t = 4 and 3.95 fit cleanly in integration order, and at 3.95 the
+    # forward chain from t = 0 sits on another root, so the run lists the frames
+    # of a second integration and writes track's table of them
+    config = MultiSolitonConfig((SolitonParams(1.0, -0.5, 0.0, 0.0),
+                                 SolitonParams(1.0, 0.5, 0.0, 1.0)))
+    spec = ExperimentSpec(kind="modulation_track", config=config, n_points=512,
+                          box_length=80.0, dt=1e-3, sample_stride=50, t_final=4.0)
+    man = run(spec, output_dir=tmp_path / "runs")
+    notes = _read_manifest(man)["notes"]
+    assert notes["refit"]["t"] == pytest.approx(3.95)
+    assert notes["refit"]["pi_gap"] > 1.0
+    assert notes["chains_meet_t"] is None
+    assert notes["frames_held"] == notes["frames_total"] == 81
+    frames = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
+                                sample_stride=spec.sample_stride)
+    _write_csv(tmp_path / "modulation.csv", track(frames, config))
+    assert (tmp_path / "modulation.csv").read_bytes() == \
+        (Path(man.run_dir) / "modulation.csv").read_bytes()
 
 
 def test_run_convergence_order_smoke(tmp_path):

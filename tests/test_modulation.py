@@ -24,6 +24,7 @@ from zaklab.modulation import (
     pi_from_config,
     residuals_and_jacobian,
     track,
+    track_backward,
 )
 
 SEED = 42
@@ -438,6 +439,63 @@ def test_write_track_csv(tmp_path, backward_run):
     assert len(rows) == len(late) + 1
     assert [row[-1] for row in rows[1:]] == out["reason"]
     assert all(row[-1] == "converged" for row in rows[1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_track_backward_matches_track_on_the_reference_run(backward_run, monkeypatch):
+    # track over every frame is the oracle; the frames stream in integration order
+    _, cfg, traj = backward_run
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].t)
+        return modulate(*args, **kwargs)
+
+    monkeypatch.setattr(modulation, "modulate", counted)
+    got, notes = track_backward(reversed(traj), cfg)
+    monkeypatch.undo()
+    want = track(traj, cfg)
+    # eps_H >= 0.1 from t = 6.1 down: those 62 frames are held, and the chains
+    # meet at the last clean frame, t = 6.2
+    assert notes == {"frames_held": 62, "chains_meet_t": pytest.approx(6.2)}
+    # every fit goes through the module's modulate: the frames t >= 6.1 in
+    # integration order, then t <= 6.2 forward, so 6.1 and 6.2 twice
+    assert len(calls) == len(traj) + 2
+    assert list(got) == list(want)
+    np.testing.assert_array_equal(got["t"], want["t"])
+    assert np.max(np.abs(_stacked(got, PI_NAMES, cfg.K) - _stacked(want, PI_NAMES, cfg.K))) <= 1e-9
+    np.testing.assert_array_equal(got["converged"], want["converged"])
+    assert got["reason"] == want["reason"]
+    assert np.max(np.abs(got["eps_H"] - want["eps_H"])) <= 1e-9
+    # the rows up to the join are the forward chain's, bit for bit
+    join = np.flatnonzero(want["t"] <= 6.2).size
+    for name in ("eps_H", "iterations", "omega_1", "gamma_2"):
+        _assert_bitwise(got[name][:join], want[name][:join])
+    # above it the integration-order fits, warm-started from the later frame
+    assert got["iterations"][join:] != want["iterations"][join:]
+
+
+def test_track_backward_holds_every_frame_when_none_is_dropped(backward_run):
+    # from t = 4 down no integration-order fit is clean, so the forward chain
+    # runs over every frame and gives track's columns exactly
+    _, cfg, traj = backward_run
+    early = [st for st in traj if st.t <= 4.0]
+    got, notes = track_backward(early[::-1], cfg)
+    assert notes == {"frames_held": len(early), "chains_meet_t": None}
+    want = track(early, cfg)
+    assert list(got) == list(want)
+    for name in got:
+        _assert_bitwise(got[name], want[name])
+
+
+def test_track_backward_refuses_frames_out_of_time_order():
+    with pytest.raises(ValueError, match="at least one frame.*backward_frames"):
+        track_backward(iter([]), TWO)
+    frames = list(backward_frames(Grid(256, 80.0), TWO, t_final=0.2, dt=0.01, sample_stride=10))
+    with pytest.raises(ValueError, match="strictly decreasing time.*backward_frames"):
+        track_backward(frames[::-1], TWO)
+    with pytest.raises(ValueError, match="strictly decreasing time"):
+        track_backward([frames[0], frames[0]], TWO)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
