@@ -19,7 +19,6 @@ from .profiles import (
 from .dynamics import (
     BlowUpError,
     State,
-    backward_construct,
     backward_frames,
     evolve,
     multi_soliton_state,
@@ -50,7 +49,7 @@ __all__ = [
     "SolitonParams", "MultiSolitonConfig", "ground_state", "lambda_q", "phi",
     "traveling_wave", "multi_soliton",
     "State", "BlowUpError", "soliton_state", "multi_soliton_state",
-    "evolve", "time_reverse", "backward_frames", "backward_construct",
+    "evolve", "time_reverse", "backward_frames",
     "mass", "energy", "momentum", "CutoffFamily",
     "weinstein", "weinstein_decompose",
     "ModulationResult", "modulate", "track",

@@ -60,7 +60,6 @@ __all__ = [
     "evolve",
     "time_reverse",
     "backward_frames",
-    "backward_construct",
     "soliton_state",
     "multi_soliton_state",
 ]
@@ -279,7 +278,3 @@ def _time_reversed(frames):
     except BlowUpError as exc:
         raise BlowUpError(0.0 - exc.t, exc.norm) from None
 
-
-def backward_construct(*args, **kwargs) -> list:
-    """Every frame of backward_frames(*args, **kwargs), listed in increasing time."""
-    return list(backward_frames(*args, **kwargs))[::-1]

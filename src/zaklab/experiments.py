@@ -20,8 +20,8 @@ os.fork (POSIX only; a daemonic process may fork too) integrates and sends
 each batch of frames as raw bytes through a pipe while the parent computes
 the diagnostics of the batch before; the child has ended when the runner
 returns or raises.  modulate-track fits each frame as it streams, in one
-process, and holds only the collision frames (modulation.track_backward);
-if its two fit chains disagree it integrates again.
+process, and holds only the collision frames (modulation.track_backward,
+which integrates again if its two fit chains disagree).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .functionals import (
     cutoff_profile_constants,
 )
 from .grid import Grid, quadrature
-from .modulation import pi_from_config, track, track_backward
+from .modulation import pi_from_config, track_backward
 from .profiles import CEILING, COUNT, FINITE, POSITIVE, POSITIVES, SPEEDS, Admits, config_key
 from .profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from .spectral import coercivity_nls, h2_coercivity, young_mu
@@ -550,11 +550,7 @@ def _run_coercivity_sweep(spec, run_dir, manifest):
 def _run_modulation_track(spec, run_dir, manifest):
     """backward run plus per-frame parameter modulation"""
     grid = spec.make_grid()
-    columns, notes = track_backward(_backward(spec, grid), spec.config, spec.tolerance)
-    if columns is None:  # the fit chains took different roots
-        log.info(f"integrating again: {notes['refit']}")
-        columns = track(list(_backward(spec, grid))[::-1], spec.config, spec.tolerance)
-        notes["frames_held"] = len(columns["t"])
+    columns, notes = track_backward(lambda: _backward(spec, grid), spec.config, spec.tolerance)
     manifest.notes.update(notes)
     _save(run_dir, manifest, "modulation.csv", "modulation_series", columns)
     reasons = Counter(columns["reason"])

@@ -27,9 +27,10 @@ with their analytic 3K x 3K Jacobian.  The Jacobian has two kinds of term:
     r = sqrt(omega), and d e^{-i Gamma_k}/dgamma_k = -i e^{-i Gamma_k}.
 
 Along a trajectory each frame warm-starts from the previous one and gamma is
-kept on a continuous branch.  track fits frames listed in increasing time;
+kept on a continuous branch.  track fits frames in increasing time;
 track_backward fits a backward run as it streams and holds only the frames
-where the solitons still interact.
+where the solitons still interact, streaming the run again if its two fit
+chains do not meet.
 
 The residual vector, the unknown vector, and the Jacobian all use the fixed
 component order (all omega, all sigma, all gamma).
@@ -37,6 +38,7 @@ component order (all omega, all sigma, all gamma).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +59,8 @@ __all__ = [
     "track",
     "track_backward",
 ]
+
+log = logging.getLogger(__name__)
 
 # Newton gives up once the best residual has not improved for this many
 # consecutive iterations.
@@ -277,9 +281,13 @@ def _chain(frames, config: MultiSolitonConfig, tolerance: float):
 
 
 def _columns(rows, config: MultiSolitonConfig) -> dict:
-    """The modulation.csv columns of _Rows in strictly increasing time."""
+    """The modulation.csv columns of _Rows: at least one, in strictly
+    increasing time, else ValueError (the rates need both)."""
     K = config.K
     times = np.array([row.t for row in rows])
+    if not times.size or np.any(np.diff(times) <= 0):
+        raise ValueError("modulation needs at least one frame, in strictly increasing time "
+                         "for track or decreasing (as backward_frames streams) for track_backward")
     pis = np.stack([row.pi for row in rows])
     rates = np.gradient(pis, times, axis=0) if len(times) >= 2 else np.zeros_like(pis)
     omega0 = np.array([p.omega for p in config.solitons])
@@ -306,10 +314,6 @@ def track(frames, config: MultiSolitonConfig, tolerance: float = 1e-10) -> dict:
     restarts from Pi^0.  gamma components are unwrapped to the 2*pi branch
     nearest the previous frame so the rates are finite-differenceable.
     """
-    frames = list(frames)
-    if not frames or any(b.t <= a.t for a, b in zip(frames, frames[1:])):
-        raise ValueError("track needs at least one frame, in strictly increasing time "
-                         "(backward_construct lists a backward run so)")
     return _columns([row for _, row in _chain(frames, config, tolerance)], config)
 
 
@@ -326,40 +330,37 @@ EPS_H_CLEAN = 0.1
 CHAINS_MEET = 1e-9
 
 
-def track_backward(frames, config: MultiSolitonConfig, tolerance: float = 1e-10):
+def track_backward(run, config: MultiSolitonConfig, tolerance: float = 1e-10):
     """track of a backward run, fitted as it streams.
 
-    frames are States in strictly decreasing time, as backward_frames yields
-    them.  Each is fitted from the pi of the later one (the first from
-    Pi^0, gamma unwrapped against the later one) and dropped, until a fit is
-    not clean (see EPS_H_CLEAN).  That frame and every later one are held
-    unfitted, with the boundary (the last clean frame), and track's forward
-    chain runs over them in increasing time.  If both chains converge at the
-    boundary with pi within CHAINS_MEET, the forward rows and the
-    integration-order rows above the boundary make the columns.
+    run() streams the run: States in strictly decreasing time, as
+    backward_frames yields them.  Each is fitted from the pi of the later
+    one (the first from Pi^0, gamma unwrapped against the later one) and
+    dropped, until a fit is not clean (see EPS_H_CLEAN).  That frame and
+    every later one are held unfitted, with the boundary (the last clean
+    frame), and track's forward chain runs over them in increasing time.  If
+    both chains converge at the boundary with pi within CHAINS_MEET, the
+    forward rows and the integration-order rows above the boundary make the
+    columns.
 
     Returns (columns, notes): notes has frames_held, the frames below the
     boundary, and chains_meet_t, its time.  When no frame was dropped (fewer
     than two clean fits) the forward chain covered every frame: frames_held
     counts them all and chains_meet_t is None.  When the chains do not meet,
-    columns is None and notes["refit"] has the boundary's t, the largest
-    |pi| gap and the forward fit's reason: only track over every frame
-    gives the columns then.
+    the held frames are dropped and run() streams again: the columns are
+    track's over every frame, frames_held counts them all, chains_meet_t is
+    None and notes["refit"] has the boundary's t, the largest |pi| gap and
+    the forward fit's reason.
     """
-    frames = iter(frames)
-    above, held, boundary = [], [], None
+    frames = iter(run())
+    above, held, boundary = [], [], []
     for frame, row in _chain(frames, config, tolerance):
         if not (row.converged and row.eps_H < EPS_H_CLEAN):
-            held = [frame, *frames]
+            held = [frame, *frames][::-1]
             break
         above.append(row)
-        boundary = frame
-    times = [row.t for row in above] + [frame.t for frame in held]
-    if not times or any(b >= a for a, b in zip(times, times[1:])):
-        raise ValueError("track_backward needs at least one frame, in strictly decreasing "
-                         "time (backward_frames streams a backward run so)")
-    tail = held[::-1] if boundary is None else [*held[::-1], boundary]
-    forward = [row for _, row in _chain(tail, config, tolerance)]
+        boundary = [frame]
+    forward = [row for _, row in _chain(held + boundary, config, tolerance)]
     if len(above) < 2:  # no frame was dropped: the forward chain ran over every frame
         return _columns(forward, config), {"frames_held": len(forward), "chains_meet_t": None}
     fwd, back = forward[-1], above[-1]
@@ -367,5 +368,8 @@ def track_backward(frames, config: MultiSolitonConfig, tolerance: float = 1e-10)
     if fwd.converged and gap <= CHAINS_MEET:
         return (_columns(forward + above[-2::-1], config),
                 {"frames_held": len(held), "chains_meet_t": back.t})
-    return None, {"frames_held": len(held), "chains_meet_t": None,
-                  "refit": {"t": back.t, "pi_gap": gap, "reason": fwd.reason}}
+    refit = {"t": back.t, "pi_gap": gap, "reason": fwd.reason}
+    log.info(f"integrating again: the fit chains do not meet, {refit}")
+    del frame, held, boundary  # hold no frame of the first run while the second streams
+    columns = track(list(run())[::-1], config, tolerance)
+    return columns, {"frames_held": len(columns["t"]), "chains_meet_t": None, "refit": refit}

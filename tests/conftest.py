@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zaklab import Grid, MultiSolitonConfig, SolitonParams
-from zaklab.dynamics import backward_construct
+from zaklab.dynamics import backward_frames
 from zaklab.experiments import auto_window, error_series, fit_exponential
 
 
@@ -29,8 +29,8 @@ def two_soliton_config():
 def backward_run(two_soliton_config):
     """(grid, config, trajectory) of the reference backward construction."""
     grid = Grid(2048, 80.0)
-    traj = backward_construct(grid, two_soliton_config, t_final=30.0, dt=1e-3,
-                              sample_stride=100)
+    traj = list(backward_frames(grid, two_soliton_config, t_final=30.0, dt=1e-3,
+                                sample_stride=100))[::-1]
     return grid, two_soliton_config, traj
 
 

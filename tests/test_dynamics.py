@@ -10,7 +10,6 @@ from zaklab.profiles import MultiSolitonConfig, SolitonParams, traveling_wave
 from zaklab.dynamics import (
     BlowUpError,
     State,
-    backward_construct,
     backward_frames,
     evolve,
     multi_soliton_state,
@@ -105,12 +104,6 @@ def test_backward_frames_come_in_integration_order():
     assert iter(frames) is frames
     frames = list(frames)
     assert [st.t for st in frames] == pytest.approx([0.1, 0.08, 0.06, 0.04, 0.02, 0.0])
-    built = backward_construct(g, cfg, 0.1, 1e-2, sample_stride=2)
-    assert isinstance(built, list)
-    assert len(built) == len(frames)
-    for a, b in zip(built, reversed(frames)):
-        assert a.t == b.t
-        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "unv")
 
 
 # --- single step and equivalence with the unfused full-FFT kernel -------------

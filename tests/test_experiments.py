@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from contextlib import closing
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from zaklab.profiles import SOLITON_KEYS, MultiSolitonConfig, SolitonParams
 from zaklab.dynamics import (
     BlowUpError,
     State,
-    backward_construct,
+    backward_frames,
     evolve,
     multi_soliton_state,
     soliton_state,
@@ -492,8 +493,8 @@ def test_local_csvs_equal_local_series_over_backward_construct(tmp_path):
         man = run(spec, output_dir=tmp_path / "runs")
     _assert_no_child_left()
     assert set(man.notes["monotone_in_L"]) == {"k=1", "k=2"}
-    frames = backward_construct(spec.make_grid(), TWO, spec.t_final, spec.dt,
-                                sample_stride=spec.sample_stride)
+    frames = list(backward_frames(spec.make_grid(), TWO, spec.t_final, spec.dt,
+                                  sample_stride=spec.sample_stride))[::-1]
     _write_csv(tmp_path / "errors.csv", error_series(frames, TWO))
     assert (tmp_path / "errors.csv").read_bytes() == \
         (Path(man.run_dir) / "errors.csv").read_bytes()
@@ -514,8 +515,8 @@ def test_batched_frame_pass_equals_the_per_state_pass(monkeypatch, config, batch
     monkeypatch.setattr(experiments, "_BATCH", batch)
     errors, *tables = experiments._backward_tables(
         spec, [_Frame.errors, *map(experiments._local_table, widths)])
-    states = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
-                                sample_stride=spec.sample_stride)
+    states = list(backward_frames(spec.make_grid(), config, spec.t_final, spec.dt,
+                                  sample_stride=spec.sample_stride))[::-1]
     assert len(states) == len(errors["t"]) == 51
     for i, st in enumerate(states):
         alone = _Frame.of([st], config)
@@ -539,8 +540,8 @@ def test_functionals_csv_equals_the_one_state_frame(tmp_path, monkeypatch, confi
     man = run(spec, output_dir=tmp_path)
     with open(Path(man.run_dir) / "functionals.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
-    states = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
-                                sample_stride=spec.sample_stride)
+    states = list(backward_frames(spec.make_grid(), config, spec.t_final, spec.dt,
+                                  sample_stride=spec.sample_stride))[::-1]
     assert len(rows) == len(states) == 51
     for st, row in zip(states, rows):
         one = _Frame.of([st], config)
@@ -701,9 +702,28 @@ def test_weinstein_audit_does_not_hold_its_frames(tmp_path):
     assert growth < 0.5 * extra_frames * frame_bytes
 
 
-def test_run_modulation_track_smoke(tmp_path):
+def _counted_integrations(monkeypatch) -> list:
+    """Wrap the runners' backward_frames.  The list gets one entry per run
+    streamed: how many frames of the earlier runs were still held when it
+    started."""
+    held, refs = [], []
+
+    def counted(*args, **kwargs):
+        held.append(sum(ref() is not None for ref in refs))
+        for frame in backward_frames(*args, **kwargs):
+            refs.append(weakref.ref(frame))
+            yield frame
+
+    monkeypatch.setattr(experiments, "backward_frames", counted)
+    return held
+
+
+def test_run_modulation_track_smoke(tmp_path, monkeypatch):
+    integrations = _counted_integrations(monkeypatch)
     spec = ExperimentSpec(kind="modulation_track", config=ONE, **CHEAP)
     man = run(spec, output_dir=tmp_path)
+    # every frame is clean, so the chains meet on the one integration
+    assert integrations == [0]
     data = _read_manifest(man)
     assert data["notes"]["frames_total"] >= 2
     assert data["notes"]["frames_converged"] == data["notes"]["frames_total"]
@@ -711,7 +731,7 @@ def test_run_modulation_track_smoke(tmp_path):
     assert (Path(man.run_dir) / "modulation.csv").exists()
 
 
-def test_modulation_track_integrates_again_when_the_chains_do_not_meet(tmp_path):
+def test_modulation_track_integrates_again_when_the_chains_do_not_meet(tmp_path, monkeypatch):
     # the committed two-soliton waves at n = 512, t_final = 4, a frame every 0.05:
     # only t = 4 and 3.95 fit cleanly in integration order, and at 3.95 the
     # forward chain from t = 0 sits on another root, so the run lists the frames
@@ -720,14 +740,16 @@ def test_modulation_track_integrates_again_when_the_chains_do_not_meet(tmp_path)
                                  SolitonParams(1.0, 0.5, 0.0, 1.0)))
     spec = ExperimentSpec(kind="modulation_track", config=config, n_points=512,
                           box_length=80.0, dt=1e-3, sample_stride=50, t_final=4.0)
+    integrations = _counted_integrations(monkeypatch)
     man = run(spec, output_dir=tmp_path / "runs")
+    assert integrations == [0, 0]  # the second run streams with no frame of the first held
     notes = _read_manifest(man)["notes"]
     assert notes["refit"]["t"] == pytest.approx(3.95)
     assert notes["refit"]["pi_gap"] > 1.0
     assert notes["chains_meet_t"] is None
     assert notes["frames_held"] == notes["frames_total"] == 81
-    frames = backward_construct(spec.make_grid(), config, spec.t_final, spec.dt,
-                                sample_stride=spec.sample_stride)
+    frames = list(backward_frames(spec.make_grid(), config, spec.t_final, spec.dt,
+                                  sample_stride=spec.sample_stride))[::-1]
     _write_csv(tmp_path / "modulation.csv", track(frames, config))
     assert (tmp_path / "modulation.csv").read_bytes() == \
         (Path(man.run_dir) / "modulation.csv").read_bytes()

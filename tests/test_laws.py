@@ -26,6 +26,11 @@ The first variation G1 = <G'(S), eps> is small on the same trajectory: each
 modulated wave is a critical point of its own part of G, so G'(S) holds only
 the interaction of the waves, and |G1| / ||eps|| decays at about the rate
 of the backward error itself.
+
+The modulation equations close on the same trajectory: differentiating the
+orthogonality relations in time bounds the parameter rates by the error,
+|omega_k'| + |sigma_k'| + |gamma_k' - (omega_k - omega_k^0)| <= C ||eps||, to
+first order in eps (Martel, Merle and Tsai), so the rates decay with eps.
 """
 
 import json
@@ -134,3 +139,26 @@ def test_first_variation_decays_with_the_backward_error(backward_fit, modulated_
     g1_fit = fit_exponential(modulated_split["t"], ratio, window)
     assert g1_fit["r_squared"] > 0.99, g1_fit
     assert 1.15 < g1_fit["rate"] / fit["rate"] < 1.40, (g1_fit["rate"], fit["rate"], window)
+
+
+def test_modulation_rates_are_bounded_by_the_error(backward_run, modulated_split):
+    # r = max_k (|domega_dt_k| + |dsigma_dt_k| + |gamma_rate_mismatch_k|) / eps_H
+    # reads 0.399-0.551 on t in [4, 14] (largest at t = 7.7) while eps_H falls
+    # by four decades: the rates are linear in eps (omega' is, here), so no
+    # ||eps||^2 bound is assumed.  The band [0.3, 0.7] leaves margins of 1.33
+    # below and 1.27 above.  Past t = 14 Strang's floor enters eps_H and r
+    # falls (0.335 at t = 16, 0.106 at t = 20)
+    cols, K = modulated_split, backward_run[1].K
+    rates = np.max([np.abs(cols[f"domega_dt_{k}"]) + np.abs(cols[f"dsigma_dt_{k}"])
+                    + np.abs(cols[f"gamma_rate_mismatch_{k}"]) for k in range(1, K + 1)], axis=0)
+    times, eps_h = cols["t"], cols["eps_H"]
+    early = times <= 14.0 + 1e-9
+    r = rates[early] / eps_h[early]
+    assert 0.3 < r.min() and r.max() < 0.7, (r.min(), times[early][np.argmax(r)], r.max())
+    # on [5, 14] the rates fit a decay rate of 0.971 (r^2 0.9989) against
+    # 0.957 for eps_H, a ratio of 1.015 inside 0.95-1.05
+    window = (5.0, 14.0)
+    rate_fit = fit_exponential(times, rates, window)
+    eps_fit = fit_exponential(times, eps_h, window)
+    assert rate_fit["r_squared"] > 0.99, rate_fit
+    assert 0.95 < rate_fit["rate"] / eps_fit["rate"] < 1.05, (rate_fit, eps_fit)

@@ -398,7 +398,7 @@ def test_track_exact_trajectory_stays_at_reference():
 
 
 def test_track_refuses_no_frames():
-    with pytest.raises(ValueError, match="at least one frame.*backward_construct"):
+    with pytest.raises(ValueError, match="at least one frame.*increasing time for track"):
         track(iter([]), TWO)
 
 
@@ -406,7 +406,7 @@ def test_track_refuses_frames_out_of_time_order():
     # backward_frames streams from t_final down; fitted in that order the
     # warm starts and the finite-difference rates would run backward
     frames = backward_frames(Grid(256, 80.0), TWO, t_final=0.2, dt=0.01, sample_stride=10)
-    with pytest.raises(ValueError, match="strictly increasing time.*backward_construct"):
+    with pytest.raises(ValueError, match="strictly increasing time for track"):
         track(frames, TWO)
     frame = multi_soliton_state(Grid(256, 80.0), TWO, 0.0)
     with pytest.raises(ValueError, match="strictly increasing time"):
@@ -452,7 +452,7 @@ def test_track_backward_matches_track_on_the_reference_run(backward_run, monkeyp
         return modulate(*args, **kwargs)
 
     monkeypatch.setattr(modulation, "modulate", counted)
-    got, notes = track_backward(reversed(traj), cfg)
+    got, notes = track_backward(lambda: reversed(traj), cfg)
     monkeypatch.undo()
     want = track(traj, cfg)
     # eps_H >= 0.1 from t = 6.1 down: those 62 frames are held, and the chains
@@ -480,7 +480,7 @@ def test_track_backward_holds_every_frame_when_none_is_dropped(backward_run):
     # runs over every frame and gives track's columns exactly
     _, cfg, traj = backward_run
     early = [st for st in traj if st.t <= 4.0]
-    got, notes = track_backward(early[::-1], cfg)
+    got, notes = track_backward(lambda: early[::-1], cfg)
     assert notes == {"frames_held": len(early), "chains_meet_t": None}
     want = track(early, cfg)
     assert list(got) == list(want)
@@ -489,13 +489,13 @@ def test_track_backward_holds_every_frame_when_none_is_dropped(backward_run):
 
 
 def test_track_backward_refuses_frames_out_of_time_order():
-    with pytest.raises(ValueError, match="at least one frame.*backward_frames"):
-        track_backward(iter([]), TWO)
+    with pytest.raises(ValueError, match="at least one frame.*decreasing.*backward_frames"):
+        track_backward(lambda: iter([]), TWO)
     frames = list(backward_frames(Grid(256, 80.0), TWO, t_final=0.2, dt=0.01, sample_stride=10))
-    with pytest.raises(ValueError, match="strictly decreasing time.*backward_frames"):
-        track_backward(frames[::-1], TWO)
-    with pytest.raises(ValueError, match="strictly decreasing time"):
-        track_backward([frames[0], frames[0]], TWO)
+    with pytest.raises(ValueError, match="decreasing.*backward_frames.*for track_backward"):
+        track_backward(lambda: frames[::-1], TWO)
+    with pytest.raises(ValueError, match="decreasing.*for track_backward"):
+        track_backward(lambda: [frames[0], frames[0]], TWO)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
